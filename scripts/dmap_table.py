@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the full image table of the generic-type map for one n.
 
-Usage: python3 scripts/dmap_table.py 12 [--trials 64] [--seed 0] [--json]
+Usage: python3 scripts/dmap_table.py 12 [--json]
 """
 
 import argparse
@@ -14,24 +14,19 @@ from nilcomm.dinverse import dmap_all
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("n", type=int)
-    ap.add_argument("--trials", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
     if args.n < 1:
         ap.error("n must be positive")
 
-    table = dmap_all(args.n, args.trials, seed=args.seed)
+    table = dmap_all(args.n)
     if args.json:
         doc = {
             "n": args.n,
-            "trials": args.trials,
-            "seed": args.seed,
             "entries": [
                 {"lambda": list(lam), "d": list(res.d), "method": res.method}
                 for lam, res in table.entries.items()
             ],
-            "methods": table.method_counts(),
         }
         json.dump(doc, sys.stdout, indent=2)
         print()
@@ -41,8 +36,7 @@ def main() -> int:
     for lam, res in table.entries.items():
         mark = "*" if res.d == lam else " "
         print(f"{str(lam):<{width}} {mark} -> {res.d}   [{res.method}]")
-    counts = table.method_counts()
-    print(f"\n{len(table.entries)} partitions, methods: {counts} (* = fixed point)")
+    print(f"\n{len(table.entries)} partitions (* = fixed point)")
     return 0
 
 

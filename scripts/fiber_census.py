@@ -15,12 +15,10 @@ from nilcomm.partitions import partition_rank
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=12)
-    ap.add_argument("--trials", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     for n in range(1, args.max_n + 1):
-        table = dmap_all(n, args.trials, seed=args.seed)
+        table = dmap_all(n)
         fibers = table.fibers()
         sizes = Counter(len(v) for v in fibers.values())
         print(f"n={n}: {len(table.entries)} partitions, {len(fibers)} stable images")

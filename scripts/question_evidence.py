@@ -16,7 +16,7 @@ from nilcomm.dinverse import explore_q1, explore_q2
 from nilcomm.partitions import enumerate_partitions, is_stable
 
 
-def run_q1(max_n: int, trials: int, seed: int) -> int:
+def run_q1(max_n: int) -> int:
     bad = 0
     for n in range(3, max_n + 1):
         for r in range(5, n):
@@ -26,7 +26,7 @@ def run_q1(max_n: int, trials: int, seed: int) -> int:
             mu = (n + r) // 2
             if mu - r < 1:
                 continue
-            rep = explore_q1(mu, r, trials, seed=seed)
+            rep = explore_q1(mu, r)
             verdict = "matches" if rep.matches else "DIFFERS"
             print(f"mu={mu:<3} r={r:<2} n={rep.n:<3} |fiber|={rep.size:<4} "
                   f"conjectured {rep.conjectured:<4} {verdict}")
@@ -35,13 +35,13 @@ def run_q1(max_n: int, trials: int, seed: int) -> int:
     return 1 if bad else 0
 
 
-def run_q2(max_n: int, trials: int, seed: int) -> int:
+def run_q2(max_n: int) -> int:
     bad = 0
     for n in range(1, max_n + 1):
         for mu in enumerate_partitions(n):
             if not is_stable(mu) or mu.t < 2:
                 continue
-            rep = explore_q2(mu, trials, seed=seed)
+            rep = explore_q2(mu)
             verdict = "holds" if rep.holds else "FAILS"
             print(f"mu={str(mu):<16} candidate={str(rep.conjectured):<20} "
                   f"min_rank={rep.min_rank:<3} {verdict}")
@@ -54,12 +54,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("question", choices=["q1", "q2"])
     ap.add_argument("--max-n", type=int, default=14)
-    ap.add_argument("--trials", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     if args.question == "q1":
-        return run_q1(args.max_n, args.trials, args.seed)
-    return run_q2(args.max_n, args.trials, args.seed)
+        return run_q1(args.max_n)
+    return run_q2(args.max_n)
 
 
 if __name__ == "__main__":

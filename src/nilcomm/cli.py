@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from nilcomm import exactla, verify
 from nilcomm._rng import Stream, derive
-from nilcomm.commutant import MCInconsistencyError, dmap, sample_nilpotent_commuting
+from nilcomm.commutant import dmap, sample_nilpotent_commuting
 from nilcomm.constraints import compatible_filter
 from nilcomm.dinverse import explore_q1, explore_q2, fiber_json
 from nilcomm.exactla import NotNilpotentError
@@ -32,7 +32,6 @@ from nilcomm.twoblock import (
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    trials: int = 64
     coeff_bound: int = 10
     output: str = "text"
     max_n: int = 16
@@ -47,7 +46,6 @@ class RunConfig:
 def _config(args) -> RunConfig:
     return RunConfig(
         seed=args.seed,
-        trials=args.trials,
         coeff_bound=args.coeff_bound,
         output="json" if args.json else "text",
         max_n=args.max_n,
@@ -78,14 +76,14 @@ def _guard(cfg: RunConfig, n: int) -> bool:
 
 def _cmd_dmap(cfg: RunConfig, args) -> int:
     lam = parse(args.partition)
-    res = dmap(lam, cfg.trials, seed=cfg.seed, coeff_bound=cfg.coeff_bound)
+    res = dmap(lam)
     if cfg.json:
         out = res.to_json_dict()
         out["seed"] = cfg.seed
         _emit_json(out)
     else:
         print(f"D{lam} = {res.d}")
-        print(f"method {res.method}, trials used {res.trials_used}, "
+        print(f"method {res.method}, "
               f"checks index={res.index_check} parts={res.parts_check}")
     return 0
 
@@ -94,7 +92,7 @@ def _cmd_dinv(cfg: RunConfig, args) -> int:
     mu = parse(args.partition)
     if _guard(cfg, mu.n):
         return 2
-    out = fiber_json(mu, cfg.trials, seed=cfg.seed)
+    out = fiber_json(mu)
     if cfg.json:
         out["seed"] = cfg.seed
         _emit_json(out)
@@ -102,8 +100,6 @@ def _cmd_dinv(cfg: RunConfig, args) -> int:
         print(f"D^-1{mu}: {out['size']} partitions")
         for parts in out["fiber"]:
             print(f"  {Partition(parts)}")
-        m = out["methods"]
-        print(f"methods: formula {m['formula']}, monte-carlo {m['monte-carlo']}")
     return 0
 
 
@@ -214,59 +210,25 @@ def _cmd_check(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _run_single_suite(cfg: RunConfig, k: int) -> verify.SuiteResult:
-    def c(default: int) -> int:
-        return min(default, cfg.max_n)
-
-    if k == 1:
-        return verify.suite1(c(10))
-    if k == 2:
-        return verify.suite2(c(16), c(10), cfg.trials, cfg.seed)
-    if k == 3:
-        return verify.suite3(c(14), 3, cfg.seed)
-    if k == 4:
-        return verify.suite4(c(14), cfg.seed)
-    if k == 5:
-        return verify.suite5(c(16), c(10), 10000, cfg.seed, cfg.coeff_bound)
-    if k == 6:
-        return verify.suite6(c(16), cfg.trials, cfg.seed)
-    if k == 7:
-        return verify.suite7(c(16), cfg.trials, cfg.seed)
-    if k == 8:
-        return verify.suite8(cfg.trials, cfg.seed)
-    if k == 9:
-        return verify.suite9(cfg.trials, cfg.seed)
-    if k == 10:
-        return verify.suite10(c(12), cfg.trials, cfg.seed)
-    if k == 11:
-        return verify.suite11(c(10), 1000, c(12), cfg.seed, cfg.coeff_bound)
-    return verify.suite12(c(14))
-
-
 def _cmd_verify(cfg: RunConfig, args) -> int:
     if args.suite == "all":
-        if cfg.json:
-            results = verify.run_all(cfg.max_n, cfg.trials, cfg.seed)
-            _emit_json({"seed": cfg.seed, "max_n": cfg.max_n,
-                        "results": [r.to_json_dict() for r in results]})
-        else:
-            results = verify.run_all(
-                cfg.max_n, cfg.trials, cfg.seed,
-                progress=lambda r: print(r.line(), flush=True))
+        progress = None if cfg.json else lambda r: print(r.line(), flush=True)
+        results = verify.run_all(cfg.max_n, cfg.seed, cfg.coeff_bound, progress)
     else:
-        results = [_run_single_suite(cfg, int(args.suite))]
-        if cfg.json:
-            _emit_json({"seed": cfg.seed, "max_n": cfg.max_n,
-                        "results": [r.to_json_dict() for r in results]})
-        else:
+        results = [verify.run_suite(int(args.suite), cfg.max_n, cfg.seed,
+                                    cfg.coeff_bound)]
+        if not cfg.json:
             print(results[0].line())
+    if cfg.json:
+        _emit_json({"seed": cfg.seed, "max_n": cfg.max_n,
+                    "results": [r.to_json_dict() for r in results]})
     return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_explore_q1(cfg: RunConfig, args) -> int:
     if _guard(cfg, 2 * args.mu - args.r):
         return 2
-    rep = explore_q1(args.mu, args.r, cfg.trials, seed=cfg.seed)
+    rep = explore_q1(args.mu, args.r)
     if cfg.json:
         out = rep.to_json_dict()
         out["seed"] = cfg.seed
@@ -284,7 +246,7 @@ def _cmd_explore_q2(cfg: RunConfig, args) -> int:
     mu = parse(args.partition)
     if _guard(cfg, mu.n):
         return 2
-    rep = explore_q2(mu, cfg.trials, seed=cfg.seed)
+    rep = explore_q2(mu)
     if cfg.json:
         out = rep.to_json_dict()
         out["seed"] = cfg.seed
@@ -298,10 +260,16 @@ def _cmd_explore_q2(cfg: RunConfig, args) -> int:
     return 0 if rep.holds else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=64)
     common.add_argument("--coeff-bound", type=int, default=10)
     common.add_argument("--json", action="store_true")
     common.add_argument("--max-n", type=int, default=16)
@@ -327,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[common],
                        help="random nilpotent elements commuting with a Jordan matrix")
     p.add_argument("partition")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_sample)
 
     pc = sub.add_parser("construct", help="verified witness constructions")
@@ -370,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run the acceptance suites")
     p.add_argument("--suite", default="all",
-                   choices=["all"] + [str(i) for i in range(1, 13)])
+                   choices=["all"] + [str(k) for k in verify.SUITES])
     p.set_defaults(func=_cmd_verify)
 
     pe = sub.add_parser("explore", help="evidence for the open questions")
@@ -394,9 +362,6 @@ def main(argv=None) -> int:
     cfg = _config(args)
     try:
         return args.func(cfg, args)
-    except MCInconsistencyError as exc:
-        print(f"inconsistent sampling result: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, NotNilpotentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

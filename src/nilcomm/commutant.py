@@ -6,11 +6,11 @@ lower-left triangle forced to zero.  One generator per admissible diagonal
 gives a basis of dimension sum(min(p_i, p_j)).
 
 The map D sends a partition p to the Jordan type of a generic nilpotent
-element commuting with J_p.  Two facts pin it down tightly: the first part of
-D(p) is an explicit maximum over windows of parts (dmap_index), and the number
-of parts of D(p) is the minimal almost-rectangular cover of p.  Small covers
-are resolved by closed formulas; everything else falls back to randomized
-sampling with dominance-maximum aggregation and exact consistency checks.
+element commuting with J_p.  It is computed by Oblak's recursion, checked
+against sampling in tests: the first part of D(p) is an explicit maximum
+over windows of parts (dmap_index), the window that attains it is removed,
+and the rest recurses.  The number of parts of D(p) is the minimal
+almost-rectangular cover of p, which every result is checked against.
 """
 
 from __future__ import annotations
@@ -19,18 +19,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from nilcomm._rng import Stream, derive
-from nilcomm.partitions import (
-    Partition,
-    dominance_leq,
-    is_stable,
-    min_ar_cover,
-    stable_partitions,
+from nilcomm.partitions import Partition, min_ar_cover
+from nilcomm.exactla import (
+    ExactMatrix,
+    NotNilpotentError,
+    _jordan_type_rows,
+    build_jordan,
+    jordan_type,
 )
-from nilcomm.exactla import ExactMatrix, _jordan_type_rows, build_jordan, jordan_type
-
-
-class MCInconsistencyError(RuntimeError):
-    """Sampling produced types that contradict the formula-level facts."""
 
 
 # generator descriptor: (block row i, block col j, diagonal offset, length,
@@ -140,31 +136,46 @@ class CommutantSample:
         }
 
 
-def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10, retries: int = 32) -> CommutantSample:
+def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> CommutantSample:
     """Verified random nilpotent element commuting with the Jordan matrix of lam.
 
     The draw scheme makes non-nilpotent output impossible, but the contract is
     exact verification, so nilpotency and commutation are both checked; a
-    failed draw (which would signal a bug, not bad luck) is redrawn a bounded
-    number of times and then reported with its seed.
+    failed check signals a bug, not bad luck, and raises with the seed.
     """
     lam = Partition(lam)
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     b = build_jordan(lam)
-    for attempt in range(retries):
-        rows = _draw_rows(tuple(lam), Stream(derive(seed, 1, attempt)), coeff_bound)
-        m = ExactMatrix(rows)
-        if m @ b != b @ m:
-            raise RuntimeError(f"sample fails commutation for {tuple(lam)}; bug")
-        try:
-            jt = jordan_type(m)
-        except Exception:
+    rows = _draw_rows(tuple(lam), Stream(derive(seed, 1, 0)), coeff_bound)
+    m = ExactMatrix(rows)
+    if m @ b != b @ m:
+        raise RuntimeError(f"sample fails commutation for {tuple(lam)} (seed {seed}); bug")
+    try:
+        jt = jordan_type(m)
+    except NotNilpotentError as exc:
+        raise RuntimeError(
+            f"non-nilpotent sample for {tuple(lam)} (seed {seed}); bug") from exc
+    return CommutantSample(lam, m, jt, seed, coeff_bound)
+
+
+def _index_window(ps: tuple) -> tuple[int, int, int]:
+    """(u, i, j): the largest 2i + ps_i + ... + ps_(j-1) over windows with
+    ps_i - ps_(j-1) <= 1 and, for i > 0, ps_(i-1) >= 2, and the first window
+    ps_i..ps_(j-1) that attains it (indices from 0)."""
+    t = len(ps)
+    best = (0, 0, 0)
+    for i in range(t):
+        if i > 0 and ps[i - 1] < 2:
             continue
-        return CommutantSample(lam, m, jt, seed, coeff_bound)
-    raise RuntimeError(
-        f"no nilpotent sample for {tuple(lam)} after {retries} retries (seed {seed})"
-    )
+        acc = 2 * i
+        for j in range(i, t):
+            if ps[i] - ps[j] > 1:
+                break
+            acc += ps[j]
+            if acc > best[0]:
+                best = (acc, i, j + 1)
+    return best
 
 
 def dmap_index(lam) -> int:
@@ -173,20 +184,7 @@ def dmap_index(lam) -> int:
     Maximum of 2(i-1) + lam_i + ... + lam_(i+r) over windows with
     lam_i - lam_(i+r) <= 1, requiring lam_(i-1) >= 2 when i > 1.
     """
-    ps = tuple(lam)
-    t = len(ps)
-    best = 0
-    for i in range(t):
-        if i > 0 and ps[i - 1] < 2:
-            continue
-        acc = 2 * i
-        for r in range(t - i):
-            if ps[i] - ps[i + r] > 1:
-                break
-            acc += ps[i + r]
-            if acc > best:
-                best = acc
-    return best
+    return _index_window(tuple(lam))[0]
 
 
 @dataclass(frozen=True)
@@ -194,7 +192,6 @@ class DMapResult:
     lam: Partition
     d: Partition
     method: str
-    trials_used: int
     index_check: bool
     parts_check: bool
 
@@ -203,119 +200,36 @@ class DMapResult:
             "lambda": list(self.lam),
             "d": list(self.d),
             "method": self.method,
-            "trials_used": self.trials_used,
             "checks": {"index": self.index_check, "parts": self.parts_check},
         }
 
 
-def _diff2_image(lam: Partition) -> Partition | None:
-    """Image when lam is a gap-2 staircase over an almost-rectangular tail.
+def dmap(lam) -> DMapResult:
+    """Generic commuting type of lam, by Oblak's recursion.
 
-    Matches lam = (u, u-2, ..., u-2(k-1), tail) with tail almost rectangular
-    summing to u-2k; then the image is the staircase extended one more step.
+    With u = dmap_index(lam) attained first on the window lam_i..lam_(i+r),
+    D(lam) = (u) joined with D(lam'), where lam' lowers every part before
+    the window by 2 (dropping parts that reach zero), drops the window and
+    keeps the parts after it.  Oblak stated the recursion; Basili and
+    Iarrobino-Khatami-Van Steirteghem-Zhao are reported to have proved it.
+    The first part (u) and the part count (the minimal almost-rectangular
+    cover) are checked against their own formulas; a mismatch is a bug.
     """
-    ps = tuple(lam)
-    u = ps[0]
-    for k in range(1, (u - 1) // 2 + 1):
-        if len(ps) <= k:
-            break
-        if any(ps[i] != u - 2 * i for i in range(k)):
-            break
-        tail = ps[k:]
-        if sum(tail) == u - 2 * k and tail[0] - tail[-1] <= 1:
-            return Partition([u - 2 * i for i in range(k + 1)])
-    return None
-
-
-def dmap(
-    lam,
-    trials: int = 64,
-    *,
-    seed: int = 0,
-    coeff_bound: int = 10,
-    force_mc: bool = False,
-    early_stop: bool = True,
-) -> DMapResult:
-    """Generic commuting type of lam: formula cascade, then Monte Carlo.
-
-    Cover 1 gives (n); cover 2 gives (index, n - index); a gap-2 staircase
-    over an almost-rectangular tail extends the staircase.  Anything else is
-    sampled: trials independent draws, aggregated by dominance maximum, with
-    the first-part and part-count formulas as mandatory consistency checks.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     lam = Partition(lam)
-    n = lam.n
-    u = dmap_index(lam)
+    parts = []
+    rest = tuple(lam)
+    while rest:
+        u, i, j = _index_window(rest)
+        parts.append(u)
+        rest = tuple(sorted([p - 2 for p in rest[:i] if p > 2] + list(rest[j:]),
+                            reverse=True))
+    d = Partition(parts)
     cover = min_ar_cover(lam)
-    d: Partition | None = None
-    method = "monte-carlo"
-    used = 0
-    if not force_mc:
-        if cover == 1:
-            d, method = Partition((n,)), "formula-r1"
-        elif cover == 2:
-            d, method = Partition((u, n - u)), "formula-r2"
-        else:
-            img = _diff2_image(lam)
-            if img is not None:
-                d, method = img, "formula-diff2"
-    if d is None:
-        d, used = _dmap_mc(lam, trials, seed, coeff_bound, early_stop, u, cover)
-    index_check = d[0] == u
+    index_check = d[0] == parts[0]
     parts_check = d.t == cover
     if not (index_check and parts_check):
-        raise MCInconsistencyError(
-            f"type {tuple(d)} for {tuple(lam)} fails checks: "
-            f"first part {d[0]} vs {u}, parts {d.t} vs {cover}"
+        raise RuntimeError(
+            f"recursion gave {tuple(d)} for {tuple(lam)}: first part {d[0]} vs "
+            f"{parts[0]}, parts {d.t} vs {cover}; bug"
         )
-    return DMapResult(lam, d, method, used, index_check, parts_check)
-
-
-def _dmap_mc(
-    lam: Partition, trials: int, seed: int, coeff_bound: int, early_stop: bool,
-    u: int, cover: int,
-) -> tuple[Partition, int]:
-    """Dominance-maximum over sampled types, with provable early exit.
-
-    The target type is stable, has first part u and cover parts, and
-    dominates every sampled type.  So once the current unique maximum q is a
-    member of that candidate set and no other candidate dominates q, the
-    target can only be q itself.  A stable input is its own target, which
-    gives a second sound exit.
-    """
-    n = lam.n
-    candidates = None
-    if early_stop:
-        candidates = list(stable_partitions(n, u, cover))
-    observed: set = set()
-    maxima: list = []
-    lam_stable = is_stable(lam)
-    used = 0
-    for trial in range(trials):
-        jt = sample_jordan(lam, derive(seed, 2, trial), coeff_bound)
-        used += 1
-        if jt not in observed:
-            observed.add(jt)
-            maxima = [m for m in maxima if not dominance_leq(m, jt)]
-            if not any(dominance_leq(jt, m) for m in maxima):
-                maxima.append(jt)
-        if early_stop and len(maxima) == 1:
-            q = maxima[0]
-            if lam_stable and q == tuple(lam):
-                return Partition(q), used
-            above = [c for c in candidates if dominance_leq(q, c)]
-            if len(above) == 1 and above[0] == q:
-                return Partition(q), used
-    if len(maxima) != 1:
-        raise MCInconsistencyError(
-            f"incomparable maxima for {tuple(lam)} after {used} trials "
-            f"(seed {seed}): {sorted(maxima, reverse=True)}"
-        )
-    return Partition(maxima[0]), used
-
-
-def dmap_idempotence_check(lam, trials: int = 64, **kw) -> bool:
-    d = dmap(lam, trials, **kw).d
-    return dmap(d, trials, **kw).d == d
+    return DMapResult(lam, d, "recursion", index_check, parts_check)

@@ -1,5 +1,6 @@
 """Inverse images of the generic commuting type map.
 
+D is computed by Oblak's recursion, checked against sampling in tests.
 Brute force goes through a cached full table over all partitions of n.
 Closed-form fast paths cover staircase images, two-part images with gap
 2..4, and the image (n-1, 1); the minimal-rank test and the two open
@@ -33,8 +34,6 @@ class DTable:
     """Image of every partition of n, with the per-entry computation record."""
 
     n: int
-    trials: int
-    seed: int
     entries: dict  # Partition -> DMapResult
 
     def image(self, lam) -> Partition:
@@ -50,54 +49,40 @@ class DTable:
             out.setdefault(res.d, set()).add(lam)
         return out
 
-    def method_counts(self, lams=None) -> dict:
-        if lams is None:
-            lams = self.entries.keys()
-        formula = mc = 0
-        for lam in lams:
-            if self.entries[Partition(lam)].method.startswith("formula"):
-                formula += 1
-            else:
-                mc += 1
-        return {"formula": formula, "monte-carlo": mc}
+
+_TABLE_CACHE: dict[int, DTable] = {}
 
 
-_TABLE_CACHE: dict[tuple, DTable] = {}
-
-
-def dmap_all(n: int, trials: int = 64, *, seed: int = 0) -> DTable:
-    """Full image table on the partitions of n.  Cached per (n, trials, seed)."""
+def dmap_all(n: int) -> DTable:
+    """Full image table on the partitions of n.  Cached per n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    key = (n, trials, seed)
-    cached = _TABLE_CACHE.get(key)
+    cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached
     entries: dict[Partition, DMapResult] = {}
     for lam in enumerate_partitions(n):
-        entries[lam] = dmap(lam, trials, seed=seed)
+        entries[lam] = dmap(lam)
     if len(entries) != count_partitions(n):
         raise RuntimeError(f"table at n={n} is incomplete")
-    table = DTable(n, trials, seed, entries)
-    _TABLE_CACHE[key] = table
+    table = DTable(n, entries)
+    _TABLE_CACHE[n] = table
     return table
 
 
-def dinv(mu, trials: int = 64, *, seed: int = 0) -> set:
+def dinv(mu) -> set:
     """{lam : D(lam) = mu}, by brute force over the full table."""
     mu = Partition(mu)
-    return dmap_all(mu.n, trials, seed=seed).fiber(mu)
+    return dmap_all(mu.n).fiber(mu)
 
 
-def fiber_json(mu, trials: int = 64, *, seed: int = 0) -> dict:
+def fiber_json(mu) -> dict:
     mu = Partition(mu)
-    table = dmap_all(mu.n, trials, seed=seed)
-    fiber = sorted(table.fiber(mu), reverse=True)
+    fiber = sorted(dinv(mu), reverse=True)
     return {
         "mu": list(mu),
         "fiber": [list(lam) for lam in fiber],
         "size": len(fiber),
-        "methods": table.method_counts(fiber),
     }
 
 
@@ -127,7 +112,7 @@ def dinv_diff2(mu: int, k: int) -> set:
     return {Partition(head + tuple(almost_rect(m, t))) for t in range(1, m + 1)}
 
 
-def dinv_two_part(mu: int, r: int, trials: int = 64, *, seed: int = 0) -> set:
+def dinv_two_part(mu: int, r: int) -> set:
     """Fiber of (mu, mu-r) for 2 <= r <= 5.
 
     Gaps 2..4 come from explicit families; gap 5 falls back to brute force
@@ -147,7 +132,7 @@ def dinv_two_part(mu: int, r: int, trials: int = 64, *, seed: int = 0) -> set:
         out |= set(_glue((mu - 2,), mu - 2))
         out |= set(_glue(tuple(almost_rect(mu, 2)), mu - 4))
         return out
-    fiber = dinv((mu, mu - r), trials, seed=seed)
+    fiber = dinv((mu, mu - r))
     expected = (r - 1) * (mu - r)
     if len(fiber) != expected:
         warnings.warn(
@@ -220,13 +205,13 @@ class Q1Report:
         }
 
 
-def explore_q1(mu: int, r: int, trials: int = 64, *, seed: int = 0) -> Q1Report:
+def explore_q1(mu: int, r: int) -> Q1Report:
     """Does |fiber of (mu, mu-r)| = (r-1)(mu-r) hold beyond gap 4?  Data only."""
     if r < 5:
         raise ValueError("r must be >= 5")
     if mu - r < 1:
         raise ValueError("mu - r must be >= 1")
-    fiber = tuple(sorted(dinv((mu, mu - r), trials, seed=seed), reverse=True))
+    fiber = tuple(sorted(dinv((mu, mu - r)), reverse=True))
     conjectured = (r - 1) * (mu - r)
     return Q1Report(mu, r, 2 * mu - r, fiber, len(fiber), conjectured,
                     len(fiber) == conjectured)
@@ -254,7 +239,7 @@ class Q2Report:
         }
 
 
-def explore_q2(mu, trials: int = 64, *, seed: int = 0) -> Q2Report:
+def explore_q2(mu) -> Q2Report:
     """Is the conjectured partition the unique rank-minimal fiber element
     of a stable image?  Data only."""
     mu = Partition(mu)
@@ -265,7 +250,7 @@ def explore_q2(mu, trials: int = 64, *, seed: int = 0) -> Q2Report:
     if ones < 0:
         raise ValueError(f"{tuple(mu)} leaves a negative tail of ones")
     conjectured = Partition(tuple(p + 2 for p in mu[1:]) + (1,) * ones)
-    fiber = dinv(mu, trials, seed=seed)
+    fiber = dinv(mu)
     min_rank = min(partition_rank(lam) for lam in fiber)
     minimal = tuple(sorted(
         (lam for lam in fiber if partition_rank(lam) == min_rank), reverse=True))

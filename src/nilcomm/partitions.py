@@ -199,24 +199,3 @@ def partitions_with_parts(n: int, t: int) -> Iterator[Partition]:
             padded = tuple(x + 1 for x in tail) + (1,) * (t - len(tail))
             yield Partition(padded)
 
-
-def stable_partitions(n: int, first: int, count: int) -> Iterator[Partition]:
-    """Partitions of n with `count` parts, first part `first`, consecutive gaps >= 2."""
-
-    def rec(remaining: int, prev: int, left: int) -> Iterator[tuple]:
-        if left == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for x in range(min(prev - 2, remaining - (left - 1)), 0, -1):
-            for rest in rec(remaining - x, x, left - 1):
-                yield (x,) + rest
-
-    if first > n or count < 1:
-        return
-    if count == 1:
-        if first == n:
-            yield Partition((first,))
-        return
-    for rest in rec(n - first, first, count - 1):
-        yield Partition((first,) + rest)

@@ -91,24 +91,29 @@ def suite1(max_n: int = 10, witnesses: list | None = None) -> SuiteResult:
                    f"all ranks realized for n <= {max_n}")
 
 
-def suite2(max_n: int = 16, mc_max_n: int = 10, trials: int = 64,
-           seed: int = 0) -> SuiteResult:
-    """Images of two-column shapes collapse to a single part, formula and
-    Monte Carlo agreeing on the overlap."""
+# sampled draws per shape in suite 2's cross-check
+SUITE2_DRAWS = 64
+
+
+def suite2(max_n: int = 16, sample_n: int = 10, seed: int = 0) -> SuiteResult:
+    """Images of two-column shapes collapse to a single part, the recursion
+    and sampling agreeing on the overlap.  (n) tops the dominance order, so
+    one sampled draw of type (n) certifies it."""
     fails: list[str] = []
     checked = 0
     for n in range(1, max_n + 1):
         for a in range(n // 2 + 1):
             lam = Partition((2,) * a + (1,) * (n - 2 * a))
             checked += 1
-            res = dmap(lam, trials, seed=seed)
+            res = dmap(lam)
             if res.d != (n,):
-                fails.append(f"lam={tuple(lam)}: formula gave {tuple(res.d)}")
-            if n <= mc_max_n:
+                fails.append(f"lam={tuple(lam)}: recursion gave {tuple(res.d)}")
+            if n <= sample_n:
                 checked += 1
-                mc = dmap(lam, trials, seed=seed, force_mc=True)
-                if mc.d != (n,):
-                    fails.append(f"lam={tuple(lam)}: sampling gave {tuple(mc.d)}")
+                if not any(sample_jordan(lam, derive(seed, 2, i)) == (n,)
+                           for i in range(SUITE2_DRAWS)):
+                    fails.append(f"lam={tuple(lam)}: no draw of type ({n},) "
+                                 f"in {SUITE2_DRAWS}")
     return _result(2, "two-column images", checked, fails,
                    f"single-part image for every shape, n <= {max_n}")
 
@@ -272,7 +277,7 @@ def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
                    f"no sampled type escapes, partners exist to n = {max_n}")
 
 
-def suite6(max_n: int = 16, trials: int = 64, seed: int = 0) -> SuiteResult:
+def suite6(max_n: int = 16) -> SuiteResult:
     """Staircase fibers from the closed form equal brute force."""
     fails: list[str] = []
     checked = 0
@@ -286,7 +291,7 @@ def suite6(max_n: int = 16, trials: int = 64, seed: int = 0) -> SuiteResult:
             checked += 2
             if len(fast) != mu - 2 * k:
                 fails.append(f"mu={mu} k={k}: size {len(fast)} != {mu - 2 * k}")
-            brute = dinv(target, trials, seed=seed)
+            brute = dinv(target)
             if fast != brute:
                 fails.append(
                     f"mu={mu} k={k}: closed form differs from brute force "
@@ -295,7 +300,7 @@ def suite6(max_n: int = 16, trials: int = 64, seed: int = 0) -> SuiteResult:
                    f"closed form exact up to n = {max_n}")
 
 
-def suite7(max_n: int = 16, trials: int = 64, seed: int = 0) -> SuiteResult:
+def suite7(max_n: int = 16) -> SuiteResult:
     """Two-part fiber sizes (r-1)(mu-r), with the explicit sets for gaps 2..4."""
     fails: list[str] = []
     checked = 0
@@ -304,14 +309,14 @@ def suite7(max_n: int = 16, trials: int = 64, seed: int = 0) -> SuiteResult:
         while 2 * mu - r <= max_n:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fast = dinv_two_part(mu, r, trials, seed=seed)
+                fast = dinv_two_part(mu, r)
             checked += 1
             if len(fast) != (r - 1) * (mu - r):
                 fails.append(
                     f"mu={mu} r={r}: size {len(fast)} != {(r - 1) * (mu - r)}")
             if r <= 4:
                 checked += 1
-                brute = dinv((mu, mu - r), trials, seed=seed)
+                brute = dinv((mu, mu - r))
                 if fast != brute:
                     fails.append(
                         f"mu={mu} r={r}: explicit set differs from brute force "
@@ -321,14 +326,14 @@ def suite7(max_n: int = 16, trials: int = 64, seed: int = 0) -> SuiteResult:
                    f"counts and sets exact up to n = {max_n}")
 
 
-def suite8(trials: int = 64, seed: int = 0) -> SuiteResult:
+def suite8() -> SuiteResult:
     """The worked fiber of (6,2) and its dominance-minimal elements."""
     fails: list[str] = []
     expected = {
         Partition(p) for p in
         [(6, 2), (6, 1, 1), (4, 2, 2), (4, 2, 1, 1), (4, 1, 1, 1, 1), (3, 3, 1, 1)]
     }
-    fiber = dinv((6, 2), trials, seed=seed)
+    fiber = dinv((6, 2))
     if fiber != expected:
         fails.append(f"fiber is {sorted(map(tuple, fiber))}")
     minimal = {
@@ -341,19 +346,19 @@ def suite8(trials: int = 64, seed: int = 0) -> SuiteResult:
                    "six elements, two dominance-minimal")
 
 
-def suite9(trials: int = 64, seed: int = 0) -> SuiteResult:
+def suite9() -> SuiteResult:
     """The worked image D((3,1,1)) = (4,1)."""
-    res = dmap((3, 1, 1), trials, seed=seed)
+    res = dmap((3, 1, 1))
     fails = [] if res.d == (4, 1) else [f"got {tuple(res.d)}"]
     return _result(9, "worked image example", 1, fails, "(3,1,1) maps to (4,1)")
 
 
-def suite10(max_n: int = 12, trials: int = 64, seed: int = 0) -> SuiteResult:
+def suite10(max_n: int = 12) -> SuiteResult:
     """Idempotence of the image map, and fixed points = stable partitions."""
     fails: list[str] = []
     checked = 0
     for n in range(1, max_n + 1):
-        table = dmap_all(n, trials, seed=seed)
+        table = dmap_all(n)
         for lam, res in table.entries.items():
             checked += 2
             if table.image(res.d) != res.d:
@@ -389,14 +394,12 @@ def sample_bank(n_max: int = 10, per: int = 1000, seed: int = 0,
 
 
 def suite11(sample_n: int = 10, per: int = 1000, pair_n: int = 12,
-            seed: int = 0, coeff_bound: int = 10,
-            witnesses: list | None = None) -> SuiteResult:
-    """No verified commuting pair is ever marked forbidden."""
-    if witnesses is None:
-        witnesses = []
-        suite1(witnesses=witnesses)
-        suite3(seed=seed, witnesses=witnesses)
-        suite5(seed=seed, witnesses=witnesses)
+            seed: int = 0, coeff_bound: int = 10, *,
+            witnesses: list) -> SuiteResult:
+    """No verified commuting pair is ever marked forbidden.
+
+    witnesses holds the verified pairs of the construction suites
+    (WITNESS_SUITES), collected by running them first."""
     fails: list[str] = []
     checked = 0
     pairs = {(lam, Partition(mu)) for lam, mu in witnesses}
@@ -433,31 +436,46 @@ def suite12(max_n: int = 14) -> SuiteResult:
                    f"unique minimum for all first parts <= {max_n}")
 
 
-def run_all(max_n: int = 16, trials: int = 64, seed: int = 0,
+# criterion -> runner(max_n, seed, coeff_bound, witnesses): each suite at its
+# stated scale, capped by max_n; run_all and run_suite both read this table
+SUITES = {
+    1: lambda m, seed, cb, w: suite1(min(m, 10), witnesses=w),
+    2: lambda m, seed, cb, w: suite2(min(m, 16), min(m, 10), seed),
+    3: lambda m, seed, cb, w: suite3(min(m, 14), 3, seed, witnesses=w),
+    4: lambda m, seed, cb, w: suite4(min(m, 14), seed),
+    5: lambda m, seed, cb, w: suite5(min(m, 16), min(m, 10), 10000, seed, cb, witnesses=w),
+    6: lambda m, seed, cb, w: suite6(min(m, 16)),
+    7: lambda m, seed, cb, w: suite7(min(m, 16)),
+    8: lambda m, seed, cb, w: suite8(),
+    9: lambda m, seed, cb, w: suite9(),
+    10: lambda m, seed, cb, w: suite10(min(m, 12)),
+    11: lambda m, seed, cb, w: suite11(min(m, 10), 1000, min(m, 12), seed, cb, witnesses=w),
+    12: lambda m, seed, cb, w: suite12(min(m, 14)),
+}
+
+# the suites whose verified pairs make up suite 11's witnesses
+WITNESS_SUITES = (1, 3, 5)
+
+
+def run_suite(k: int, max_n: int = 16, seed: int = 0,
+              coeff_bound: int = 10) -> SuiteResult:
+    """Suite k at the scale run_all gives it; suite 11 first runs the
+    witness suites, as run_all does before it."""
+    witnesses: list[tuple] = []
+    if k == 11:
+        for j in WITNESS_SUITES:
+            SUITES[j](max_n, seed, coeff_bound, witnesses)
+    return SUITES[k](max_n, seed, coeff_bound, witnesses)
+
+
+def run_all(max_n: int = 16, seed: int = 0, coeff_bound: int = 10,
             progress=None) -> list[SuiteResult]:
     """All twelve suites at their stated scales, capped by max_n."""
-
-    def cap(default: int) -> int:
-        return min(default, max_n)
-
     witnesses: list[tuple] = []
     results: list[SuiteResult] = []
-
-    def emit(res: SuiteResult) -> None:
+    for k in sorted(SUITES):
+        res = SUITES[k](max_n, seed, coeff_bound, witnesses)
         results.append(res)
         if progress is not None:
             progress(res)
-
-    emit(suite1(cap(10), witnesses=witnesses))
-    emit(suite2(cap(16), cap(10), trials, seed))
-    emit(suite3(cap(14), 3, seed, witnesses=witnesses))
-    emit(suite4(cap(14), seed))
-    emit(suite5(cap(16), cap(10), 10000, seed, witnesses=witnesses))
-    emit(suite6(cap(16), trials, seed))
-    emit(suite7(cap(16), trials, seed))
-    emit(suite8(trials, seed))
-    emit(suite9(trials, seed))
-    emit(suite10(cap(12), trials, seed))
-    emit(suite11(cap(10), 1000, cap(12), seed, witnesses=witnesses))
-    emit(suite12(cap(14)))
     return results

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nilcomm import verify
 from nilcomm.cli import main
 
 
@@ -15,7 +16,7 @@ def test_dmap_text(capsys):
     rc, out, err = run(capsys, "dmap", "3,1,1")
     assert rc == 0
     assert "D(3,1,1) = (4,1)" in out
-    assert "formula-r2" in out
+    assert "method recursion" in out and "trials" not in out
 
 
 def test_dmap_json(capsys):
@@ -24,7 +25,8 @@ def test_dmap_json(capsys):
     doc = json.loads(out)
     assert doc["lambda"] == [2, 2, 2, 1]
     assert doc["d"] == [7]
-    assert doc["method"] == "formula-r1"
+    assert doc["method"] == "recursion"
+    assert "trials_used" not in doc
     assert "seed" in doc
 
 
@@ -37,7 +39,7 @@ def test_dinv_text_and_json(capsys):
     assert doc["mu"] == [4, 1]
     assert doc["size"] == len(doc["fiber"]) == 2
     assert [3, 1, 1] in doc["fiber"]
-    assert doc["methods"]["formula"] + doc["methods"]["monte-carlo"] == 2
+    assert "methods" not in doc and "seed" in doc
 
 
 def test_dinv_guard_and_force(capsys):
@@ -63,6 +65,16 @@ def test_sample_is_deterministic(capsys):
     assert len(doc["samples"]) == 3
     rc3, out3, _ = run(capsys, "sample", "4,2", "--count", "3", "--json", "--seed", "9")
     assert out3 != out1
+
+
+def test_sample_rejects_count_below_one(capsys):
+    for count in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "4,2", "--count", count])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--count" in captured.err
 
 
 def test_sample_dump_matrix(capsys):
@@ -120,6 +132,15 @@ def test_verify_single_suite(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "9")
     assert rc == 0
     assert "CRITERION 9" in out and "PASS" in out
+
+
+def test_verify_single_suite_matches_run_all(capsys):
+    # suite 11 alone collects its witnesses at the same --max-n as run_all
+    want = {r.criterion: r.checked for r in verify.run_all(4)}
+    rc, out, _ = run(capsys, "verify", "--suite", "11", "--max-n", "4", "--json")
+    assert rc == 0
+    (res,) = json.loads(out)["results"]
+    assert res["criterion"] == 11 and res["checked"] == want[11]
 
 
 def test_explore_commands(capsys):

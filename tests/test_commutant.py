@@ -1,7 +1,9 @@
+import pytest
+
+from nilcomm import commutant
 from nilcomm.commutant import (
     commutant_basis,
     dmap,
-    dmap_idempotence_check,
     dmap_index,
     sample_jordan,
     sample_nilpotent_commuting,
@@ -64,13 +66,15 @@ def test_sampled_types_never_beat_the_image():
             assert dominance_leq(sample_jordan(p, derive(17, p.n, i)), d)
 
 
-def test_dmap_formula_routes():
+def test_dmap_reports_recursion():
     r = dmap(Partition([2, 2, 1]))
-    assert r.d == (5,) and r.method == "formula-r1" and r.trials_used == 0
+    assert r.d == (5,) and r.method == "recursion"
+    assert r.to_json_dict() == {"lambda": [2, 2, 1], "d": [5], "method": "recursion",
+                                "checks": {"index": True, "parts": True}}
     r = dmap(Partition([3, 1, 1]))
-    assert r.d == (4, 1) and r.method == "formula-r2"
+    assert r.d == (4, 1) and r.method == "recursion"
     r = dmap(Partition([5, 3, 3, 2]))
-    assert r.method.startswith("formula")
+    assert r.d == (10, 3)
     stable = Partition([6, 4, 1])
     r = dmap(stable)
     assert r.d == stable
@@ -91,12 +95,20 @@ def test_dmap_ar_shapes_collapse():
             assert dmap(p).d == (p.n,)
 
 
-def test_dmap_mc_agrees_with_formulas():
-    for p in partitions_up_to(7):
-        fast = dmap(p)
-        slow = dmap(p, trials=48, force_mc=True, seed=2)
-        assert fast.d == slow.d
-        assert slow.method == "monte-carlo"
+def test_dmap_recursion_agrees_with_sampling():
+    # every sampled type lies below D(p) in dominance, and some draw reaches
+    # it, so D(p) is the dominance maximum of the sampled types
+    parts = partitions_up_to(16)
+    assert len(parts) == 914
+    for p in parts:
+        d = dmap(p).d
+        for i in range(64):
+            q = sample_jordan(p, derive(0, 2, i))
+            assert dominance_leq(q, d), (p, i, q, d)
+            if q == d:
+                break
+        else:
+            pytest.fail(f"no draw of type {tuple(d)} for {tuple(p)} in 64")
 
 
 def test_dmap_index_matches_first_part():
@@ -111,8 +123,8 @@ def test_dmap_part_count_is_cover_size():
 
 def test_idempotence_and_stability_checker():
     for p in partitions_up_to(9):
-        assert dmap_idempotence_check(p)
         d = dmap(p).d
+        assert dmap(d).d == d
         assert is_stable(d)
         assert (dmap(p).d == p) == is_stable(p)
 
@@ -122,3 +134,21 @@ def test_image_dominates_input():
     # can only sit higher in the dominance order
     for p in partitions_up_to(9):
         assert dominance_leq(p, dmap(p).d)
+
+
+def test_non_nilpotent_draw_raises(monkeypatch):
+    # the first draw is the identity, which commutes with every Jordan matrix
+    # but is not nilpotent; later draws are genuine, so a redraw would hide it
+    real = commutant._draw_rows
+    calls = []
+
+    def first_draw_identity(lam, stream, bound):
+        calls.append(lam)
+        if len(calls) > 1:
+            return real(lam, stream, bound)
+        n = sum(lam)
+        return [[int(r == c) for c in range(n)] for r in range(n)]
+
+    monkeypatch.setattr(commutant, "_draw_rows", first_draw_identity)
+    with pytest.raises(RuntimeError, match="seed 5"):
+        sample_nilpotent_commuting(Partition([3, 1]), 5)

@@ -35,8 +35,7 @@ def test_table_is_complete_and_consistent():
     assert len(t.entries) == count_partitions(9)
     for lam, res in t.entries.items():
         assert res.d == dmap(lam).d
-    counts = t.method_counts()
-    assert sum(counts.values()) == count_partitions(9)
+        assert res.method == "recursion"
 
 
 def test_fibers_partition_the_whole_set():
@@ -151,7 +150,7 @@ def test_fiber_json_shape():
     assert d["mu"] == [4, 1]
     assert d["size"] == len(d["fiber"])
     assert [4, 1] in d["fiber"]
-    assert set(d["methods"]) <= {"formula", "monte-carlo"}
+    assert set(d) == {"mu", "fiber", "size"}
 
 
 def test_explore_q1_report():

@@ -17,7 +17,6 @@ from nilcomm.partitions import (
     partition_rank,
     partitions_with_parts,
     render,
-    stable_partitions,
 )
 
 from .conftest import partitions_up_to
@@ -145,15 +144,3 @@ def test_stability_is_gap_two():
         assert is_stable(p) == gaps_ok
         assert partition_rank(p) == p.n - p.t
 
-
-def test_stable_partitions_generator():
-    for n in range(1, 13):
-        for first in range(1, n + 1):
-            for count in range(1, n + 1):
-                got = set(stable_partitions(n, first, count))
-                want = {
-                    p
-                    for p in enumerate_partitions(n)
-                    if is_stable(p) and p[0] == first and p.t == count
-                }
-                assert got == want
