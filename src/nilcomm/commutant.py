@@ -116,7 +116,7 @@ def _draw_rows(lam: tuple, stream: Stream, bound: int) -> list:
 def sample_jordan(lam, seed: int, coeff_bound: int = 10) -> tuple:
     """Jordan type of one random nilpotent commuting element (no dense object kept)."""
     rows = _draw_rows(tuple(lam), Stream(seed), coeff_bound)
-    return _jordan_type_rows([tuple(r) for r in rows])
+    return _jordan_type_rows(rows)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from nilcomm.partitions import Partition, is_almost_rectangular
 
 FORBIDDEN = "forbidden"
 UNKNOWN = "unknown"
-FORCED = "forced-structure"  # reserved: no implemented rule produces it
 
 
 @dataclass(frozen=True)

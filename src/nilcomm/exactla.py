@@ -1,7 +1,8 @@
 """Exact dense linear algebra over the rationals.
 
 Rank via fraction-free (Bareiss) elimination on integer rows, Jordan types of
-nilpotent matrices from nullities of successive powers, and the Jordan-chain
+nilpotent matrices from the ranks of successive powers (stopped at the first
+rank drop of one and certified by one zero power), and the Jordan-chain
 change of basis.  No floating point enters this module; nullity differences of
 one decide Jordan types, so there is no tolerance anywhere.
 """
@@ -91,7 +92,7 @@ class ExactMatrix:
                 f"shape mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        return ExactMatrix(_mul_rows(self._rows, other._rows))
+        return ExactMatrix(_mul(self._rows, other._rows))
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -122,20 +123,19 @@ class ExactMatrix:
         return f"<ExactMatrix {self.rows}x{self.cols}>"
 
 
-def _mul_rows(a: tuple, b: tuple) -> list:
-    bt = tuple(zip(*b))
+def _mul(a, b) -> list:
+    """Product of two row sequences, as lists: each nonzero a[i][j] times the
+    nonzero entries of row j of b, which are collected once per call."""
+    w = len(b[0])
+    b_nz = [[(c, v) for c, v in enumerate(row) if v] for row in b]
     out = []
     for ra in a:
-        nz = [(j, x) for j, x in enumerate(ra) if x]
-        row = []
-        for col in bt:
-            s = 0
-            for j, x in nz:
-                v = col[j]
-                if v:
-                    s += x * v
-            row.append(s)
-        out.append(row)
+        acc = [0] * w
+        for j, x in enumerate(ra):
+            if x:
+                for c, v in b_nz[j]:
+                    acc[c] += x * v
+        out.append(acc)
     return out
 
 
@@ -260,7 +260,8 @@ def jordan_type(a: ExactMatrix) -> Partition:
 
     Refuses non-nilpotent input: the rank sequence of powers is strictly
     decreasing until zero for nilpotents, so the first repeat at a nonzero
-    value is a certificate of failure.
+    value, or a nonzero power where a rank drop of one predicts zero (see
+    `_jordan_type_rows`), is a certificate of failure.
     """
     if not a.is_square():
         raise ValueError("jordan_type needs a square matrix")
@@ -273,54 +274,56 @@ def jordan_type(a: ExactMatrix) -> Partition:
 
 
 def _jordan_type_rows(rows0):
-    """Jordan type from raw integer rows (tuple form); fast path for samplers."""
+    """Jordan type from raw integer rows; fast path for samplers.
+
+    Ranks r_k of the powers A^k are taken until the first k at which the rank
+    drops by exactly one.  Drops never grow (Frobenius rank inequality), so a
+    nilpotent A then has ranks r_k - 1, ..., 0 at the next r_k powers, and
+    A^(k + r_k) = 0 is checked exactly: it certifies both nilpotency and the
+    remaining ranks.  A nonzero A^(k + r_k), or a drop of zero, means A is
+    not nilpotent.
+    """
     n = len(rows0)
-    base = [tuple(r) for r in rows0]
-    ranks = []
-    cur = base
-    prev_rank = n
-    k = 0
+    powers = [rows0]  # powers[i] = A^(i + 1)
+    ranks = [n]  # ranks[k] = rank of A^k
     while True:
-        k += 1
-        r = _int_rank([list(row) for row in cur])
-        if r == prev_rank:
+        k = len(powers)
+        r = _int_rank([list(row) for row in powers[-1]])
+        if r == ranks[-1]:
             raise NotNilpotentError(
                 f"matrix is not nilpotent: rank stabilizes at {r} from power {k}"
             )
-        ranks.append(r)
         if r == 0:
+            ranks.append(0)
             break
-        if k >= n:
-            raise NotNilpotentError(
-                f"matrix is not nilpotent: rank still {r} at power {n}"
-            )
-        prev_rank = r
-        cur = _mul_int(cur, base)
-    # conjugate-type column counts: nullity(a^j) - nullity(a^(j-1))
-    nulls = [0] + [n - r for r in ranks]
-    cols = [nulls[j] - nulls[j - 1] for j in range(1, len(nulls))]
+        if ranks[-1] - r == 1:
+            if any(any(row) for row in _power(powers, k + r)):
+                raise NotNilpotentError(
+                    f"matrix is not nilpotent: power {k + r} is nonzero "
+                    f"after a rank drop of one at power {k}"
+                )
+            ranks.extend(range(r, -1, -1))
+            break
+        ranks.append(r)
+        powers.append(_mul(powers[-1], powers[0]))
+    # rank drops are the column lengths of the Jordan type's diagram
+    drops = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))] + [0]
     parts: list[int] = []
-    for size in range(len(cols), 0, -1):
-        extra = cols[size - 1] - (cols[size] if size < len(cols) else 0)
-        parts.extend([size] * extra)
+    for size in range(len(drops) - 1, 0, -1):
+        parts.extend([size] * (drops[size - 1] - drops[size]))
     return tuple(parts)
 
 
-def _mul_int(a, b):
-    bt = tuple(zip(*b))
-    out = []
-    for ra in a:
-        nz = [(j, x) for j, x in enumerate(ra) if x]
-        row = []
-        for col in bt:
-            s = 0
-            for j, x in nz:
-                v = col[j]
-                if v:
-                    s += x * v
-            row.append(s)
-        out.append(tuple(row))
-    return out
+def _power(powers: list, m: int) -> list:
+    """A^m from powers[i] = A^(i + 1): one product when m <= 2k, else by squaring."""
+    k = len(powers)
+    if m <= k:
+        return powers[m - 1]
+    if m <= 2 * k:
+        return _mul(powers[k - 1], powers[m - k - 1])
+    half = _power(powers, m // 2)
+    square = _mul(half, half)
+    return _mul(square, powers[0]) if m % 2 else square
 
 
 def is_ut_toeplitz(m: ExactMatrix) -> bool:
@@ -398,11 +401,6 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     if len(pivots) < n or pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return ExactMatrix(r[n:] for r in rows[:n])
-
-
-def solve_right(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """X with a X = b, for invertible a."""
-    return inverse(a) @ b
 
 
 def jordan_chain_basis(e: ExactMatrix):

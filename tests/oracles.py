@@ -123,6 +123,29 @@ def gauss_rank(m: ExactMatrix) -> int:
     return r
 
 
+def naive_product(a, b) -> list:
+    """Triple-loop product of two row sequences, zeros included."""
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def jordan_type_by_nullities(m: ExactMatrix) -> Partition:
+    """Jordan type from the nullity of every power of m until the zero power,
+    by naive products and gauss_rank, with no early stop.  Raises ValueError
+    when the n-th power is not zero."""
+    n = m.rows
+    nulls = [0]
+    acc = m.row_data()
+    while nulls[-1] < n:
+        if len(nulls) > n:
+            raise ValueError("matrix is not nilpotent")
+        nulls.append(n - gauss_rank(ExactMatrix(acc)))
+        acc = naive_product(acc, m.row_data())
+    return conjugate([b - a for a, b in zip(nulls, nulls[1:])])
+
+
 def brute_fiber(mu, table) -> set:
     """Inverse image of mu read off a full D table."""
     return {lam for lam, res in table.entries.items() if res.d == Partition(mu)}

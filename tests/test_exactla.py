@@ -21,10 +21,11 @@ from nilcomm.exactla import (
     nullspace,
     rank,
     rref,
-    solve_right,
     toeplitz_product_rank_check,
     zeros,
 )
+from nilcomm.commutant import _draw_rows, sample_jordan
+from nilcomm._rng import Stream
 from nilcomm.partitions import Partition
 
 from .conftest import partitions_up_to
@@ -114,7 +115,7 @@ def test_inverse_and_solve():
     m = ExactMatrix([[2, 1, 0], [0, 1, 3], [0, 0, Fraction(1, 2)]])
     assert m @ inverse(m) == identity(3)
     b = ExactMatrix([[1], [0], [2]])
-    x = solve_right(m, b)
+    x = inverse(m) @ b
     assert m @ x == b
     with pytest.raises(ValueError):
         inverse(ExactMatrix([[1, 1], [1, 1]]))
@@ -145,6 +146,48 @@ def test_jordan_type_rejects_non_nilpotent():
         jordan_type(identity(4))
     with pytest.raises(NotNilpotentError):
         jordan_type(ExactMatrix([[0, 1], [1, 0]]))
+    # ranks 4, 3: a unit drop at k = 1 with r = 3, so A^4 is formed by squaring
+    with pytest.raises(NotNilpotentError, match="power 4 is nonzero"):
+        jordan_type(direct_sum(jordan_block(3), identity(1)))
+    # ranks 7, 5, 3, 2: a unit drop at k = 3 with r = 2, so A^5 = A^3 A^2
+    with pytest.raises(NotNilpotentError, match="power 5 is nonzero"):
+        jordan_type(direct_sum(jordan_block(4), jordan_block(2), identity(1)))
+
+
+def test_jordan_type_matches_nullity_oracle():
+    hosts = [(p, seed) for p in partitions_up_to(10) for seed in range(3)]
+    hosts += [
+        (Partition(p), seed)
+        for p in ([7, 4, 3, 2], [4, 4, 4, 4], [9, 5, 3, 2, 1], [6, 6, 5, 3])
+        for seed in range(2)
+    ]
+    for lam, seed in hosts:
+        m = ExactMatrix(_draw_rows(tuple(lam), Stream(seed), 10))
+        want = oracles.jordan_type_by_nullities(m)
+        assert jordan_type(m) == want, (lam, seed)
+        assert jordan_type(m.scale(Fraction(1, 3))) == want, (lam, seed)
+        assert sample_jordan(lam, seed) == want, (lam, seed)
+    for lam in partitions_up_to(10):
+        assert oracles.jordan_type_by_nullities(build_jordan(lam)) == lam
+
+
+@given(st.data())
+def test_product_matches_triple_loop(data):
+    entry = st.one_of(st.integers(min_value=-4, max_value=4), fracs)
+
+    def matrix(h, w):
+        rows = data.draw(st.lists(
+            st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
+        zero_rows = data.draw(st.sets(st.integers(min_value=0, max_value=h - 1)))
+        zero_cols = data.draw(st.sets(st.integers(min_value=0, max_value=w - 1)))
+        return ExactMatrix(
+            [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+             for i, row in enumerate(rows)]
+        )
+
+    p, q, r = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+    a, b = matrix(p, q), matrix(q, r)
+    assert a @ b == ExactMatrix(oracles.naive_product(a.row_data(), b.row_data()))
 
 
 def test_jordan_type_invariant_under_conjugation():
