@@ -27,12 +27,24 @@ def _check_entry(x):
 
 
 class ExactMatrix:
-    """Immutable dense matrix with int/Fraction entries."""
+    """Immutable dense matrix with int/Fraction entries.
 
-    __slots__ = ("rows", "cols", "_rows")
+    Entries are checked once per matrix by the set of their types; only a
+    set beyond {int, Fraction} (bool, float, subclasses) is checked entry by
+    entry.  `_int` records that every entry's type is exactly int.
+    """
+
+    __slots__ = ("rows", "cols", "_rows", "_int")
 
     def __init__(self, rows: Iterable[Sequence]):
-        data = tuple(tuple(_check_entry(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
+        types = set()
+        for row in data:
+            types.update(map(type, row))
+        if not types <= {int, Fraction}:
+            for row in data:
+                for x in row:
+                    _check_entry(x)
         if not data or not data[0]:
             raise ValueError("matrix must be nonempty")
         w = len(data[0])
@@ -41,6 +53,7 @@ class ExactMatrix:
         object.__setattr__(self, "_rows", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", w)
+        object.__setattr__(self, "_int", types == {int})
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -55,13 +68,7 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        return all(
-            a == b
-            for ra, rb in zip(self._rows, other._rows)
-            for a, b in zip(ra, rb)
-        )
+        return self._rows == other._rows
 
     def __hash__(self):
         return hash(tuple(tuple(Fraction(x) for x in r) for r in self._rows))
@@ -225,6 +232,8 @@ def _int_rank(rows: list) -> int:
 
 def _int_rows(m: ExactMatrix) -> list:
     """Copy rows, clearing denominators per row (rank is unchanged)."""
+    if m._int:
+        return [list(r) for r in m.row_data()]
     out = []
     for row in m.row_data():
         if any(isinstance(x, Fraction) for x in row):
@@ -266,7 +275,7 @@ def jordan_type(a: ExactMatrix) -> Partition:
     if not a.is_square():
         raise ValueError("jordan_type needs a square matrix")
     data = a.row_data()
-    if any(isinstance(x, Fraction) for r in data for x in r):
+    if not a._int and any(isinstance(x, Fraction) for r in data for x in r):
         # global scaling keeps the rank sequence of powers intact
         mult = lcm(*(x.denominator for r in data for x in r))
         data = tuple(tuple(int(x * mult) for x in r) for r in data)

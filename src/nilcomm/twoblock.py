@@ -129,20 +129,25 @@ def tb_mul(x: TwoBlockElement, y: TwoBlockElement) -> TwoBlockElement:
     """Bilinear extension of the product table in the module docstring."""
     if (x.l1, x.l2) != (y.l1, y.l2):
         raise ValueError("block size mismatch")
-    l1, l2 = x.l1, x.l2
+    y_nz = _nonzeros((y.a, y.b, y.c, y.d))
+    prod = _tb_mul_raw(x.l1, x.l2, (x.a, x.b, x.c, x.d), y_nz)
+    return TwoBlockElement(x.l1, x.l2, *map(tuple, prod))
+
+
+def _nonzeros(vecs) -> list:
+    return [[(i, v) for i, v in enumerate(vec) if v] for vec in vecs]
+
+
+def _tb_mul_raw(l1: int, l2: int, x, y_nz) -> tuple:
+    """`tb_mul` on raw (a, b, c, d) vectors, the right factor given by its
+    `_nonzeros` lists; returns the product's vectors as lists."""
     gap = l1 - l2
     a = [0] * l1
     b = [0] * l2
     c = [0] * l2
     d = [0] * l2
-    xa = [(i, v) for i, v in enumerate(x.a) if v]
-    xb = [(i, v) for i, v in enumerate(x.b) if v]
-    xc = [(i, v) for i, v in enumerate(x.c) if v]
-    xd = [(i, v) for i, v in enumerate(x.d) if v]
-    ya = [(i, v) for i, v in enumerate(y.a) if v]
-    yb = [(i, v) for i, v in enumerate(y.b) if v]
-    yc = [(i, v) for i, v in enumerate(y.c) if v]
-    yd = [(i, v) for i, v in enumerate(y.d) if v]
+    xa, xb, xc, xd = _nonzeros(x)
+    ya, yb, yc, yd = y_nz
     for i, u in xa:
         for j, v in ya:  # M M -> M
             if i + j < l1:
@@ -171,20 +176,25 @@ def tb_mul(x: TwoBlockElement, y: TwoBlockElement) -> TwoBlockElement:
         for j, v in yd:  # N N -> N
             if i + j < l2:
                 d[i + j] += u * v
-    return TwoBlockElement(l1, l2, tuple(a), tuple(b), tuple(c), tuple(d))
+    return a, b, c, d
 
 
 def tb_pow_order(x: TwoBlockElement, cap: int | None = None) -> int:
-    """Smallest k >= 1 with x^k = 0, or raises if x is not nilpotent-form."""
+    """Smallest k >= 1 with x^k = 0, or raises if x is not nilpotent-form.
+
+    Powers are raw coefficient vectors, multiplied by x's nonzero entries
+    listed once; a nonzero x^(cap + 1) raises RuntimeError (cap: n + 1).
+    """
     if not x.is_nilpotent_form():
         raise ValueError("order is only computed for nilpotent-form elements")
     cap = cap if cap is not None else x.n + 1
-    acc = x
+    acc = (x.a, x.b, x.c, x.d)
+    x_nz = _nonzeros(acc)
     k = 1
-    while not acc.is_zero():
+    while any(map(any, acc)):
         if k > cap:
             raise RuntimeError("power order exceeded cap; bug")
-        acc = tb_mul(acc, x)
+        acc = _tb_mul_raw(x.l1, x.l2, acc, x_nz)
         k += 1
     return k
 

@@ -8,8 +8,9 @@ construction suites and the constraint-soundness suite.
 
 from __future__ import annotations
 
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from nilcomm import exactla
@@ -40,11 +41,15 @@ class SuiteResult:
     passed: bool
     checked: int
     detail: str
+    seconds: float | None = None  # wall time, set by run_all and run_suite
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        cost = f"{self.checked} checks"
+        if self.seconds is not None:
+            cost += f", {self.seconds:.1f} s"
         return (f"CRITERION {self.criterion} [{self.name}]: {status} - "
-                f"{self.detail} ({self.checked} checks)")
+                f"{self.detail} ({cost})")
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,6 +58,7 @@ class SuiteResult:
             "passed": self.passed,
             "checked": self.checked,
             "detail": self.detail,
+            "seconds": self.seconds,
         }
 
 
@@ -457,24 +463,31 @@ SUITES = {
 WITNESS_SUITES = (1, 3, 5)
 
 
+def _timed(k: int, max_n: int, seed: int, coeff_bound: int,
+           witnesses: list) -> SuiteResult:
+    t0 = time.perf_counter()
+    res = SUITES[k](max_n, seed, coeff_bound, witnesses)
+    return replace(res, seconds=time.perf_counter() - t0)
+
+
 def run_suite(k: int, max_n: int = 16, seed: int = 0,
               coeff_bound: int = 10) -> SuiteResult:
-    """Suite k at the scale run_all gives it; suite 11 first runs the
-    witness suites, as run_all does before it."""
+    """Suite k at the scale run_all gives it, timed; suite 11 first runs the
+    witness suites, as run_all does before it (not in its time)."""
     witnesses: list[tuple] = []
     if k == 11:
         for j in WITNESS_SUITES:
             SUITES[j](max_n, seed, coeff_bound, witnesses)
-    return SUITES[k](max_n, seed, coeff_bound, witnesses)
+    return _timed(k, max_n, seed, coeff_bound, witnesses)
 
 
 def run_all(max_n: int = 16, seed: int = 0, coeff_bound: int = 10,
             progress=None) -> list[SuiteResult]:
-    """All twelve suites at their stated scales, capped by max_n."""
+    """All twelve suites at their stated scales, capped by max_n, each timed."""
     witnesses: list[tuple] = []
     results: list[SuiteResult] = []
     for k in sorted(SUITES):
-        res = SUITES[k](max_n, seed, coeff_bound, witnesses)
+        res = _timed(k, max_n, seed, coeff_bound, witnesses)
         results.append(res)
         if progress is not None:
             progress(res)

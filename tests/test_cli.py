@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -132,6 +133,15 @@ def test_verify_single_suite(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "9")
     assert rc == 0
     assert "CRITERION 9" in out and "PASS" in out
+
+
+def test_verify_reports_suite_seconds(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "9", "--json")
+    assert rc == 0
+    (res,) = json.loads(out)["results"]
+    assert isinstance(res["seconds"], float) and res["seconds"] >= 0
+    rc, out, _ = run(capsys, "verify", "--suite", "9")
+    assert re.search(r"\(\d+ checks, \d+\.\d s\)$", out.strip())
 
 
 def test_verify_single_suite_matches_run_all(capsys):

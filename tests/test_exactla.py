@@ -1,3 +1,4 @@
+import enum
 import itertools
 from fractions import Fraction
 
@@ -42,6 +43,25 @@ def square(side_max=5):
     ).map(ExactMatrix)
 
 
+small_ints = st.integers(min_value=-6, max_value=6)
+# rows of plain ints and rows mixing ints with Fractions, so that both the
+# all-int and the Fraction elimination paths are drawn
+mixed_rows = st.lists(st.one_of(
+    st.lists(small_ints, min_size=4, max_size=4),
+    st.lists(st.one_of(small_ints, fracs), min_size=4, max_size=4),
+), min_size=1, max_size=5).map(ExactMatrix)
+
+
+class Small(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+class Rational(Fraction):
+    pass
+
+
 def test_entry_validation():
     with pytest.raises(TypeError):
         ExactMatrix([[0.5]])
@@ -51,6 +71,43 @@ def test_entry_validation():
         ExactMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         ExactMatrix([])
+    # a bad entry is refused wherever it sits: last in an all-int matrix, or
+    # among Fractions, and before the shape is checked
+    for bad, name in ((True, "bool"), (0.5, "float"), ("1", "str"), (None, "NoneType")):
+        msg = f"entries must be int or Fraction, got {name}$"
+        for rows in ([[1, 2], [3, bad]], [[Fraction(1, 2), bad], [Fraction(3), 4]],
+                     [[1, 2], [bad]]):
+            with pytest.raises(TypeError, match=msg):
+                ExactMatrix(rows)
+    # subclasses of int and Fraction are entries too
+    host = [[0, 1, 2, 1], [0, 0, 1, 2], [0, 0, 0, 1], [0, 0, 0, 0]]
+    for wrap in (Small, Rational):
+        m = ExactMatrix([[wrap(x) for x in row] for row in host])
+        assert not m._int
+        assert rank(m) == oracles.gauss_rank(m) == 3
+        assert jordan_type(m) == oracles.jordan_type_by_nullities(m) == (4,)
+    halves = ExactMatrix([[Rational(1, 2), 1], [Small.ONE, 2]])
+    assert rank(halves) == oracles.gauss_rank(halves) == 1
+
+
+def test_int_flag_follows_entry_types():
+    a = ExactMatrix([[1, 2, 0], [0, 3, 4]])
+    b = ExactMatrix([[2, 0], [1, 1], [0, 5]])
+    frac = ExactMatrix([[Fraction(1, 2), 0], [0, 1], [1, 1]])
+    all_int = [a, a @ b, b @ a, a + a, a - a, a.scale(3), a.block(0, 2, 1, 3),
+               a.transpose(), frac.block(1, 3, 0, 2)]
+    with_fractions = [frac, a @ frac, frac.scale(2), a.scale(Fraction(1, 3)),
+                      frac.transpose(), b + frac]
+    assert all(m._int for m in all_int)
+    assert not any(m._int for m in with_fractions)
+    # one Fraction anywhere, even in the last row, clears the flag
+    assert ExactMatrix([[1, 2], [3, 4], [5, 6]])._int
+    assert not ExactMatrix([[1, 2], [3, 4], [5, Fraction(1, 2)]])._int
+    # integer-valued Fractions stay on the Fraction path and keep their rank
+    twos = ExactMatrix([[Fraction(4, 2), 2], [1, Fraction(3, 3)]])
+    assert not twos._int
+    assert rank(twos) == oracles.gauss_rank(twos) == 1
+    assert twos == ExactMatrix([[2, 2], [1, 1]])
 
 
 def test_jordan_round_trip():
@@ -73,7 +130,7 @@ def test_jordan_block_and_power_types():
     assert jordan_power_type(6, 6) == (1,) * 6
 
 
-@given(square())
+@given(st.one_of(square(), mixed_rows))
 def test_rank_matches_plain_gauss(m):
     r = rank(m)
     assert r == oracles.gauss_rank(m)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from nilcomm.twoblock import (
     tb_zero,
 )
 
+from . import oracles
+
 
 def random_element(l1, l2, rng, zero_chance=3):
     """Element with coefficient vectors drawn from a seeded stream."""
@@ -48,8 +51,57 @@ def random_element(l1, l2, rng, zero_chance=3):
     return TwoBlockElement(l1, l2, a, b, c, d)
 
 
+def int_element(l1, l2, rng):
+    """Suite-5 draw: integer coefficients in [-10, 10], nilpotent form
+    (a[0] = d[0] = 0, and b[0] c[0] = 0 on equal blocks)."""
+    def vec(length):
+        return [rng.randint(-10, 10) for _ in range(length)]
+
+    a, b, c, d = vec(l1), vec(l2), vec(l2), vec(l2)
+    a[0] = d[0] = 0
+    if l1 == l2:
+        (b if rng.randint(0, 1) else c)[0] = 0
+    return TwoBlockElement(l1, l2, tuple(a), tuple(b), tuple(c), tuple(d))
+
+
 def shapes(l1_max):
     return [(l1, l2) for l1 in range(1, l1_max + 1) for l2 in range(1, l1 + 1)]
+
+
+def shapes_up_to_n(n_max):
+    return [(l1, l2) for l1, l2 in shapes(n_max - 1) if l1 + l2 <= n_max]
+
+
+def cleared(x):
+    """Dense realization of x scaled by the lcm s of its denominators, as
+    integer rows, and s."""
+    rows = tb_to_matrix(x).row_data()
+    s = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[int(v * s) for v in row] for row in rows], s
+
+
+def dense_product(x, y):
+    """Oracle: s and the triple-loop product of the dense realizations scaled
+    by s.  The product is bilinear, so the loop runs on the integer copies of
+    x and y cleared of denominators, with s the product of their scales."""
+    (a, sa), (b, sb) = cleared(x), cleared(y)
+    return sa * sb, oracles.naive_product(a, b)
+
+
+def scaled_product(x, y, s):
+    """tb_mul(x, y) in dense form, every entry times s."""
+    return [[v * s for v in row] for row in tb_to_matrix(tb_mul(x, y)).row_data()]
+
+
+def dense_order(x):
+    """Oracle: smallest k with x^k = 0, powering the dense matrix by triple
+    loops (on its integer copy: a nonzero scale leaves the order unchanged)."""
+    dense, _ = cleared(x)
+    acc, order = dense, 1
+    while any(any(row) for row in acc):
+        acc = oracles.naive_product(acc, dense)
+        order += 1
+    return order
 
 
 def test_units_match_dense_positions():
@@ -86,11 +138,19 @@ def test_every_element_commutes_with_host():
 
 def test_mul_is_the_dense_product():
     rng = Stream(derive(7, 2))
+    # Fraction draws with zeros on small shapes, then integer draws at
+    # suite-5 scale on every two-block shape with n <= 16
     for l1, l2 in shapes(6):
         for _ in range(120):
             x = random_element(l1, l2, rng)
             y = random_element(l1, l2, rng)
-            assert tb_to_matrix(tb_mul(x, y)) == tb_to_matrix(x) @ tb_to_matrix(y)
+            s, want = dense_product(x, y)
+            assert scaled_product(x, y, s) == want, (x, y)
+    for l1, l2 in shapes_up_to_n(16):
+        for _ in range(8):
+            x, y = int_element(l1, l2, rng), int_element(l1, l2, rng)
+            s, want = dense_product(x, y)
+            assert s == 1 and scaled_product(x, y, s) == want, (x, y)
 
 
 def test_add_zero_scale():
@@ -109,14 +169,25 @@ def test_pow_order_matches_dense():
     for l1, l2 in shapes(6):
         for _ in range(25):
             x = random_element(l1, l2, rng)
-            k = tb_pow_order(x)
-            dense = tb_to_matrix(x)
-            acc = dense
-            order = 1
-            while not acc.is_zero():
-                acc = acc @ dense
-                order += 1
-            assert k == order
+            assert tb_pow_order(x) == dense_order(x), x
+    for l1, l2 in shapes_up_to_n(16):
+        for _ in range(5):
+            x = int_element(l1, l2, rng)
+            assert tb_pow_order(x) == dense_order(x), x
+
+
+def test_pow_order_refuses():
+    # identity on the top block, a[0] != 0: not in nilpotent form
+    with pytest.raises(ValueError, match="nilpotent-form"):
+        tb_pow_order(tb_unit(4, 2, "M", 0))
+    # equal blocks with b[0] c[0] != 0
+    with pytest.raises(ValueError, match="nilpotent-form"):
+        tb_pow_order(tb_add(tb_unit(3, 3, "K", 0), tb_unit(3, 3, "L", 0)))
+    # M_1 on a block of 5 has order 5: powers 1..4 are nonzero
+    x = tb_unit(5, 2, "M", 1)
+    assert tb_pow_order(x) == tb_pow_order(x, cap=4) == 5
+    with pytest.raises(RuntimeError, match="exceeded cap"):
+        tb_pow_order(x, cap=3)
 
 
 def test_rank_bound_dominates_dense_rank():
