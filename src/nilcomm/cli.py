@@ -13,20 +13,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nilcomm import exactla, verify
+from nilcomm import exactla
 from nilcomm._rng import Stream, derive
 from nilcomm.commutant import dmap, sample_nilpotent_commuting
-from nilcomm.constraints import compatible_filter
 from nilcomm.dinverse import explore_q1, explore_q2, fiber_json
 from nilcomm.exactla import NotNilpotentError
 from nilcomm.partitions import Partition, parse
-from nilcomm.twoblock import (
-    antidiagonal,
-    construct_lemma_eq2,
-    construct_lemma_odd,
-    construct_squarezero_partner,
-    tb_to_matrix,
-)
+
+# verify, twoblock and constraints are imported inside the subcommands that
+# use them, so a dmap or dinv process never loads or compiles them
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,7 @@ class RunConfig:
     seed: int = 0
     coeff_bound: int = 10
     output: str = "text"
-    max_n: int = 16
+    max_n: int = 40
     force: bool = False
     dump_matrix: bool = False
 
@@ -158,6 +153,8 @@ def _transcript(cfg: RunConfig, host: Partition, m: exactla.ExactMatrix,
 
 
 def _cmd_construct_squarezero(cfg: RunConfig, args) -> int:
+    from nilcomm.twoblock import construct_squarezero_partner
+
     mu = parse(args.partition)
     m = construct_squarezero_partner(mu, args.rank)
     sq = (m @ m).is_zero()
@@ -168,6 +165,8 @@ def _cmd_construct_squarezero(cfg: RunConfig, args) -> int:
 
 
 def _cmd_construct_antidiagonal(cfg: RunConfig, args) -> int:
+    from nilcomm.twoblock import antidiagonal, tb_to_matrix
+
     rng = Stream(derive(cfg.seed, 6, args.l1, args.l2, args.j, args.l))
     bc = rng.nonzero(cfg.coeff_bound)
     cc = rng.nonzero(cfg.coeff_bound)
@@ -181,6 +180,8 @@ def _cmd_construct_antidiagonal(cfg: RunConfig, args) -> int:
 
 
 def _cmd_construct_lemma_eq2(cfg: RunConfig, args) -> int:
+    from nilcomm.twoblock import construct_lemma_eq2
+
     m = construct_lemma_eq2(args.lam, cfg.seed)
     host = Partition((args.lam, args.lam))
     jt = exactla.jordan_type(m)
@@ -189,6 +190,8 @@ def _cmd_construct_lemma_eq2(cfg: RunConfig, args) -> int:
 
 
 def _cmd_construct_lemma_odd(cfg: RunConfig, args) -> int:
+    from nilcomm.twoblock import construct_lemma_odd
+
     m = construct_lemma_odd(args.l1, args.l2, args.a)
     sq = (m @ m).is_zero()
     rk = exactla.rank(m)
@@ -199,6 +202,8 @@ def _cmd_construct_lemma_odd(cfg: RunConfig, args) -> int:
 
 
 def _cmd_check(cfg: RunConfig, args) -> int:
+    from nilcomm.constraints import compatible_filter
+
     lam, mu = parse(args.lam), parse(args.mu)
     v = compatible_filter(lam, mu)
     if cfg.json:
@@ -211,6 +216,8 @@ def _cmd_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
+    from nilcomm import verify
+
     if args.suite == "all":
         progress = None if cfg.json else lambda r: print(r.line(), flush=True)
         results = verify.run_all(cfg.max_n, cfg.seed, cfg.coeff_bound, progress)
@@ -267,12 +274,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _suite(text: str) -> str:
+    """'all' or a criterion number in verify.SUITES."""
+    from nilcomm import verify
+
+    valid = ["all"] + [str(k) for k in verify.SUITES]
+    if text not in valid:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, valid))})")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--coeff-bound", type=int, default=10)
     common.add_argument("--json", action="store_true")
-    common.add_argument("--max-n", type=int, default=16)
+    common.add_argument("--max-n", type=int, default=40)
     common.add_argument("--force", action="store_true")
     common.add_argument("--dump-matrix", action="store_true")
 
@@ -337,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the acceptance suites")
-    p.add_argument("--suite", default="all",
-                   choices=["all"] + [str(k) for k in verify.SUITES])
+    p.add_argument("--suite", default="all", type=_suite)
     p.set_defaults(func=_cmd_verify)
 
     pe = sub.add_parser("explore", help="evidence for the open questions")

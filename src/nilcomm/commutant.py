@@ -16,7 +16,7 @@ almost-rectangular cover of p, which every result is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from nilcomm._rng import Stream, derive
 from nilcomm.partitions import Partition, min_ar_cover
@@ -84,15 +84,10 @@ def commutant_basis(lam) -> CommutantBasis:
     return CommutantBasis(lam, gens, len(gens))
 
 
-_GEN_CACHE: dict[tuple, tuple] = {}
-
-
+# bounded above the hosts any suite, test or benchmark draws from
+@lru_cache(maxsize=2048)
 def _cached_gens(lam: tuple) -> tuple:
-    g = _GEN_CACHE.get(lam)
-    if g is None:
-        g = _generators(Partition(lam))
-        _GEN_CACHE[lam] = g
-    return g
+    return _generators(Partition(lam))
 
 
 def _draw_rows(lam: tuple, stream: Stream, bound: int) -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 from nilcomm.commutant import DMapResult, dmap, dmap_index
 from nilcomm.partitions import (
@@ -50,24 +51,22 @@ class DTable:
         return out
 
 
-_TABLE_CACHE: dict[int, DTable] = {}
-
-
 def dmap_all(n: int) -> DTable:
     """Full image table on the partitions of n.  Cached per n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cached = _TABLE_CACHE.get(n)
-    if cached is not None:
-        return cached
+    return _table(n)
+
+
+# the last 24 sizes asked for: more than any suite, test or benchmark uses
+@lru_cache(maxsize=24)
+def _table(n: int) -> DTable:
     entries: dict[Partition, DMapResult] = {}
     for lam in enumerate_partitions(n):
         entries[lam] = dmap(lam)
     if len(entries) != count_partitions(n):
         raise RuntimeError(f"table at n={n} is incomplete")
-    table = DTable(n, entries)
-    _TABLE_CACHE[n] = table
-    return table
+    return DTable(n, entries)
 
 
 def dinv(mu) -> set:

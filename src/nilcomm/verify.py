@@ -12,6 +12,7 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from nilcomm import exactla
 from nilcomm._rng import Stream, derive
@@ -375,9 +376,6 @@ def suite10(max_n: int = 12) -> SuiteResult:
                    f"both properties hold for n <= {max_n}")
 
 
-_BANK_CACHE: dict[tuple, dict] = {}
-
-
 def sample_bank(n_max: int = 10, per: int = 1000, seed: int = 0,
                 coeff_bound: int = 10) -> dict:
     """per sampled commuting types for every partition of every n <= n_max.
@@ -385,17 +383,19 @@ def sample_bank(n_max: int = 10, per: int = 1000, seed: int = 0,
     Keyed by the host partition; memoized, so the acceptance suite and the
     property tests share one bank.
     """
-    key = (n_max, per, seed, coeff_bound)
-    bank = _BANK_CACHE.get(key)
-    if bank is None:
-        bank = {}
-        for n in range(1, n_max + 1):
-            for lam in enumerate_partitions(n):
-                bank[lam] = [
-                    Partition(sample_jordan(lam, derive(seed, 7, *lam, i), coeff_bound))
-                    for i in range(per)
-                ]
-        _BANK_CACHE[key] = bank
+    return _bank(n_max, per, seed, coeff_bound)
+
+
+# a bank at suite-11 scale holds 138 000 types: keep only the few in use
+@lru_cache(maxsize=4)
+def _bank(n_max: int, per: int, seed: int, coeff_bound: int) -> dict:
+    bank = {}
+    for n in range(1, n_max + 1):
+        for lam in enumerate_partitions(n):
+            bank[lam] = [
+                Partition(sample_jordan(lam, derive(seed, 7, *lam, i), coeff_bound))
+                for i in range(per)
+            ]
     return bank
 
 

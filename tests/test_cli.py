@@ -1,16 +1,30 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nilcomm import verify
+import nilcomm
+from nilcomm import dinverse, verify
 from nilcomm.cli import main
+
+SRC = str(Path(nilcomm.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_fresh(*args):
+    """A new interpreter with only src/ on the path: nothing preloaded."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=120)
 
 
 def test_dmap_text(capsys):
@@ -44,10 +58,14 @@ def test_dinv_text_and_json(capsys):
 
 
 def test_dinv_guard_and_force(capsys):
-    rc, out, err = run(capsys, "dinv", "18,2")
+    rc, out, err = run(capsys, "dinv", "40,2")
     assert rc == 2
     assert out == ""
     assert "--force" in err
+    rc, out, err = run(capsys, "dinv", "18,2", "--json")
+    assert rc == 0
+    want = sorted(dinverse.dmap_all(20).fiber((18, 2)), reverse=True)
+    assert json.loads(out)["fiber"] == [list(lam) for lam in want]
     rc, out, err = run(capsys, "dinv", "6,2", "--max-n", "4")
     assert rc == 2
     rc, out, err = run(capsys, "dinv", "6,2", "--max-n", "4", "--force")
@@ -138,7 +156,9 @@ def test_verify_single_suite(capsys):
 def test_verify_reports_suite_seconds(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "9", "--json")
     assert rc == 0
-    (res,) = json.loads(out)["results"]
+    doc = json.loads(out)
+    assert doc["max_n"] == 40
+    (res,) = doc["results"]
     assert isinstance(res["seconds"], float) and res["seconds"] >= 0
     rc, out, _ = run(capsys, "verify", "--suite", "9")
     assert re.search(r"\(\d+ checks, \d+\.\d s\)$", out.strip())
@@ -179,3 +199,42 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit):
         main(["dmap"])
     assert "partition" in capsys.readouterr().err
+
+
+def test_bad_suite_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "13"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --suite: invalid choice: '13'" in err
+    named = re.search(r"choose from (.*)\)", err).group(1)
+    assert re.findall(r"\w+", named) == ["all"] + [str(k) for k in verify.SUITES]
+
+
+def test_cli_import_leaves_out_unused_layers():
+    probe = ("import sys, nilcomm.cli; print(sorted(m for m in sys.modules "
+             "if m in ('nilcomm.verify', 'nilcomm.twoblock', 'nilcomm.constraints')))")
+    res = run_fresh("-c", probe)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.decode().strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["dmap", "3,1,1", "--json"],
+                                  ["dinv", "6,2", "--json"]])
+def test_fresh_process_prints_the_same_bytes(capsys, argv):
+    rc, out, _ = run(capsys, *argv)
+    res = run_fresh("-m", "nilcomm.cli", *argv)
+    assert (res.returncode, res.stdout) == (rc, out.encode())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "9"],
+    ["check", "pair", "6,2", "4,4"],
+    ["construct", "lemma-eq2", "3"],
+    ["construct", "lemma-odd", "5", "3", "4"],
+    ["construct", "squarezero", "3,3,1", "--rank", "3"],
+    ["construct", "antidiagonal", "5", "3", "0", "1"],
+])
+def test_deferred_imports_resolve_in_a_fresh_process(argv):
+    res = run_fresh("-m", "nilcomm.cli", *argv)
+    assert res.returncode == 0, res.stderr
