@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""Layer timings of the library, written to BENCH_<label>.json.
+
+Usage: python3 scripts/bench.py --label L [--repeats K] [--root DIR]
+
+Times the checkout at DIR (default: the one holding this script) and writes
+BENCH_L.json at the root of this script's checkout, with the Python
+version, the CPU count, DIR's commit (`git describe --always --dirty`) and,
+per measurement, the median and the K raw times in seconds:
+
+- cli.dmap_n20_s, cli.dinv_n14_s: wall time of one fresh
+  `python -m nilcomm.cli ... --json` process.  The package is copied without
+  __pycache__ and run with PYTHONDONTWRITEBYTECODE=1, so every nilcomm
+  module is compiled from source, as on a checkout that never wrote bytecode;
+- cli.import_s: `import nilcomm.cli`, timed inside such a process;
+- dinverse.dmap_all_{20,30,40}_s: one cold fiber table, cache cleared first;
+- commutant.sample_jordan_s: 20 seeded draws on each of five hosts
+  (n = 16..20), generator lists already cached;
+- twoblock.tb_pow_order_s: orders of 200 fixed nilpotent two-block elements;
+- exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
+  rank n - 2.
+
+Inputs are fixed (seeded `random`, never the library's own generator), and
+only names that every benchmarked version of the library has are used.
+Standard library only.
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from time import perf_counter
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DMAP_ARG = "7,5,4,2,1,1"  # n = 20, cover 3
+DINV_ARG = "9,4,1"  # n = 14, stable, a fiber of 8
+SAMPLE_HOSTS = [(4, 4, 3, 3, 2), (6, 4, 3, 2, 1), (5, 5, 5, 5), (8, 6, 4, 2),
+                (3, 3, 3, 3, 2, 2, 2, 1, 1)]
+TWO_BLOCK_HOSTS = [(8, 8), (9, 7), (10, 6), (12, 4)]
+IMPORT_PROBE = ("from time import perf_counter as t; s = t(); import nilcomm.cli; "
+                "print(t() - s)")
+
+
+def fresh(pkg_root: str, argv: list) -> tuple:
+    """(wall seconds, stdout) of one new interpreter on the copied package."""
+    env = dict(os.environ, PYTHONPATH=pkg_root, PYTHONDONTWRITEBYTECODE="1")
+    t0 = perf_counter()
+    res = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                         timeout=600)
+    wall = perf_counter() - t0
+    if res.returncode != 0:
+        sys.exit(f"bench: {argv} exited {res.returncode}: {res.stderr.decode()}")
+    return wall, res.stdout
+
+
+def timed(fn) -> float:
+    t0 = perf_counter()
+    fn()
+    return perf_counter() - t0
+
+
+def two_block_draws(rng: random.Random) -> list:
+    """Suite-5-shaped coefficient vectors in nilpotent form."""
+    def vec(k):
+        return [rng.randint(-10, 10) for _ in range(k)]
+
+    out = []
+    for l1, l2 in TWO_BLOCK_HOSTS:
+        for _ in range(50):
+            a, b, c, d = vec(l1), vec(l2), vec(l2), vec(l2)
+            a[0] = d[0] = 0
+            if l1 == l2:
+                (b if rng.randint(0, 1) else c)[0] = 0
+            out.append((l1, l2, tuple(a), tuple(b), tuple(c), tuple(d)))
+    return out
+
+
+def rank_matrices(rng: random.Random, n: int) -> list:
+    """Ten products of n x (n-2) and (n-2) x n integer matrices."""
+    out = []
+    for _ in range(10):
+        a = [[rng.randint(-9, 9) for _ in range(n - 2)] for _ in range(n)]
+        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 2)]
+        out.append([[sum(a[i][k] * b[k][j] for k in range(n - 2)) for j in range(n)]
+                    for i in range(n)])
+    return out
+
+
+def measurements(root: str, pkg_root: str) -> dict:
+    """Name -> zero-argument function returning seconds."""
+    sys.path.insert(0, os.path.join(root, "src"))
+    from nilcomm import commutant, dinverse, exactla, twoblock
+
+    if not commutant.__file__.startswith(os.path.join(root, "src")):
+        sys.exit(f"bench: imported nilcomm from {commutant.__file__}, not {root}")
+    rng = random.Random(2011)
+    elements = [twoblock.TwoBlockElement(*v) for v in two_block_draws(rng)]
+    matrices = {n: [exactla.ExactMatrix(m) for m in rank_matrices(rng, n)]
+                for n in (10, 16, 24)}
+    for lam in SAMPLE_HOSTS:
+        commutant.sample_jordan(lam, 0)  # fills the generator cache
+
+    def cold_table(n):
+        dinverse._table.cache_clear()
+        return timed(lambda: dinverse.dmap_all(n))
+
+    cli = ["-m", "nilcomm.cli"]
+    out = {
+        "cli.dmap_n20_s": lambda: fresh(pkg_root, cli + ["dmap", DMAP_ARG, "--json"])[0],
+        "cli.dinv_n14_s": lambda: fresh(pkg_root, cli + ["dinv", DINV_ARG, "--json"])[0],
+        "cli.import_s": lambda: float(fresh(pkg_root, ["-c", IMPORT_PROBE])[1]),
+        "commutant.sample_jordan_s": lambda: timed(lambda: [
+            commutant.sample_jordan(lam, s) for lam in SAMPLE_HOSTS for s in range(20)]),
+        "twoblock.tb_pow_order_s": lambda: timed(lambda: [
+            twoblock.tb_pow_order(x) for x in elements]),
+    }
+    for n in (20, 30, 40):
+        out[f"dinverse.dmap_all_{n}_s"] = lambda n=n: cold_table(n)
+    for n, ms in matrices.items():
+        out[f"exactla.rank_{n}_s"] = lambda ms=ms: timed(lambda: [
+            exactla.rank(m) for m in ms])
+    return out
+
+
+def commit(root: str) -> str:
+    """Short hash of root's HEAD, suffixed -dirty when tracked files differ."""
+    res = subprocess.run(["git", "-C", root, "describe", "--always", "--dirty"],
+                         capture_output=True, text=True)
+    return res.stdout.strip() if res.returncode == 0 else "unknown"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--root", default=HERE, help="checkout to time")
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
+    root = os.path.abspath(args.root)
+    with tempfile.TemporaryDirectory() as pkg_root:
+        shutil.copytree(os.path.join(root, "src", "nilcomm"),
+                        os.path.join(pkg_root, "nilcomm"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        timers = measurements(root, pkg_root)
+        runs = {name: [] for name in timers}
+        for _ in range(args.repeats):
+            for name, fn in timers.items():
+                runs[name].append(fn())
+    doc = {
+        "label": args.label,
+        "commit": commit(root),
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "repeats": args.repeats,
+        "unit": "s",
+        "medians": {k: statistics.median(v) for k, v in runs.items()},
+        "runs": runs,
+    }
+    path = os.path.join(HERE, f"BENCH_{args.label}.json")
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+    for k, v in doc["medians"].items():
+        print(f"{k:30s} {v:.4f}")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,25 +3,34 @@
 Everything is computed over the rationals with no floating point: Jordan
 types, centralizer bases, randomized nilpotent sampling, the generic
 commuting-orbit map on partitions, and its inverse images.
+
+The names below load their home module on first use (PEP 562), so
+importing the package, or one of its modules, loads nothing else.
 """
 
-from nilcomm.commutant import dmap, dmap_index, sample_nilpotent_commuting
-from nilcomm.dinverse import dinv, dmap_all
-from nilcomm.exactla import ExactMatrix, build_jordan, jordan_type, rank
-from nilcomm.partitions import Partition, parse, render
+_HOMES = {
+    "ExactMatrix": "exactla",
+    "Partition": "partitions",
+    "build_jordan": "exactla",
+    "dinv": "dinverse",
+    "dmap": "dinverse",
+    "dmap_all": "dinverse",
+    "dmap_index": "dinverse",
+    "jordan_type": "exactla",
+    "parse": "partitions",
+    "rank": "exactla",
+    "render": "partitions",
+    "sample_nilpotent_commuting": "commutant",
+}
 
-__all__ = [
-    "ExactMatrix",
-    "Partition",
-    "build_jordan",
-    "dinv",
-    "dmap",
-    "dmap_all",
-    "dmap_index",
-    "jordan_type",
-    "parse",
-    "rank",
-    "render",
-    "sample_nilpotent_commuting",
-]
+__all__ = list(_HOMES)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__import__(f"{__name__}.{home}", fromlist=[name]), name)
+    globals()[name] = value
+    return value

@@ -10,58 +10,32 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
-from nilcomm import exactla
-from nilcomm._rng import Stream, derive
-from nilcomm.commutant import dmap, sample_nilpotent_commuting
-from nilcomm.dinverse import explore_q1, explore_q2, fiber_json
-from nilcomm.exactla import NotNilpotentError
+from nilcomm.dinverse import dmap, explore_q1, explore_q2, fiber_json
 from nilcomm.partitions import Partition, parse
 
-# verify, twoblock and constraints are imported inside the subcommands that
-# use them, so a dmap or dinv process never loads or compiles them
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    coeff_bound: int = 10
-    output: str = "text"
-    max_n: int = 40
-    force: bool = False
-    dump_matrix: bool = False
-
-    @property
-    def json(self) -> bool:
-        return self.output == "json"
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        coeff_bound=args.coeff_bound,
-        output="json" if args.json else "text",
-        max_n=args.max_n,
-        force=args.force,
-        dump_matrix=args.dump_matrix,
-    )
+# every other layer (commutant, exactla, _rng, verify, twoblock, constraints)
+# and fractions are imported inside the subcommands that use them, so a dmap
+# or dinv process loads only dinverse and partitions; the dinverse names stay
+# at module level, where a boundary tracer finds them among this module's
+# globals
 
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _matrix_rows(m: exactla.ExactMatrix) -> list:
+def _matrix_rows(m) -> list:
+    from fractions import Fraction
+
     return [[str(Fraction(x)) for x in row] for row in m.row_data()]
 
 
-def _guard(cfg: RunConfig, n: int) -> bool:
+def _guard(args, n: int) -> bool:
     """True when n exceeds the size guard and --force was not given."""
-    if n > cfg.max_n and not cfg.force:
+    if n > args.max_n and not args.force:
         print(
-            f"refusing to enumerate partitions of {n} > --max-n {cfg.max_n}; "
+            f"refusing to enumerate partitions of {n} > --max-n {args.max_n}; "
             "pass --force to override",
             file=sys.stderr,
         )
@@ -69,12 +43,12 @@ def _guard(cfg: RunConfig, n: int) -> bool:
     return False
 
 
-def _cmd_dmap(cfg: RunConfig, args) -> int:
+def _cmd_dmap(args) -> int:
     lam = parse(args.partition)
     res = dmap(lam)
-    if cfg.json:
+    if args.json:
         out = res.to_json_dict()
-        out["seed"] = cfg.seed
+        out["seed"] = args.seed
         _emit_json(out)
     else:
         print(f"D{lam} = {res.d}")
@@ -83,13 +57,13 @@ def _cmd_dmap(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_dinv(cfg: RunConfig, args) -> int:
+def _cmd_dinv(args) -> int:
     mu = parse(args.partition)
-    if _guard(cfg, mu.n):
+    if _guard(args, mu.n):
         return 2
     out = fiber_json(mu)
-    if cfg.json:
-        out["seed"] = cfg.seed
+    if args.json:
+        out["seed"] = args.seed
         _emit_json(out)
     else:
         print(f"D^-1{mu}: {out['size']} partitions")
@@ -98,37 +72,41 @@ def _cmd_dinv(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_sample(cfg: RunConfig, args) -> int:
+def _cmd_sample(args) -> int:
+    from nilcomm._rng import derive
+    from nilcomm.commutant import sample_nilpotent_commuting
+
     lam = parse(args.partition)
     records = []
     for i in range(args.count):
         s = sample_nilpotent_commuting(
-            lam, derive(cfg.seed, 6, i), coeff_bound=cfg.coeff_bound)
+            lam, derive(args.seed, 6, i), coeff_bound=args.coeff_bound)
         records.append(s)
-    if cfg.json:
+    if args.json:
         out = []
         for s in records:
             d = s.to_json_dict()
-            if cfg.dump_matrix:
+            if args.dump_matrix:
                 d["matrix"] = _matrix_rows(s.matrix)
             out.append(d)
-        _emit_json({"lambda": list(lam), "seed": cfg.seed, "samples": out})
+        _emit_json({"lambda": list(lam), "seed": args.seed, "samples": out})
     else:
         for i, s in enumerate(records):
             print(f"sample {i}: jordan type {s.jordan}")
-            if cfg.dump_matrix:
+            if args.dump_matrix:
                 print(s.matrix.dump())
     return 0
 
 
-def _transcript(cfg: RunConfig, host: Partition, m: exactla.ExactMatrix,
-                label: str, json_extra: dict) -> int:
+def _transcript(args, host: Partition, m, label: str, json_extra: dict) -> int:
     """Re-verify a constructed witness and print the transcript."""
+    from nilcomm import exactla
+
     b = exactla.build_jordan(host)
     commutes = m @ b == b @ m
     jt = exactla.jordan_type(m)
     ok = commutes
-    if cfg.json:
+    if args.json:
         out = {
             "construction": label,
             "host": list(host),
@@ -136,9 +114,9 @@ def _transcript(cfg: RunConfig, host: Partition, m: exactla.ExactMatrix,
             "commutes": commutes,
             **{k: list(v) if isinstance(v, Partition) else v
                for k, v in json_extra.items()},
-            "seed": cfg.seed,
+            "seed": args.seed,
         }
-        if cfg.dump_matrix:
+        if args.dump_matrix:
             out["matrix"] = _matrix_rows(m)
         _emit_json(out)
     else:
@@ -147,66 +125,71 @@ def _transcript(cfg: RunConfig, host: Partition, m: exactla.ExactMatrix,
         print(f"jordan type: {jt}")
         for k, v in json_extra.items():
             print(f"{k}: {v}")
-        if cfg.dump_matrix:
+        if args.dump_matrix:
             print(m.dump())
     return 0 if ok else 1
 
 
-def _cmd_construct_squarezero(cfg: RunConfig, args) -> int:
+def _cmd_construct_squarezero(args) -> int:
+    from nilcomm import exactla
     from nilcomm.twoblock import construct_squarezero_partner
 
     mu = parse(args.partition)
     m = construct_squarezero_partner(mu, args.rank)
     sq = (m @ m).is_zero()
     rk = exactla.rank(m)
-    code = _transcript(cfg, mu, m, "square-zero partner",
+    code = _transcript(args, mu, m, "square-zero partner",
                        {"rank": rk, "square_zero": sq})
     return code if sq and rk == args.rank else 1
 
 
-def _cmd_construct_antidiagonal(cfg: RunConfig, args) -> int:
+def _cmd_construct_antidiagonal(args) -> int:
+    from nilcomm import exactla
+    from nilcomm._rng import Stream, derive
     from nilcomm.twoblock import antidiagonal, tb_to_matrix
 
-    rng = Stream(derive(cfg.seed, 6, args.l1, args.l2, args.j, args.l))
-    bc = rng.nonzero(cfg.coeff_bound)
-    cc = rng.nonzero(cfg.coeff_bound)
+    rng = Stream(derive(args.seed, 6, args.l1, args.l2, args.j, args.l))
+    bc = rng.nonzero(args.coeff_bound)
+    cc = rng.nonzero(args.coeff_bound)
     x, pred, case = antidiagonal(args.l1, args.l2, args.j, args.l, bc, cc)
     m = tb_to_matrix(x)
     jt = exactla.jordan_type(m)
-    code = _transcript(cfg, Partition((args.l1, args.l2)), m, "antidiagonal element",
+    code = _transcript(args, Partition((args.l1, args.l2)), m, "antidiagonal element",
                        {"element": x.render(), "case": case,
                         "predicted": pred})
     return code if jt == pred else 1
 
 
-def _cmd_construct_lemma_eq2(cfg: RunConfig, args) -> int:
+def _cmd_construct_lemma_eq2(args) -> int:
+    from nilcomm import exactla
     from nilcomm.twoblock import construct_lemma_eq2
 
-    m = construct_lemma_eq2(args.lam, cfg.seed)
+    m = construct_lemma_eq2(args.lam, args.seed)
     host = Partition((args.lam, args.lam))
     jt = exactla.jordan_type(m)
-    code = _transcript(cfg, host, m, "off-by-one partner", {})
+    code = _transcript(args, host, m, "off-by-one partner", {})
     return code if jt == (args.lam + 1, args.lam - 1) else 1
 
 
-def _cmd_construct_lemma_odd(cfg: RunConfig, args) -> int:
+def _cmd_construct_lemma_odd(args) -> int:
+    from nilcomm import exactla
     from nilcomm.twoblock import construct_lemma_odd
 
     m = construct_lemma_odd(args.l1, args.l2, args.a)
     sq = (m @ m).is_zero()
     rk = exactla.rank(m)
-    code = _transcript(cfg, Partition((args.l1, args.l2)), m,
+    code = _transcript(args, Partition((args.l1, args.l2)), m,
                        "two-block square-zero element",
                        {"rank": rk, "square_zero": sq})
     return code if sq and rk == args.a else 1
 
 
-def _cmd_check(cfg: RunConfig, args) -> int:
+def _cmd_check(args) -> int:
     from nilcomm.constraints import compatible_filter
 
     lam, mu = parse(args.lam), parse(args.mu)
     v = compatible_filter(lam, mu)
-    if cfg.json:
+    if args.json:
         _emit_json(v.to_json_dict())
     else:
         print(f"{lam} vs {mu}: {v.verdict}")
@@ -215,30 +198,30 @@ def _cmd_check(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(args) -> int:
     from nilcomm import verify
 
     if args.suite == "all":
-        progress = None if cfg.json else lambda r: print(r.line(), flush=True)
-        results = verify.run_all(cfg.max_n, cfg.seed, cfg.coeff_bound, progress)
+        progress = None if args.json else lambda r: print(r.line(), flush=True)
+        results = verify.run_all(args.max_n, args.seed, args.coeff_bound, progress)
     else:
-        results = [verify.run_suite(int(args.suite), cfg.max_n, cfg.seed,
-                                    cfg.coeff_bound)]
-        if not cfg.json:
+        results = [verify.run_suite(int(args.suite), args.max_n, args.seed,
+                                    args.coeff_bound)]
+        if not args.json:
             print(results[0].line())
-    if cfg.json:
-        _emit_json({"seed": cfg.seed, "max_n": cfg.max_n,
+    if args.json:
+        _emit_json({"seed": args.seed, "max_n": args.max_n,
                     "results": [r.to_json_dict() for r in results]})
     return 0 if all(r.passed for r in results) else 1
 
 
-def _cmd_explore_q1(cfg: RunConfig, args) -> int:
-    if _guard(cfg, 2 * args.mu - args.r):
+def _cmd_explore_q1(args) -> int:
+    if _guard(args, 2 * args.mu - args.r):
         return 2
     rep = explore_q1(args.mu, args.r)
-    if cfg.json:
+    if args.json:
         out = rep.to_json_dict()
-        out["seed"] = cfg.seed
+        out["seed"] = args.seed
         _emit_json(out)
     else:
         target = Partition((rep.mu, rep.mu - rep.r))
@@ -249,14 +232,14 @@ def _cmd_explore_q1(cfg: RunConfig, args) -> int:
     return 0 if rep.matches else 1
 
 
-def _cmd_explore_q2(cfg: RunConfig, args) -> int:
+def _cmd_explore_q2(args) -> int:
     mu = parse(args.partition)
-    if _guard(cfg, mu.n):
+    if _guard(args, mu.n):
         return 2
     rep = explore_q2(mu)
-    if cfg.json:
+    if args.json:
         out = rep.to_json_dict()
-        out["seed"] = cfg.seed
+        out["seed"] = args.seed
         _emit_json(out)
     else:
         print(f"rank-minimal elements of the fiber of {rep.mu}:")
@@ -376,10 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config(args)
     try:
-        return args.func(cfg, args)
-    except (ValueError, NotNilpotentError) as exc:
+        return args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

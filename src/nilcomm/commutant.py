@@ -1,16 +1,14 @@
-"""Centralizer of a nilpotent Jordan matrix and the generic commuting type.
+"""Centralizer of a nilpotent Jordan matrix and seeded sampling inside it.
 
 The centralizer of the block-diagonal nilpotent J decomposes into rectangular
 blocks, one per pair of Jordan blocks, each constant along diagonals with the
 lower-left triangle forced to zero.  One generator per admissible diagonal
 gives a basis of dimension sum(min(p_i, p_j)).
 
-The map D sends a partition p to the Jordan type of a generic nilpotent
-element commuting with J_p.  It is computed by Oblak's recursion, checked
-against sampling in tests: the first part of D(p) is an explicit maximum
-over windows of parts (dmap_index), the window that attains it is removed,
-and the rest recurses.  The number of parts of D(p) is the minimal
-almost-rectangular cover of p, which every result is checked against.
+Random nilpotent elements drawn on that basis have Jordan types dominated by
+the generic commuting type D(p).  D itself is computed by Oblak's recursion
+in `dinverse`; `dmap`, `dmap_index` and `DMapResult` are re-exported here for
+callers that import them from this module.
 """
 
 from __future__ import annotations
@@ -19,7 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from nilcomm._rng import Stream, derive
-from nilcomm.partitions import Partition, min_ar_cover
+from nilcomm.dinverse import DMapResult, dmap, dmap_index  # noqa: F401
+from nilcomm.partitions import Partition
 from nilcomm.exactla import (
     ExactMatrix,
     NotNilpotentError,
@@ -152,79 +151,3 @@ def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> Commuta
         raise RuntimeError(
             f"non-nilpotent sample for {tuple(lam)} (seed {seed}); bug") from exc
     return CommutantSample(lam, m, jt, seed, coeff_bound)
-
-
-def _index_window(ps: tuple) -> tuple[int, int, int]:
-    """(u, i, j): the largest 2i + ps_i + ... + ps_(j-1) over windows with
-    ps_i - ps_(j-1) <= 1 and, for i > 0, ps_(i-1) >= 2, and the first window
-    ps_i..ps_(j-1) that attains it (indices from 0)."""
-    t = len(ps)
-    best = (0, 0, 0)
-    for i in range(t):
-        if i > 0 and ps[i - 1] < 2:
-            continue
-        acc = 2 * i
-        for j in range(i, t):
-            if ps[i] - ps[j] > 1:
-                break
-            acc += ps[j]
-            if acc > best[0]:
-                best = (acc, i, j + 1)
-    return best
-
-
-def dmap_index(lam) -> int:
-    """First part of the generic commuting type.
-
-    Maximum of 2(i-1) + lam_i + ... + lam_(i+r) over windows with
-    lam_i - lam_(i+r) <= 1, requiring lam_(i-1) >= 2 when i > 1.
-    """
-    return _index_window(tuple(lam))[0]
-
-
-@dataclass(frozen=True)
-class DMapResult:
-    lam: Partition
-    d: Partition
-    method: str
-    index_check: bool
-    parts_check: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "d": list(self.d),
-            "method": self.method,
-            "checks": {"index": self.index_check, "parts": self.parts_check},
-        }
-
-
-def dmap(lam) -> DMapResult:
-    """Generic commuting type of lam, by Oblak's recursion.
-
-    With u = dmap_index(lam) attained first on the window lam_i..lam_(i+r),
-    D(lam) = (u) joined with D(lam'), where lam' lowers every part before
-    the window by 2 (dropping parts that reach zero), drops the window and
-    keeps the parts after it.  Oblak stated the recursion; Basili and
-    Iarrobino-Khatami-Van Steirteghem-Zhao are reported to have proved it.
-    The first part (u) and the part count (the minimal almost-rectangular
-    cover) are checked against their own formulas; a mismatch is a bug.
-    """
-    lam = Partition(lam)
-    parts = []
-    rest = tuple(lam)
-    while rest:
-        u, i, j = _index_window(rest)
-        parts.append(u)
-        rest = tuple(sorted([p - 2 for p in rest[:i] if p > 2] + list(rest[j:]),
-                            reverse=True))
-    d = Partition(parts)
-    cover = min_ar_cover(lam)
-    index_check = d[0] == parts[0]
-    parts_check = d.t == cover
-    if not (index_check and parts_check):
-        raise RuntimeError(
-            f"recursion gave {tuple(d)} for {tuple(lam)}: first part {d[0]} vs "
-            f"{parts[0]}, parts {d.t} vs {cover}; bug"
-        )
-    return DMapResult(lam, d, "recursion", index_check, parts_check)

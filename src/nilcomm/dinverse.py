@@ -1,19 +1,21 @@
-"""Inverse images of the generic commuting type map.
+"""The generic commuting type map D and its inverse images.
 
-D is computed by Oblak's recursion, checked against sampling in tests.
-Brute force goes through a cached full table over all partitions of n.
-Closed-form fast paths cover staircase images, two-part images with gap
-2..4, and the image (n-1, 1); the minimal-rank test and the two open
-question explorers sit on top.
+D is computed by Oblak's recursion, checked against sampling in tests: the
+first part of D(p) is an explicit maximum over windows of parts
+(dmap_index), the window that attains it is removed, and the rest recurses.
+The number of parts of D(p) is the minimal almost-rectangular cover of p,
+which every result is checked against.  Brute-force fibers go through a
+cached full table over all partitions of n.  Closed-form fast paths cover
+staircase images, two-part images with gap 2..4, and the image (n-1, 1);
+the minimal-rank test and the two open question explorers sit on top.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from nilcomm.commutant import DMapResult, dmap, dmap_index
 from nilcomm.partitions import (
     Partition,
     almost_rect,
@@ -26,12 +28,86 @@ from nilcomm.partitions import (
 )
 
 
+def _index_window(ps: tuple) -> tuple[int, int, int]:
+    """(u, i, j): the largest 2i + ps_i + ... + ps_(j-1) over windows with
+    ps_i - ps_(j-1) <= 1 and, for i > 0, ps_(i-1) >= 2, and the first window
+    ps_i..ps_(j-1) that attains it (indices from 0)."""
+    t = len(ps)
+    best = (0, 0, 0)
+    for i in range(t):
+        if i > 0 and ps[i - 1] < 2:
+            continue
+        acc = 2 * i
+        for j in range(i, t):
+            if ps[i] - ps[j] > 1:
+                break
+            acc += ps[j]
+            if acc > best[0]:
+                best = (acc, i, j + 1)
+    return best
+
+
+def dmap_index(lam) -> int:
+    """First part of the generic commuting type.
+
+    Maximum of 2(i-1) + lam_i + ... + lam_(i+r) over windows with
+    lam_i - lam_(i+r) <= 1, requiring lam_(i-1) >= 2 when i > 1.
+    """
+    return _index_window(tuple(lam))[0]
+
+
+class DMapResult(NamedTuple):
+    lam: Partition
+    d: Partition
+    method: str
+    index_check: bool
+    parts_check: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "lambda": list(self.lam),
+            "d": list(self.d),
+            "method": self.method,
+            "checks": {"index": self.index_check, "parts": self.parts_check},
+        }
+
+
+def dmap(lam) -> DMapResult:
+    """Generic commuting type of lam, by Oblak's recursion.
+
+    With u = dmap_index(lam) attained first on the window lam_i..lam_(i+r),
+    D(lam) = (u) joined with D(lam'), where lam' lowers every part before
+    the window by 2 (dropping parts that reach zero), drops the window and
+    keeps the parts after it.  Oblak stated the recursion; Basili and
+    Iarrobino-Khatami-Van Steirteghem-Zhao are reported to have proved it.
+    The first part (u) and the part count (the minimal almost-rectangular
+    cover) are checked against their own formulas; a mismatch is a bug.
+    """
+    lam = Partition(lam)
+    parts = []
+    rest = tuple(lam)
+    while rest:
+        u, i, j = _index_window(rest)
+        parts.append(u)
+        rest = tuple(sorted([p - 2 for p in rest[:i] if p > 2] + list(rest[j:]),
+                            reverse=True))
+    d = Partition(parts)
+    cover = min_ar_cover(lam)
+    index_check = d[0] == parts[0]
+    parts_check = d.t == cover
+    if not (index_check and parts_check):
+        raise RuntimeError(
+            f"recursion gave {tuple(d)} for {tuple(lam)}: first part {d[0]} vs "
+            f"{parts[0]}, parts {d.t} vs {cover}; bug"
+        )
+    return DMapResult(lam, d, "recursion", index_check, parts_check)
+
+
 class FiberCountFinding(UserWarning):
     """A fiber size disagreed with a count that is stated without the set."""
 
 
-@dataclass(frozen=True)
-class DTable:
+class DTable(NamedTuple):
     """Image of every partition of n, with the per-entry computation record."""
 
     n: int
@@ -181,8 +257,7 @@ def minimal_rank_check(mu: int, r: int) -> bool:
     return members == {candidate}
 
 
-@dataclass(frozen=True)
-class Q1Report:
+class Q1Report(NamedTuple):
     """Observed fiber size of (mu, mu-r) against the conjectured count."""
 
     mu: int
@@ -216,8 +291,7 @@ def explore_q1(mu: int, r: int) -> Q1Report:
                     len(fiber) == conjectured)
 
 
-@dataclass(frozen=True)
-class Q2Report:
+class Q2Report(NamedTuple):
     """Rank-minimal fiber elements of a stable image vs the conjectured one."""
 
     mu: Partition

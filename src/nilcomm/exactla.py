@@ -71,7 +71,7 @@ class ExactMatrix:
         return self._rows == other._rows
 
     def __hash__(self):
-        return hash(tuple(tuple(Fraction(x) for x in r) for r in self._rows))
+        return hash(self._rows)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -250,18 +250,6 @@ def rank(m: ExactMatrix) -> int:
 
 def nullity(m: ExactMatrix) -> int:
     return m.cols - rank(m)
-
-
-def matrix_power_seq(m: ExactMatrix, kmax: int):
-    """Yield m^1, m^2, ... up to kmax, stopping after the first zero power."""
-    if not m.is_square():
-        raise ValueError("powers need a square matrix")
-    acc = m
-    for _ in range(kmax):
-        yield acc
-        if acc.is_zero():
-            return
-        acc = acc @ m
 
 
 def jordan_type(a: ExactMatrix) -> Partition:

@@ -89,10 +89,6 @@ class TwoBlockElement:
         return " ".join(toks) if toks else "0"
 
 
-def tb_zero(l1: int, l2: int) -> TwoBlockElement:
-    return TwoBlockElement(l1, l2, (0,) * l1, (0,) * l2, (0,) * l2, (0,) * l2)
-
-
 def tb_unit(l1: int, l2: int, family: str, i: int, coef=1) -> TwoBlockElement:
     """Single basis element: family in 'M', 'K', 'L', 'N' with coefficient coef."""
     a = [0] * l1
@@ -449,18 +445,6 @@ def _paste(rows: list, block: ExactMatrix, r0: int, c0: int) -> None:
         for j, x in enumerate(row):
             if x:
                 rows[r0 + i][c0 + j] = x
-
-
-def common_squarezero_witness(lam, mu, k: int):
-    """Square-zero rank-k partners for two hosts of the same size.
-
-    The two outputs share the Jordan type (2^k, 1^(n-2k)), hence are
-    conjugate; the conjugating change of basis is not materialized.
-    """
-    lam, mu = Partition(lam), Partition(mu)
-    if lam.n != mu.n:
-        raise ValueError("hosts must have equal size")
-    return construct_squarezero_partner(lam, k), construct_squarezero_partner(mu, k)
 
 
 def construct_lemma_eq2(lam: int, seed: int = 0, retries: int = 32) -> ExactMatrix:

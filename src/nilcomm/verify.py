@@ -16,9 +16,9 @@ from functools import lru_cache
 
 from nilcomm import exactla
 from nilcomm._rng import Stream, derive
-from nilcomm.commutant import dmap, sample_jordan
+from nilcomm.commutant import sample_jordan
 from nilcomm.constraints import FORBIDDEN, check_two_part_pairs, compatible_filter
-from nilcomm.dinverse import dinv, dinv_diff2, dinv_two_part, dmap_all
+from nilcomm.dinverse import dinv, dinv_diff2, dinv_two_part, dmap, dmap_all
 from nilcomm.partitions import (
     Partition,
     conjugate,

@@ -211,20 +211,36 @@ def test_bad_suite_is_a_usage_error(capsys):
     assert re.findall(r"\w+", named) == ["all"] + [str(k) for k in verify.SUITES]
 
 
-def test_cli_import_leaves_out_unused_layers():
-    probe = ("import sys, nilcomm.cli; print(sorted(m for m in sys.modules "
-             "if m in ('nilcomm.verify', 'nilcomm.twoblock', 'nilcomm.constraints')))")
-    res = run_fresh("-c", probe)
+def loaded_after(statement):
+    """Modules a fresh interpreter holds after running statement."""
+    res = run_fresh("-c", f"import sys; {statement}; print(*sorted(sys.modules))")
     assert res.returncode == 0, res.stderr
-    assert res.stdout.decode().strip() == "[]"
+    return set(res.stdout.decode().split())
+
+
+def test_cli_import_leaves_out_unused_layers():
+    bare = loaded_after("pass")
+    cli = loaded_after("import nilcomm.cli")
+    assert {m for m in cli if m.startswith("nilcomm")} == {
+        "nilcomm", "nilcomm.cli", "nilcomm.dinverse", "nilcomm.partitions"}
+    assert not {"dataclasses", "fractions"} & (cli - bare)
+    assert {m for m in loaded_after("import nilcomm") if m.startswith("nilcomm.")} == set()
 
 
 @pytest.mark.parametrize("argv", [["dmap", "3,1,1", "--json"],
-                                  ["dinv", "6,2", "--json"]])
+                                  ["dinv", "6,2", "--json"],
+                                  ["dmap", "5,3,3,2"],
+                                  ["dinv", "6,2"]])
 def test_fresh_process_prints_the_same_bytes(capsys, argv):
     rc, out, _ = run(capsys, *argv)
     res = run_fresh("-m", "nilcomm.cli", *argv)
     assert (res.returncode, res.stdout) == (rc, out.encode())
+
+
+def test_fresh_process_bad_partition_is_exit_2():
+    res = run_fresh("-m", "nilcomm.cli", "dmap", "0,1")
+    assert res.returncode == 2 and res.stdout == b""
+    assert res.stderr.decode().startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -234,6 +250,8 @@ def test_fresh_process_prints_the_same_bytes(capsys, argv):
     ["construct", "lemma-odd", "5", "3", "4"],
     ["construct", "squarezero", "3,3,1", "--rank", "3"],
     ["construct", "antidiagonal", "5", "3", "0", "1"],
+    ["construct", "antidiagonal", "5", "3", "1", "2"],
+    ["sample", "3,2,1", "--json", "--dump-matrix"],
 ])
 def test_deferred_imports_resolve_in_a_fresh_process(argv):
     res = run_fresh("-m", "nilcomm.cli", *argv)

@@ -3,11 +3,10 @@ import pytest
 from nilcomm import commutant
 from nilcomm.commutant import (
     commutant_basis,
-    dmap,
-    dmap_index,
     sample_jordan,
     sample_nilpotent_commuting,
 )
+from nilcomm.dinverse import dmap, dmap_index
 from nilcomm._rng import derive
 from nilcomm.exactla import ExactMatrix, build_jordan, jordan_type, rank
 from nilcomm.partitions import (

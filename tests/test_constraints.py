@@ -1,6 +1,6 @@
 import pytest
 
-from nilcomm.commutant import dmap
+from nilcomm.dinverse import dmap
 from nilcomm.constraints import (
     FORBIDDEN,
     UNKNOWN,

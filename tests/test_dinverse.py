@@ -3,13 +3,13 @@ import warnings
 import pytest
 
 from nilcomm import dinverse
-from nilcomm.commutant import dmap
 from nilcomm.dinverse import (
     FiberCountFinding,
     dinv,
     dinv_diff2,
     dinv_n11,
     dinv_two_part,
+    dmap,
     dmap_all,
     explore_q1,
     explore_q2,

@@ -17,7 +17,6 @@ from nilcomm.exactla import (
     jordan_chain_basis,
     jordan_power_type,
     jordan_type,
-    matrix_power_seq,
     nullity,
     nullspace,
     rank,
@@ -187,15 +186,13 @@ def test_direct_sum_types_merge():
     assert jordan_type(direct_sum(jordan_block(1), a, a)) == (3, 3, 1)
 
 
-def test_matrix_power_seq_stops_at_zero():
-    j = build_jordan(Partition([3, 2]))
-    seq = list(matrix_power_seq(j, 10))
-    assert len(seq) == 3
-    assert seq[-1].is_zero() and not seq[-2].is_zero()
-    acc = j
-    for p in seq:
-        assert p == acc
-        acc = acc @ j
+def test_equal_int_and_fraction_matrices_hash_equal():
+    m = ExactMatrix([[1, -2, 0], [0, 3, 4]])
+    f = ExactMatrix([[Fraction(x) for x in row] for row in m.row_data()])
+    assert m == f and hash(m) == hash(f)
+    assert len({m, f, ExactMatrix([[Fraction(2, 2), Fraction(-4, 2), 0],
+                                   [0, 3, 4]])}) == 1
+    assert m != m.scale(2)
 
 
 def test_jordan_type_rejects_non_nilpotent():

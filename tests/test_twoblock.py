@@ -11,7 +11,6 @@ from nilcomm.twoblock import (
     TwoBlockElement,
     antidiagonal,
     antidiagonal_block_rank_formulas,
-    common_squarezero_witness,
     construct_lemma_eq2,
     construct_lemma_odd,
     construct_squarezero_partner,
@@ -22,10 +21,13 @@ from nilcomm.twoblock import (
     tb_rank_bound,
     tb_to_matrix,
     tb_unit,
-    tb_zero,
 )
 
 from . import oracles
+
+
+def tb_zero(l1, l2):
+    return TwoBlockElement(l1, l2, (0,) * l1, (0,) * l2, (0,) * l2, (0,) * l2)
 
 
 def random_element(l1, l2, rng, zero_chance=3):
@@ -300,20 +302,6 @@ def test_squarezero_partner_spot_checks():
     assert construct_squarezero_partner(Partition([4]), 0).is_zero()
     with pytest.raises(ValueError):
         construct_squarezero_partner(Partition([3, 1]), 3)
-
-
-def test_common_squarezero_witness():
-    ca, cb = common_squarezero_witness(Partition([4, 2]), Partition([3, 3]), 2)
-    assert jordan_type(ca) == jordan_type(cb) == (2, 2, 1, 1)
-    assert (ca @ ca).is_zero() and (cb @ cb).is_zero()
-    assert ca @ build_jordan(Partition([4, 2])) == build_jordan(Partition([4, 2])) @ ca
-    assert cb @ build_jordan(Partition([3, 3])) == build_jordan(Partition([3, 3])) @ cb
-    z1, z2 = common_squarezero_witness(Partition([3, 2]), Partition([2, 2, 1]), 0)
-    assert z1.is_zero() and z2.is_zero()
-    with pytest.raises(ValueError):
-        common_squarezero_witness(Partition([3]), Partition([2, 1]), 2)
-    with pytest.raises(ValueError):
-        common_squarezero_witness(Partition([3]), Partition([2, 2]), 1)
 
 
 def test_lemma_eq2_types():
