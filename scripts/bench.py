@@ -18,7 +18,15 @@ per measurement, the median and the K raw times in seconds:
   (n = 16..20), generator lists already cached;
 - twoblock.tb_pow_order_s: orders of 200 fixed nilpotent two-block elements;
 - exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
-  rank n - 2.
+  rank n - 2;
+- exactla.rank_centralizer_{12,16,20}_s: ranks of the first three powers of
+  40 fixed nilpotent elements commuting with J_lambda (20 on each of two
+  hosts lambda per n), built here from the block-Toeplitz pattern of the
+  centralizer;
+- verify.suite{5,11}_s: one acceptance suite at the scale `run_all` gives it
+  (--max-n 16, seed 0), through `verify.SUITES`; suite 11's witnesses are
+  collected once beforehand, and its sample bank cache is cleared before
+  each run.  A suite that fails stops the script.
 
 Inputs are fixed (seeded `random`, never the library's own generator), and
 only names that every benchmarked version of the library has are used.
@@ -43,6 +51,9 @@ DINV_ARG = "9,4,1"  # n = 14, stable, a fiber of 8
 SAMPLE_HOSTS = [(4, 4, 3, 3, 2), (6, 4, 3, 2, 1), (5, 5, 5, 5), (8, 6, 4, 2),
                 (3, 3, 3, 3, 2, 2, 2, 1, 1)]
 TWO_BLOCK_HOSTS = [(8, 8), (9, 7), (10, 6), (12, 4)]
+CENTRALIZER_HOSTS = {12: [(4, 3, 3, 2), (5, 4, 2, 1)],
+                     16: [(5, 4, 4, 3), (6, 5, 3, 2)],
+                     20: [(6, 5, 4, 3, 2), (7, 6, 4, 3)]}
 IMPORT_PROBE = ("from time import perf_counter as t; s = t(); import nilcomm.cli; "
                 "print(t() - s)")
 
@@ -92,10 +103,32 @@ def rank_matrices(rng: random.Random, n: int) -> list:
     return out
 
 
+def centralizer_element(rng: random.Random, lam: tuple) -> list:
+    """Integer rows of a nilpotent element commuting with J_lam.
+
+    Block (i, j) is a Toeplitz band of width min(lam_i, lam_j) in its top
+    right corner, one coefficient in [-10, 10] per diagonal.  Between equal
+    parts the block's main diagonal is kept only for i < j, so the image in
+    the semisimple quotient is strictly triangular and the element nilpotent.
+    """
+    n = sum(lam)
+    offs = [sum(lam[:i]) for i in range(len(lam))]
+    rows = [[0] * n for _ in range(n)]
+    for i, p in enumerate(lam):
+        for j, q in enumerate(lam):
+            for k in range(q - min(p, q), q):
+                if p == q and k == 0 and i >= j:
+                    continue
+                coef = rng.randint(-10, 10)
+                for r in range(q - k):
+                    rows[offs[i] + r][offs[j] + k + r] = coef
+    return rows
+
+
 def measurements(root: str, pkg_root: str) -> dict:
     """Name -> zero-argument function returning seconds."""
     sys.path.insert(0, os.path.join(root, "src"))
-    from nilcomm import commutant, dinverse, exactla, twoblock
+    from nilcomm import commutant, dinverse, exactla, twoblock, verify
 
     if not commutant.__file__.startswith(os.path.join(root, "src")):
         sys.exit(f"bench: imported nilcomm from {commutant.__file__}, not {root}")
@@ -103,8 +136,30 @@ def measurements(root: str, pkg_root: str) -> dict:
     elements = [twoblock.TwoBlockElement(*v) for v in two_block_draws(rng)]
     matrices = {n: [exactla.ExactMatrix(m) for m in rank_matrices(rng, n)]
                 for n in (10, 16, 24)}
+    powers = {}
+    for n, hosts in CENTRALIZER_HOSTS.items():
+        powers[n] = []
+        for lam in hosts:
+            jordan = exactla.build_jordan(lam)
+            for _ in range(20):
+                x = exactla.ExactMatrix(centralizer_element(rng, lam))
+                if x @ jordan != jordan @ x:
+                    sys.exit(f"bench: element for {lam} does not commute with J")
+                powers[n] += [x, x @ x, x @ x @ x]
     for lam in SAMPLE_HOSTS:
         commutant.sample_jordan(lam, 0)  # fills the generator cache
+    witnesses = []
+    for k in verify.WITNESS_SUITES:
+        verify.SUITES[k](16, 0, 10, witnesses)
+
+    def suite(k):
+        verify._bank.cache_clear()
+        t0 = perf_counter()
+        res = verify.SUITES[k](16, 0, 10, list(witnesses) if k == 11 else [])
+        seconds = perf_counter() - t0
+        if not res.passed:
+            sys.exit(f"bench: suite {k} failed: {res.detail}")
+        return seconds
 
     def cold_table(n):
         dinverse._table.cache_clear()
@@ -125,6 +180,11 @@ def measurements(root: str, pkg_root: str) -> dict:
     for n, ms in matrices.items():
         out[f"exactla.rank_{n}_s"] = lambda ms=ms: timed(lambda: [
             exactla.rank(m) for m in ms])
+    for n, ms in powers.items():
+        out[f"exactla.rank_centralizer_{n}_s"] = lambda ms=ms: timed(lambda: [
+            exactla.rank(m) for m in ms])
+    for k in (5, 11):
+        out[f"verify.suite{k}_s"] = lambda k=k: suite(k)
     return out
 
 

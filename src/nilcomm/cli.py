@@ -3,6 +3,9 @@
 Every subcommand is deterministic given its flags: seeds are explicit,
 sampling is seeded, and JSON output always carries the seed it was
 produced with so any reported shape can be re-derived.
+
+Exit codes: 0 success, 1 a verification failed, 2 bad input or a refused
+guard, 3 an internal error (a failed consistency check, i.e. a bug).
 """
 
 from __future__ import annotations
@@ -364,6 +367,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a failed internal check: a bug, not bad input or a failed verification
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

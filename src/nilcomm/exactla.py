@@ -5,6 +5,12 @@ nilpotent matrices from the ranks of successive powers (stopped at the first
 rank drop of one and certified by one zero power), and the Jordan-chain
 change of basis.  No floating point enters this module; nullity differences of
 one decide Jordan types, so there is no tolerance anywhere.
+
+The Bareiss elimination is lazy: a row whose pivot-column entry is zero is
+not rewritten, since its Bareiss row at a later step is the stored row times
+a ratio of pivots (Sylvester's identity).  The powers of centralizer elements
+are sparse and close to echelon form, so most rows skip most steps.  Each
+stored entry is still a minor of the input, so every division is exact.
 """
 
 from __future__ import annotations
@@ -189,18 +195,26 @@ def direct_sum(*ms: ExactMatrix) -> ExactMatrix:
 
 
 def _int_rank(rows: list) -> int:
-    """Rank of a list-of-lists of ints, destructively, by Bareiss elimination.
+    """Rank of a list-of-lists of ints, destructively, by lazy Bareiss
+    elimination.
 
-    Fraction-free: every division below is exact by the Sylvester determinant
-    identity as long as rows with a zero pivot-column coefficient are still
-    rescaled by pivot/prev.
+    With pivots p_0 = 1, p_1, p_2, ..., eager Bareiss rewrites every row
+    below the pivot at every step.  Here a row whose pivot-column entry is
+    zero stays as it is: `level[r]` is the step whose Bareiss row is stored
+    in row r, and by the Sylvester identity its Bareiss row at step s is
+    `stored * p_s / p_level`.  So a row eliminated at step s becomes
+    `(p_s * stored - coef * pivot_row) // p_level`, which is its Bareiss row
+    at step s, and a lagging pivot row is first brought to step s - 1 by
+    `* p_(s-1) // p_level`.  Every quotient is a minor of the input, so every
+    division is exact and entries grow no more than in eager Bareiss.
     """
     nr = len(rows)
     if nr == 0:
         return 0
     nc = len(rows[0])
+    pivots = [1]
+    level = [0] * nr
     pr = 0
-    prev = 1
     for pc in range(nc):
         if pr >= nr:
             break
@@ -211,21 +225,29 @@ def _int_rank(rows: list) -> int:
                 break
         if piv < 0:
             continue
-        if piv != pr:
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-        prow = rows[pr]
+        prow = rows[piv]
+        lag = level[piv]
+        # the row at pr takes the pivot row's place; the pivot row is not
+        # needed after this step
+        rows[piv], level[piv] = rows[pr], level[pr]
+        if lag != pr:
+            up, down = pivots[pr], pivots[lag]
+            prow = [x * up // down for x in prow]
         p = prow[pc]
         for r in range(pr + 1, nr):
             row = rows[r]
             coef = row[pc]
             if coef:
-                for c in range(pc + 1, nc):
-                    row[c] = (p * row[c] - coef * prow[c]) // prev
-            elif p != prev:
-                for c in range(pc + 1, nc):
-                    row[c] = (p * row[c]) // prev
-            row[pc] = 0
-        prev = p
+                d = pivots[level[r]]
+                if d == 1:
+                    for c in range(pc + 1, nc):
+                        row[c] = p * row[c] - coef * prow[c]
+                else:
+                    for c in range(pc + 1, nc):
+                        row[c] = (p * row[c] - coef * prow[c]) // d
+                row[pc] = 0
+                level[r] = pr + 1
+        pivots.append(p)
         pr += 1
     return pr
 

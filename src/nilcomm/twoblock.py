@@ -136,7 +136,11 @@ def _nonzeros(vecs) -> list:
 
 def _tb_mul_raw(l1: int, l2: int, x, y_nz) -> tuple:
     """`tb_mul` on raw (a, b, c, d) vectors, the right factor given by its
-    `_nonzeros` lists; returns the product's vectors as lists."""
+    `_nonzeros` lists; returns the product's vectors as lists.
+
+    `_nonzeros` lists are in increasing index order, so each inner loop stops
+    at its first index past the truncation (M_j = 0 for j >= l1, the others
+    for j >= l2)."""
     gap = l1 - l2
     a = [0] * l1
     b = [0] * l2
@@ -146,32 +150,40 @@ def _tb_mul_raw(l1: int, l2: int, x, y_nz) -> tuple:
     ya, yb, yc, yd = y_nz
     for i, u in xa:
         for j, v in ya:  # M M -> M
-            if i + j < l1:
-                a[i + j] += u * v
+            if i + j >= l1:
+                break
+            a[i + j] += u * v
         for j, v in yb:  # M K -> K
-            if i + j < l2:
-                b[i + j] += u * v
+            if i + j >= l2:
+                break
+            b[i + j] += u * v
     for i, u in xb:
         for j, v in yc:  # K L -> M shifted by the block-size gap
-            if gap + i + j < l1:
-                a[gap + i + j] += u * v
+            if gap + i + j >= l1:
+                break
+            a[gap + i + j] += u * v
         for j, v in yd:  # K N -> K
-            if i + j < l2:
-                b[i + j] += u * v
+            if i + j >= l2:
+                break
+            b[i + j] += u * v
     for i, u in xc:
         for j, v in ya:  # L M -> L
-            if i + j < l2:
-                c[i + j] += u * v
+            if i + j >= l2:
+                break
+            c[i + j] += u * v
         for j, v in yb:  # L K -> N shifted by the block-size gap
-            if gap + i + j < l2:
-                d[gap + i + j] += u * v
+            if gap + i + j >= l2:
+                break
+            d[gap + i + j] += u * v
     for i, u in xd:
         for j, v in yc:  # N L -> L
-            if i + j < l2:
-                c[i + j] += u * v
+            if i + j >= l2:
+                break
+            c[i + j] += u * v
         for j, v in yd:  # N N -> N
-            if i + j < l2:
-                d[i + j] += u * v
+            if i + j >= l2:
+                break
+            d[i + j] += u * v
     return a, b, c, d
 
 

@@ -188,6 +188,24 @@ def test_bad_partition_is_exit_2(capsys):
     assert err
 
 
+def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
+    rc, out, err = run(capsys, "dmap", "3,1,1")
+    assert (rc, err) == (0, "")
+    # bad input
+    rc, out, err = run(capsys, "dmap", "3,x")
+    assert rc == 2 and out == "" and err.startswith("error:")
+    # a verification that fails
+    failed = verify.SuiteResult(9, "forced", False, 0, "forced failure")
+    monkeypatch.setitem(verify.SUITES, 9, lambda m, seed, cb, w: failed)
+    rc, out, err = run(capsys, "verify", "--suite", "9")
+    assert rc == 1 and "forced failure" in out
+    # a layer's own consistency check fails: an internal error, not bad input
+    monkeypatch.setattr(dinverse, "min_ar_cover", lambda lam: 0)
+    rc, out, err = run(capsys, "dmap", "3,1,1")
+    assert rc == 3 and out == ""
+    assert err.startswith("internal error: recursion gave") and "bug" in err
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

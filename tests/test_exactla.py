@@ -1,5 +1,6 @@
 import enum
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from nilcomm.exactla import (
     ExactMatrix,
+    _int_rank,
     NotNilpotentError,
     build_jordan,
     direct_sum,
@@ -298,3 +300,84 @@ def test_toeplitz_product_rank_identity(r, xs, ys):
     assert is_ut_toeplitz(c) and is_ut_toeplitz(d)
     assert toeplitz_product_rank_check(c, d)
     assert rank(c @ d) == max(rank(c) + rank(d) - r, 0)
+
+
+def assert_int_rank_is_gauss_rank(matrices):
+    for rows in matrices:
+        want = oracles.gauss_rank(ExactMatrix(rows))
+        assert _int_rank([list(row) for row in rows]) == want, rows
+
+
+def nonzero_powers(rows):
+    """A, A^2, ... by the triple-loop oracle, up to the last nonzero power."""
+    out = []
+    acc = rows
+    while any(map(any, acc)):
+        out.append(acc)
+        acc = oracles.naive_product(acc, rows)
+    return out
+
+
+def test_lazy_rank_on_centralizer_powers():
+    # every power of sampled centralizer elements: sparse and near echelon
+    # form, the shape that leaves most rows unchanged at most steps
+    hosts = [(tuple(lam), seed) for lam in partitions_up_to(9) for seed in (1, 2)]
+    hosts += [(lam, 3) for lam in ((5, 4, 2, 1), (4, 4, 4), (6, 3, 3),
+                                   (7, 5, 3, 1), (4, 4, 4, 4), (6, 6, 2, 2))]
+    for lam, seed in hosts:
+        # _draw_rows only calls randint(lo, hi), which random.Random has too
+        rows = _draw_rows(lam, random.Random(seed), 10)
+        assert_int_rank_is_gauss_rank(nonzero_powers(rows))
+
+
+def test_lazy_rank_on_zero_heavy_matrices():
+    # at most a third of the entries nonzero, some rows sums of two others:
+    # rows whose pivot-column entries stay zero lag several levels behind
+    rng = random.Random(7)
+    matrices = []
+    for _ in range(600):
+        h, w = rng.randint(1, 10), rng.randint(1, 12)
+        density = rng.choice((0.1, 0.2, 0.33))
+        rows = [[rng.choice((-3, -2, -1, 1, 2, 5)) if rng.random() < density else 0
+                 for _ in range(w)] for _ in range(h)]
+        for _ in range(rng.randint(0, h // 2)):
+            i, j, k = (rng.randrange(h) for _ in range(3))
+            rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+        matrices.append(rows)
+    assert_int_rank_is_gauss_rank(matrices)
+
+
+def test_lazy_rank_on_rank_deficient_products():
+    # n x (n - 2) times (n - 2) x n: dense, of rank at most n - 2
+    rng = random.Random(11)
+    matrices = []
+    for n in range(3, 13):
+        for _ in range(6):
+            a = [[rng.randint(-9, 9) for _ in range(n - 2)] for _ in range(n)]
+            b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 2)]
+            matrices.append(oracles.naive_product(a, b))
+    assert_int_rank_is_gauss_rank(matrices)
+
+
+def test_lazy_rank_reaches_both_lazy_paths():
+    # Bareiss pivots p_0 = 1, p_1 = -2, p_2 = -4, p_3 = -12, p_4 = -6, p_5 = 1;
+    # input row k is named r_k
+    rows = [
+        [-2, 2, -2, 3, -2],  # r_0: step-1 pivot
+        [2, 0, 0, -2, 1],  # r_1: eliminated at step 1, step-2 pivot
+        # r_2: zero in columns 0 and 1, lags at level 0 through step 2, then
+        # is the step-3 pivot row, brought up by p_2 // p_0
+        [0, 0, 3, 1, -2],
+        # r_3: zero in column 0, eliminated at step 2 to [0, 0, 0, -2, 2];
+        # zero in column 2, it lags at level 2 through step 3, then is the
+        # step-4 pivot row, brought up by p_3 // p_2 = -12 // -4 to
+        # [0, 0, 0, -6, 6] (a lagging pivot row, old pivot -4)
+        [0, -1, 1, 0, 0],
+        # r_4: eliminated at step 1 to [0, 0, 4, -3, 2]; zero in column 1, it
+        # lags at level 1 through step 2, then is eliminated at step 3 as
+        # (p_3 * r_4 - 4 * r_2) // p_1 with p_1 = -2 (a lagging row divided
+        # by an old pivot)
+        [1, -1, -1, 0, 0],
+    ]
+    assert oracles.gauss_rank(ExactMatrix(rows)) == 5
+    assert _int_rank([list(row) for row in rows]) == 5

@@ -66,6 +66,31 @@ def int_element(l1, l2, rng):
     return TwoBlockElement(l1, l2, tuple(a), tuple(b), tuple(c), tuple(d))
 
 
+def edge_element(l1, l2, rng):
+    """Zero-heavy integer element in nilpotent form whose products with
+    itself sit at the truncation bounds.  Nonzeros: the last two indices of
+    each family (never a[0] or d[0]); b[i], c[j] with i + j = l2 - 1 or l2,
+    so K_i L_j = M_(gap+i+j) lands on M's last index l1 - 1 or just past it;
+    and c[i], b[j] with i + j = l2 - 1 - gap or l2 - gap, so L_i K_j =
+    N_(gap+i+j) lands on N's last index l2 - 1 or just past it."""
+    gap = l1 - l2
+    a, b, c, d = [0] * l1, [0] * l2, [0] * l2, [0] * l2
+    for vec in (a, b, c, d):
+        for i in range(max(len(vec) - 2, 0), len(vec)):
+            if rng.randint(0, 2):
+                vec[i] = rng.nonzero(9)
+    for left, right, edge in ((b, c, l2 - 1), (c, b, l2 - 1 - gap)):
+        s = edge + rng.randint(0, 1)
+        lo, hi = max(0, s - l2 + 1), min(s, l2 - 1)
+        if lo <= hi:
+            i = rng.randint(lo, hi)
+            left[i], right[s - i] = rng.nonzero(9), rng.nonzero(9)
+    a[0] = d[0] = 0
+    if l1 == l2:
+        (b if rng.randint(0, 1) else c)[0] = 0
+    return TwoBlockElement(l1, l2, tuple(a), tuple(b), tuple(c), tuple(d))
+
+
 def shapes(l1_max):
     return [(l1, l2) for l1 in range(1, l1_max + 1) for l2 in range(1, l1 + 1)]
 
@@ -153,6 +178,13 @@ def test_mul_is_the_dense_product():
             x, y = int_element(l1, l2, rng), int_element(l1, l2, rng)
             s, want = dense_product(x, y)
             assert s == 1 and scaled_product(x, y, s) == want, (x, y)
+    # zero-heavy elements whose index sums meet every truncation bound
+    for l1, l2 in shapes_up_to_n(16):
+        for _ in range(4):
+            x, y = edge_element(l1, l2, rng), edge_element(l1, l2, rng)
+            for u, v in ((x, x), (x, y), (y, x)):
+                s, want = dense_product(u, v)
+                assert s == 1 and scaled_product(u, v, s) == want, (u, v)
 
 
 def test_add_zero_scale():
@@ -175,6 +207,9 @@ def test_pow_order_matches_dense():
     for l1, l2 in shapes_up_to_n(16):
         for _ in range(5):
             x = int_element(l1, l2, rng)
+            assert tb_pow_order(x) == dense_order(x), x
+        for _ in range(3):
+            x = edge_element(l1, l2, rng)
             assert tb_pow_order(x) == dense_order(x), x
 
 
