@@ -16,6 +16,8 @@ per measurement, the median and the K raw times in seconds:
 - dinverse.dmap_all_{20,30,40}_s: one cold fiber table, cache cleared first;
 - commutant.sample_jordan_s: 20 seeded draws on each of five hosts
   (n = 16..20), generator lists already cached;
+- commutant.sample_jordan_small_s: 5 seeded draws on each of the 42
+  partitions of 10, the small hosts that carry most of a sample bank's time;
 - twoblock.tb_pow_order_s: orders of 200 fixed nilpotent two-block elements;
 - exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
   rank n - 2;
@@ -128,7 +130,7 @@ def centralizer_element(rng: random.Random, lam: tuple) -> list:
 def measurements(root: str, pkg_root: str) -> dict:
     """Name -> zero-argument function returning seconds."""
     sys.path.insert(0, os.path.join(root, "src"))
-    from nilcomm import commutant, dinverse, exactla, twoblock, verify
+    from nilcomm import commutant, dinverse, exactla, partitions, twoblock, verify
 
     if not commutant.__file__.startswith(os.path.join(root, "src")):
         sys.exit(f"bench: imported nilcomm from {commutant.__file__}, not {root}")
@@ -146,7 +148,8 @@ def measurements(root: str, pkg_root: str) -> dict:
                 if x @ jordan != jordan @ x:
                     sys.exit(f"bench: element for {lam} does not commute with J")
                 powers[n] += [x, x @ x, x @ x @ x]
-    for lam in SAMPLE_HOSTS:
+    small_hosts = [tuple(lam) for lam in partitions.enumerate_partitions(10)]
+    for lam in SAMPLE_HOSTS + small_hosts:
         commutant.sample_jordan(lam, 0)  # fills the generator cache
     witnesses = []
     for k in verify.WITNESS_SUITES:
@@ -172,6 +175,8 @@ def measurements(root: str, pkg_root: str) -> dict:
         "cli.import_s": lambda: float(fresh(pkg_root, ["-c", IMPORT_PROBE])[1]),
         "commutant.sample_jordan_s": lambda: timed(lambda: [
             commutant.sample_jordan(lam, s) for lam in SAMPLE_HOSTS for s in range(20)]),
+        "commutant.sample_jordan_small_s": lambda: timed(lambda: [
+            commutant.sample_jordan(lam, s) for lam in small_hosts for s in range(5)]),
         "twoblock.tb_pow_order_s": lambda: timed(lambda: [
             twoblock.tb_pow_order(x) for x in elements]),
     }

@@ -93,6 +93,15 @@ def _draw_rows(lam: tuple, stream: Stream, bound: int) -> list:
     """Random integer coefficients on the generators, strictly upper triangular
     on the leading diagonals inside each group of equal parts (this forces the
     image in the semisimple quotient, hence the whole element, to be nilpotent).
+
+    Every draw is strictly upper triangular when the basis vectors are ordered
+    by distance to the end of their block descending, then block size
+    ascending, then block index ascending: a generator moves a vector no
+    closer to the end of the target block than to the end of its own, equally
+    close only into a larger block or, between equal parts, on the leading
+    diagonal, which is drawn only for i < j.  So its nonzero pattern is
+    acyclic, and `_jordan_type_rows` certifies nilpotency without a zero
+    power.
     """
     n = sum(lam)
     rows = [[0] * n for _ in range(n)]

@@ -1,10 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
 Rank via fraction-free (Bareiss) elimination on integer rows, Jordan types of
-nilpotent matrices from the ranks of successive powers (stopped at the first
-rank drop of one and certified by one zero power), and the Jordan-chain
+nilpotent matrices from the ranks of successive powers, and the Jordan-chain
 change of basis.  No floating point enters this module; nullity differences of
 one decide Jordan types, so there is no tolerance anywhere.
+
+A Jordan type's rank sequence stops at the first rank drop of one; the ranks
+after it follow once the matrix is known to be nilpotent.  Two certificates
+give that.  The structural one needs no arithmetic: when the graph with an
+edge i -> c for each nonzero A[i][c] is acyclic, a permutation makes A
+strictly upper triangular.  Every sampled centralizer element has such a
+pattern.  Otherwise (a cyclic pattern, which every non-nilpotent matrix and a
+dense conjugate have) one exact zero power decides.
 
 The Bareiss elimination is lazy: a row whose pivot-column entry is zero is
 not rewritten, since its Bareiss row at a later step is the stored row times
@@ -105,7 +112,7 @@ class ExactMatrix:
                 f"shape mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        return ExactMatrix(_mul(self._rows, other._rows))
+        return ExactMatrix(_mul(self._rows, _nonzeros(other._rows), other.cols))
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -136,11 +143,15 @@ class ExactMatrix:
         return f"<ExactMatrix {self.rows}x{self.cols}>"
 
 
-def _mul(a, b) -> list:
-    """Product of two row sequences, as lists: each nonzero a[i][j] times the
-    nonzero entries of row j of b, which are collected once per call."""
-    w = len(b[0])
-    b_nz = [[(c, v) for c, v in enumerate(row) if v] for row in b]
+def _nonzeros(rows) -> list:
+    """The (column, value) pairs of each row's nonzero entries."""
+    return [[(c, v) for c, v in enumerate(row) if v] for row in rows]
+
+
+def _mul(a, b_nz, w: int) -> list:
+    """Product of a row sequence and a w-column matrix given by its
+    `_nonzeros` lists, as lists: each nonzero a[i][j] times the nonzero
+    entries of row j."""
     out = []
     for ra in a:
         acc = [0] * w
@@ -280,7 +291,8 @@ def jordan_type(a: ExactMatrix) -> Partition:
     Refuses non-nilpotent input: the rank sequence of powers is strictly
     decreasing until zero for nilpotents, so the first repeat at a nonzero
     value, or a nonzero power where a rank drop of one predicts zero (see
-    `_jordan_type_rows`), is a certificate of failure.
+    `_jordan_type_rows`), is a certificate of failure.  An acyclic nonzero
+    pattern certifies nilpotency without that power.
     """
     if not a.is_square():
         raise ValueError("jordan_type needs a square matrix")
@@ -297,12 +309,16 @@ def _jordan_type_rows(rows0):
 
     Ranks r_k of the powers A^k are taken until the first k at which the rank
     drops by exactly one.  Drops never grow (Frobenius rank inequality), so a
-    nilpotent A then has ranks r_k - 1, ..., 0 at the next r_k powers, and
-    A^(k + r_k) = 0 is checked exactly: it certifies both nilpotency and the
-    remaining ranks.  A nonzero A^(k + r_k), or a drop of zero, means A is
-    not nilpotent.
+    nilpotent A then has ranks r_k - 1, ..., 0 at the next r_k powers.
+    Nilpotency is certified by the nonzero pattern when it is acyclic
+    (`_acyclic`); otherwise A^(k + r_k) = 0 is checked exactly, which
+    certifies both nilpotency and the remaining ranks.  A nonzero
+    A^(k + r_k), or a drop of zero, means A is not nilpotent.  A's nonzero
+    lists are built once, for the pattern and for every product A^k A.
     """
     n = len(rows0)
+    a_nz = _nonzeros(rows0)
+    acyclic = _acyclic(a_nz)
     powers = [rows0]  # powers[i] = A^(i + 1)
     ranks = [n]  # ranks[k] = rank of A^k
     while True:
@@ -316,7 +332,7 @@ def _jordan_type_rows(rows0):
             ranks.append(0)
             break
         if ranks[-1] - r == 1:
-            if any(any(row) for row in _power(powers, k + r)):
+            if not acyclic and any(any(row) for row in _power(powers, k + r)):
                 raise NotNilpotentError(
                     f"matrix is not nilpotent: power {k + r} is nonzero "
                     f"after a rank drop of one at power {k}"
@@ -324,7 +340,7 @@ def _jordan_type_rows(rows0):
             ranks.extend(range(r, -1, -1))
             break
         ranks.append(r)
-        powers.append(_mul(powers[-1], powers[0]))
+        powers.append(_mul(powers[-1], a_nz, n))
     # rank drops are the column lengths of the Jordan type's diagram
     drops = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))] + [0]
     parts: list[int] = []
@@ -333,16 +349,37 @@ def _jordan_type_rows(rows0):
     return tuple(parts)
 
 
+def _acyclic(nz) -> bool:
+    """Whether the graph with an edge i -> c for each pair (c, _) in nz[i]
+    has no cycle, by Kahn's topological sort.  For a square matrix's
+    `_nonzeros` lists this means a permutation makes it strictly upper
+    triangular, so it is nilpotent."""
+    indegree = [0] * len(nz)
+    for row in nz:
+        for c, _ in row:
+            indegree[c] += 1
+    ready = [i for i, d in enumerate(indegree) if not d]
+    done = 0
+    while ready:
+        done += 1
+        for c, _ in nz[ready.pop()]:
+            indegree[c] -= 1
+            if not indegree[c]:
+                ready.append(c)
+    return done == len(nz)
+
+
 def _power(powers: list, m: int) -> list:
     """A^m from powers[i] = A^(i + 1): one product when m <= 2k, else by squaring."""
     k = len(powers)
+    n = len(powers[0])
     if m <= k:
         return powers[m - 1]
     if m <= 2 * k:
-        return _mul(powers[k - 1], powers[m - k - 1])
+        return _mul(powers[k - 1], _nonzeros(powers[m - k - 1]), n)
     half = _power(powers, m // 2)
-    square = _mul(half, half)
-    return _mul(square, powers[0]) if m % 2 else square
+    square = _mul(half, _nonzeros(half), n)
+    return _mul(square, _nonzeros(powers[0]), n) if m % 2 else square
 
 
 def is_ut_toeplitz(m: ExactMatrix) -> bool:

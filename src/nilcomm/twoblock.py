@@ -464,7 +464,8 @@ def construct_lemma_eq2(lam: int, seed: int = 0, retries: int = 32) -> ExactMatr
 
     Generic coefficients on the M, K and N families with a[1], b[0], d[1]
     nonzero realize the type; random integers in [-100, 100] stand in for
-    generic values, with exact verification and redraw on degeneration.
+    generic values, with exact verification and redraw on degeneration.  Each
+    redraw is logged at DEBUG to the "nilcomm" logger.
     """
     if lam < 2:
         raise ValueError(f"need block size >= 2, got {lam}")
@@ -479,9 +480,16 @@ def construct_lemma_eq2(lam: int, seed: int = 0, retries: int = 32) -> ExactMatr
         d[1] = rng.nonzero(100)
         x = TwoBlockElement(lam, lam, tuple(a), tuple(b), (0,) * lam, tuple(d))
         m = tb_to_matrix(x)
-        if jordan_type(m) == tuple(target):
+        jt = jordan_type(m)
+        if jt == tuple(target):
             _verify_witness(m, Partition((lam, lam)), target)
             return m
+        # imported here, so that only a redraw pays for `logging` (0.5 MB)
+        import logging
+
+        logging.getLogger("nilcomm").debug(
+            "construct_lemma_eq2(%d): attempt %d (seed %d) has type %s, not %s; "
+            "redrawing", lam, attempt, seed, tuple(jt), tuple(target))
     raise RuntimeError(
         f"no generic draw of type {tuple(target)} after {retries} retries (seed {seed})"
     )

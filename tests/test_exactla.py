@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from nilcomm import exactla
 from nilcomm.exactla import (
     ExactMatrix,
+    _acyclic,
     _int_rank,
+    _nonzeros,
     NotNilpotentError,
     build_jordan,
     direct_sum,
@@ -381,3 +384,84 @@ def test_lazy_rank_reaches_both_lazy_paths():
     ]
     assert oracles.gauss_rank(ExactMatrix(rows)) == 5
     assert _int_rank([list(row) for row in rows]) == 5
+
+
+def test_sampler_draws_have_acyclic_patterns():
+    # the order in `_draw_rows`' docstring makes every draw strictly upper
+    # triangular, so every sampled Jordan type skips the zero power
+    for lam in partitions_up_to(12):
+        for seed in range(3):
+            rows = _draw_rows(tuple(lam), Stream(seed), 10)
+            assert _acyclic(_nonzeros(rows)), (lam, seed)
+
+
+def test_acyclic_matches_closure_oracle():
+    # random DAGs on a shuffled order, some with a back edge, a self-loop or
+    # a 2-cycle added, and some uniformly random patterns
+    rng = random.Random(5)
+    answers = []
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        density = rng.choice((0.1, 0.3, 0.6))
+        order = list(range(n))
+        rng.shuffle(order)
+        pattern = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < density:
+                    pattern[order[a]][order[b]] = rng.choice((-2, 1, 3))
+        extra = rng.choice(("none", "none", "back", "self", "two", "random"))
+        i, j = rng.randrange(n), rng.randrange(n)
+        if extra == "back":
+            pattern[j][i] = 1
+        elif extra == "self":
+            pattern[i][i] = 1
+        elif extra == "two":
+            pattern[i][j] = pattern[j][i] = 1
+        elif extra == "random":
+            pattern = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+        cyclic = oracles.has_cycle_by_closure(pattern)
+        assert _acyclic(_nonzeros(pattern)) == (not cyclic), pattern
+        answers.append(cyclic)
+    assert 300 < sum(answers) < 1200
+
+
+def test_cyclic_nilpotent_conjugates_take_the_zero_power_path(monkeypatch):
+    # J_lam conjugated by a dense unimodular P = L U (unitriangular factors):
+    # nilpotent with a cyclic pattern, so only the zero power certifies it
+    zero_powers = []
+
+    def spy(powers, m):
+        zero_powers.append(m)
+        return power(powers, m)
+
+    power = exactla._power
+    monkeypatch.setattr(exactla, "_power", spy)
+    rng = random.Random(3)
+    hosts = taken = 0
+    for lam in partitions_up_to(8):
+        if lam[0] == 1:
+            continue  # J is zero
+        hosts += 1
+        n = lam.n
+        low = ExactMatrix([[rng.choice((-2, -1, 1, 2)) if c < r else int(c == r)
+                            for c in range(n)] for r in range(n)])
+        up = ExactMatrix([[rng.choice((-2, -1, 1, 2)) if c > r else int(c == r)
+                           for c in range(n)] for r in range(n)])
+        p = low @ up
+        m = inverse(p) @ build_jordan(lam) @ p
+        m = ExactMatrix([[int(x) for x in row] for row in m.row_data()])
+        assert not _acyclic(_nonzeros(m.row_data())), lam
+        want = oracles.jordan_type_by_nullities(m)
+        assert want == lam
+        zero_powers.clear()
+        assert jordan_type(m) == want, lam
+        # the zero power is formed exactly when the first unit rank drop
+        # leaves a nonzero rank
+        ranks = [sum(max(x - k, 0) for x in lam) for k in range(lam[0] + 1)]
+        unit = next(k for k in range(1, len(ranks))
+                    if ranks[k] == 0 or ranks[k - 1] - ranks[k] == 1)
+        expect = ranks[unit] > 0
+        assert bool(zero_powers) == expect, lam
+        taken += expect
+    assert (hosts, taken) == (58, 30)

@@ -1,9 +1,11 @@
 import itertools
+import logging
 import math
 from fractions import Fraction
 
 import pytest
 
+from nilcomm import twoblock
 from nilcomm._rng import Stream, derive
 from nilcomm.exactla import build_jordan, jordan_type, rank
 from nilcomm.partitions import Partition, almost_rect
@@ -347,6 +349,32 @@ def test_lemma_eq2_types():
         assert jordan_type(m) == (lam + 1, lam - 1)
     with pytest.raises(ValueError):
         construct_lemma_eq2(1)
+
+
+def test_lemma_eq2_logs_each_redraw(monkeypatch, caplog):
+    # the first draw is reported degenerate, so exactly one redraw happens;
+    # the accepted draw is typed twice, by the loop and by the witness check
+    calls = []
+
+    def degenerate_once(m):
+        calls.append(m)
+        return Partition([3, 3]) if len(calls) == 1 else jordan_type(m)
+
+    monkeypatch.setattr(twoblock, "jordan_type", degenerate_once)
+    with caplog.at_level(logging.DEBUG, logger="nilcomm"):
+        m = construct_lemma_eq2(3, seed=11)
+    assert len(calls) == 3 and m == calls[1] == calls[2] != calls[0]
+    assert jordan_type(m) == (4, 2)
+    [rec] = caplog.records
+    assert rec.name == "nilcomm" and rec.levelno == logging.DEBUG
+    assert rec.getMessage() == ("construct_lemma_eq2(3): attempt 0 (seed 11) has "
+                                "type (3, 3), not (4, 2); redrawing")
+    # nothing reaches the default WARNING level
+    caplog.clear()
+    calls.clear()
+    with caplog.at_level(logging.WARNING):
+        construct_lemma_eq2(3, seed=11)
+    assert len(calls) == 3 and caplog.records == []
 
 
 def test_maxrank_partners_cases():
