@@ -25,8 +25,8 @@ per measurement, the median and the K raw times in seconds:
   40 fixed nilpotent elements commuting with J_lambda (20 on each of two
   hosts lambda per n), built here from the block-Toeplitz pattern of the
   centralizer;
-- verify.suite{5,11}_s: one acceptance suite at the scale `run_all` gives it
-  (--max-n 16, seed 0), through `verify.SUITES`; suite 11's witnesses are
+- verify.suite{1,5,11}_s: one acceptance suite at the scale `run_all` gives
+  it (--max-n 16, seed 0), through `verify.SUITES`; suite 11's witnesses are
   collected once beforehand, and its sample bank cache is cleared before
   each run.  A suite that fails stops the script.
 
@@ -188,7 +188,7 @@ def measurements(root: str, pkg_root: str) -> dict:
     for n, ms in powers.items():
         out[f"exactla.rank_centralizer_{n}_s"] = lambda ms=ms: timed(lambda: [
             exactla.rank(m) for m in ms])
-    for k in (5, 11):
+    for k in (1, 5, 11):
         out[f"verify.suite{k}_s"] = lambda k=k: suite(k)
     return out
 

@@ -101,14 +101,18 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _transcript(args, host: Partition, m, label: str, json_extra: dict) -> int:
-    """Re-verify a constructed witness and print the transcript."""
+def _transcript(args, host: Partition, m, label: str, expect,
+                fields=lambda jt: {}) -> int:
+    """Type a constructed witness once, print the transcript, and return 0 when
+    it commutes with the host Jordan matrix and has the expected type, else 1.
+
+    fields maps the measured type to the extra (name, value) items printed."""
     from nilcomm import exactla
 
     b = exactla.build_jordan(host)
     commutes = m @ b == b @ m
     jt = exactla.jordan_type(m)
-    ok = commutes
+    extra = fields(jt)
     if args.json:
         out = {
             "construction": label,
@@ -116,7 +120,7 @@ def _transcript(args, host: Partition, m, label: str, json_extra: dict) -> int:
             "jordan": list(jt),
             "commutes": commutes,
             **{k: list(v) if isinstance(v, Partition) else v
-               for k, v in json_extra.items()},
+               for k, v in extra.items()},
             "seed": args.seed,
         }
         if args.dump_matrix:
@@ -126,28 +130,29 @@ def _transcript(args, host: Partition, m, label: str, json_extra: dict) -> int:
         print(f"{label} for host {host}")
         print(f"commutes with host Jordan matrix: {commutes}")
         print(f"jordan type: {jt}")
-        for k, v in json_extra.items():
+        for k, v in extra.items():
             print(f"{k}: {v}")
         if args.dump_matrix:
             print(m.dump())
-    return 0 if ok else 1
+    return 0 if commutes and jt == expect else 1
+
+
+def _square_zero_fields(jt: Partition) -> dict:
+    # a nilpotent matrix has rank n - (number of Jordan blocks) and squares to
+    # zero iff no block is longer than 2
+    return {"rank": jt.n - jt.t, "square_zero": jt[0] <= 2}
 
 
 def _cmd_construct_squarezero(args) -> int:
-    from nilcomm import exactla
-    from nilcomm.twoblock import construct_squarezero_partner
+    from nilcomm.twoblock import _two_row_type, construct_squarezero_partner
 
     mu = parse(args.partition)
     m = construct_squarezero_partner(mu, args.rank)
-    sq = (m @ m).is_zero()
-    rk = exactla.rank(m)
-    code = _transcript(args, mu, m, "square-zero partner",
-                       {"rank": rk, "square_zero": sq})
-    return code if sq and rk == args.rank else 1
+    return _transcript(args, mu, m, "square-zero partner",
+                       _two_row_type(mu.n, args.rank), _square_zero_fields)
 
 
 def _cmd_construct_antidiagonal(args) -> int:
-    from nilcomm import exactla
     from nilcomm._rng import Stream, derive
     from nilcomm.twoblock import antidiagonal, tb_to_matrix
 
@@ -155,36 +160,26 @@ def _cmd_construct_antidiagonal(args) -> int:
     bc = rng.nonzero(args.coeff_bound)
     cc = rng.nonzero(args.coeff_bound)
     x, pred, case = antidiagonal(args.l1, args.l2, args.j, args.l, bc, cc)
-    m = tb_to_matrix(x)
-    jt = exactla.jordan_type(m)
-    code = _transcript(args, Partition((args.l1, args.l2)), m, "antidiagonal element",
-                       {"element": x.render(), "case": case,
-                        "predicted": pred})
-    return code if jt == pred else 1
+    extra = {"element": x.render(), "case": case, "predicted": pred}
+    return _transcript(args, Partition((args.l1, args.l2)), tb_to_matrix(x),
+                       "antidiagonal element", pred, lambda jt: extra)
 
 
 def _cmd_construct_lemma_eq2(args) -> int:
-    from nilcomm import exactla
     from nilcomm.twoblock import construct_lemma_eq2
 
     m = construct_lemma_eq2(args.lam, args.seed)
-    host = Partition((args.lam, args.lam))
-    jt = exactla.jordan_type(m)
-    code = _transcript(args, host, m, "off-by-one partner", {})
-    return code if jt == (args.lam + 1, args.lam - 1) else 1
+    return _transcript(args, Partition((args.lam, args.lam)), m, "off-by-one partner",
+                       (args.lam + 1, args.lam - 1))
 
 
 def _cmd_construct_lemma_odd(args) -> int:
-    from nilcomm import exactla
-    from nilcomm.twoblock import construct_lemma_odd
+    from nilcomm.twoblock import _two_row_type, construct_lemma_odd
 
     m = construct_lemma_odd(args.l1, args.l2, args.a)
-    sq = (m @ m).is_zero()
-    rk = exactla.rank(m)
-    code = _transcript(args, Partition((args.l1, args.l2)), m,
+    return _transcript(args, Partition((args.l1, args.l2)), m,
                        "two-block square-zero element",
-                       {"rank": rk, "square_zero": sq})
-    return code if sq and rk == args.a else 1
+                       _two_row_type(args.l1 + args.l2, args.a), _square_zero_fields)
 
 
 def _cmd_check(args) -> int:

@@ -12,7 +12,6 @@ the minimal-rank test and the two open question explorers sit on top.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -103,10 +102,6 @@ def dmap(lam) -> DMapResult:
     return DMapResult(lam, d, "recursion", index_check, parts_check)
 
 
-class FiberCountFinding(UserWarning):
-    """A fiber size disagreed with a count that is stated without the set."""
-
-
 class DTable(NamedTuple):
     """Image of every partition of n, with the per-entry computation record."""
 
@@ -188,35 +183,20 @@ def dinv_diff2(mu: int, k: int) -> set:
 
 
 def dinv_two_part(mu: int, r: int) -> set:
-    """Fiber of (mu, mu-r) for 2 <= r <= 5.
-
-    Gaps 2..4 come from explicit families; gap 5 falls back to brute force
-    and the known count (r-1)(mu-r) is checked, with a mismatch reported as
-    a finding rather than an error.
-    """
-    if not 2 <= r <= 5:
-        raise ValueError("r must be in 2..5")
+    """Fiber of (mu, mu-r) for 2 <= r <= 4, from explicit families.  Gaps
+    from 5 on have no closed form here; `explore_q1` tests their counts."""
+    if not 2 <= r <= 4:
+        raise ValueError("r must be in 2..4")
     if mu - r < 1:
         raise ValueError("mu - r must be >= 1")
     if r == 2:
         return set(_glue((mu,), mu - 2))
     if r == 3:
         return set(_glue((mu,), mu - 3)) | set(_glue((mu - 1,), mu - 2))
-    if r == 4:
-        out = set(_glue((mu,), mu - 4))
-        out |= set(_glue((mu - 2,), mu - 2))
-        out |= set(_glue(tuple(almost_rect(mu, 2)), mu - 4))
-        return out
-    fiber = dinv((mu, mu - r))
-    expected = (r - 1) * (mu - r)
-    if len(fiber) != expected:
-        warnings.warn(
-            f"fiber of ({mu},{mu - r}) has {len(fiber)} elements, "
-            f"stated count is {expected}",
-            FiberCountFinding,
-            stacklevel=2,
-        )
-    return fiber
+    out = set(_glue((mu,), mu - 4))
+    out |= set(_glue((mu - 2,), mu - 2))
+    out |= set(_glue(tuple(almost_rect(mu, 2)), mu - 4))
+    return out
 
 
 def dinv_n11(n: int) -> set:

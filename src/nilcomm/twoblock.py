@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from nilcomm import exactla
 from nilcomm._rng import Stream, derive
 from nilcomm.partitions import Partition, almost_rect, conjugate
-from nilcomm.exactla import ExactMatrix, build_jordan, jordan_type
+from nilcomm.exactla import ExactMatrix, _nonzeros, build_jordan, jordan_type
 
 
 @dataclass(frozen=True)
@@ -91,21 +92,17 @@ class TwoBlockElement:
 
 def tb_unit(l1: int, l2: int, family: str, i: int, coef=1) -> TwoBlockElement:
     """Single basis element: family in 'M', 'K', 'L', 'N' with coefficient coef."""
-    a = [0] * l1
-    b = [0] * l2
-    c = [0] * l2
-    d = [0] * l2
-    if family == "M":
-        a[i] = coef
-    elif family == "K":
-        b[i] = coef
-    elif family == "L":
-        c[i] = coef
-    elif family == "N":
-        d[i] = coef
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return TwoBlockElement(l1, l2, tuple(a), tuple(b), tuple(c), tuple(d))
+    return _element(l1, l2, [(family, i, coef)])
+
+
+def _element(l1: int, l2: int, terms) -> TwoBlockElement:
+    """Sum of coef times the basis element (family, i) over (family, i, coef) terms."""
+    vecs = {"M": [0] * l1, "K": [0] * l2, "L": [0] * l2, "N": [0] * l2}
+    for family, i, coef in terms:
+        if family not in vecs:
+            raise ValueError(f"unknown family {family!r}")
+        vecs[family][i] += coef
+    return TwoBlockElement(l1, l2, *map(tuple, vecs.values()))
 
 
 def tb_add(x: TwoBlockElement, y: TwoBlockElement) -> TwoBlockElement:
@@ -128,10 +125,6 @@ def tb_mul(x: TwoBlockElement, y: TwoBlockElement) -> TwoBlockElement:
     y_nz = _nonzeros((y.a, y.b, y.c, y.d))
     prod = _tb_mul_raw(x.l1, x.l2, (x.a, x.b, x.c, x.d), y_nz)
     return TwoBlockElement(x.l1, x.l2, *map(tuple, prod))
-
-
-def _nonzeros(vecs) -> list:
-    return [[(i, v) for i, v in enumerate(vec) if v] for vec in vecs]
 
 
 def _tb_mul_raw(l1: int, l2: int, x, y_nz) -> tuple:
@@ -209,26 +202,23 @@ def tb_pow_order(x: TwoBlockElement, cap: int | None = None) -> int:
 
 def tb_to_matrix(x: TwoBlockElement) -> ExactMatrix:
     """Dense realization; commutes with the two-block Jordan matrix exactly."""
-    l1, l2 = x.l1, x.l2
-    n = l1 + l2
-    rows = [[0] * n for _ in range(n)]
-    for i, v in enumerate(x.a):
-        if v:
-            for r in range(l1 - i):
-                rows[r][r + i] += v
-    for k, v in enumerate(x.b):
-        if v:
-            for r in range(l2 - k):
-                rows[r][l1 + k + r] += v
-    for l, v in enumerate(x.c):
-        if v:
-            for r in range(l2 - l):
-                rows[l1 + r][l1 - l2 + l + r] += v
-    for i, v in enumerate(x.d):
-        if v:
-            for r in range(l2 - i):
-                rows[l1 + r][l1 + r + i] += v
+    rows = [[0] * x.n for _ in range(x.n)]
+    _place(rows, x, 0, x.l1)
     return ExactMatrix(rows)
+
+
+def _place(rows: list, x: TwoBlockElement, o1: int, o2: int) -> None:
+    """Add x's dense entries into rows, its top block on the rows and columns
+    from o1, its bottom block on those from o2."""
+    l1, l2 = x.l1, x.l2
+    # (coefficients, first row, first column, block length) per family; L's
+    # columns start l1 - l2 into the top block
+    for vec, r0, c0, size in ((x.a, o1, o1, l1), (x.b, o1, o2, l2),
+                              (x.c, o2, o1 + l1 - l2, l2), (x.d, o2, o2, l2)):
+        for i, v in enumerate(vec):
+            if v:
+                for r in range(size - i):
+                    rows[r0 + r][c0 + i + r] += v
 
 
 def tb_rank_bound(x: TwoBlockElement) -> int:
@@ -356,37 +346,28 @@ def construct_lemma_odd(l1: int, l2: int, a: int) -> ExactMatrix:
     n = l1 + l2
     if not 0 <= a <= n // 2:
         raise ValueError(f"rank {a} out of range for n={n}")
+    out = tb_to_matrix(_lemma_odd_element(l1, l2, a))
+    _verify_witness(out, Partition((l1, l2)), _two_row_type(n, a))
+    return out
+
+
+def _lemma_odd_element(l1: int, l2: int, a: int) -> TwoBlockElement:
+    """`construct_lemma_odd`'s element, for arguments it accepts."""
     a1 = min(a, l1 // 2)
     a2 = a - a1
     if a2 <= l2 // 2:
-        blocks = []
-        for size, r in ((l1, a1), (l2, a2)):
-            jb = exactla.jordan_block(size)
-            acc = exactla.zeros(size, size) if r == 0 else _block_power(jb, size - r)
-            blocks.append(acc)
-        out = exactla.direct_sum(*blocks)
+        # block powers: M_(l1-a1) has rank a1 and N_(l2-a2) rank a2
+        terms = [("M", l1 - a1, 1)] * (a1 > 0) + [("N", l2 - a2, 1)] * (a2 > 0)
     elif l1 == l2:
-        out = tb_to_matrix(tb_unit(l1, l2, "K", 0))
+        terms = [("K", 0, 1)]
     else:
         # both sizes odd, a = n/2: shift both blocks halfway and couple the
         # corners so the square cancels through the K L product
         k1 = (l1 - 1) // 2
         k2 = (l2 - 1) // 2
-        x = tb_unit(l1, l2, "M", k1)
-        x = tb_add(x, tb_unit(l1, l2, "K", k2))
-        x = tb_add(x, tb_unit(l1, l2, "L", k2, -1))
-        if k2 + 1 < l2:
-            x = tb_add(x, tb_unit(l1, l2, "N", k2 + 1))
-        out = tb_to_matrix(x)
-    _verify_witness(out, Partition((l1, l2)), _two_row_type(n, a))
-    return out
-
-
-def _block_power(m: ExactMatrix, k: int) -> ExactMatrix:
-    acc = m
-    for _ in range(k - 1):
-        acc = acc @ m
-    return acc
+        terms = [("M", k1, 1), ("K", k2, 1), ("L", k2, -1)]
+        terms += [("N", k2 + 1, 1)] * (k2 + 1 < l2)
+    return _element(l1, l2, terms)
 
 
 def _two_row_type(n: int, a: int) -> Partition:
@@ -398,7 +379,10 @@ def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
 
     Parts are paired so that each unit (an odd pair, an even single, or a
     leftover odd single) can absorb up to half its size in rank; the unit
-    capacities always sum to floor(n/2).
+    capacities always sum to floor(n/2).  An odd pair gets
+    `construct_lemma_odd`'s element and a single part p of rank share r the
+    power J_p^(p-r), each written straight into the host-sized rows; the
+    whole matrix is verified once.
     """
     mu = Partition(mu)
     n = mu.n
@@ -418,45 +402,26 @@ def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
         units.append(((i,), parts[i] // 2))
     assert sum(cap for _, cap in units) == n // 2
 
-    remaining = a
-    alloc: list[int] = []
-    for _, cap in units:
-        take = min(remaining, cap)
-        alloc.append(take)
-        remaining -= take
-    assert remaining == 0
-
-    offsets = []
-    off = 0
-    for p in parts:
-        offsets.append(off)
-        off += p
+    offsets = [0, *accumulate(parts)]
     rows = [[0] * n for _ in range(n)]
-    for (pos, _), take in zip(units, alloc):
-        if len(pos) == 1:
-            i = pos[0]
-            p = parts[i]
-            if take > 0:
-                blk = _block_power(exactla.jordan_block(p), p - take)
-                _paste(rows, blk, offsets[i], offsets[i])
-        else:
+    remaining = a
+    for pos, cap in units:
+        take = min(remaining, cap)
+        remaining -= take
+        if len(pos) == 2:
             i, j = pos
-            sub = construct_lemma_odd(parts[i], parts[j], take)
-            li = parts[i]
-            _paste(rows, sub.block(0, li, 0, li), offsets[i], offsets[i])
-            _paste(rows, sub.block(0, li, li, sub.cols), offsets[i], offsets[j])
-            _paste(rows, sub.block(li, sub.rows, 0, li), offsets[j], offsets[i])
-            _paste(rows, sub.block(li, sub.rows, li, sub.cols), offsets[j], offsets[j])
+            _place(rows, _lemma_odd_element(parts[i], parts[j], take),
+                   offsets[i], offsets[j])
+        else:
+            # J_p^(p - take): ones on one shifted diagonal of the part's block
+            o = offsets[pos[0]]
+            shift = parts[pos[0]] - take
+            for r in range(take):
+                rows[o + r][o + shift + r] = 1
+    assert remaining == 0
     out = ExactMatrix(rows)
     _verify_witness(out, mu, _two_row_type(n, a))
     return out
-
-
-def _paste(rows: list, block: ExactMatrix, r0: int, c0: int) -> None:
-    for i, row in enumerate(block.row_data()):
-        for j, x in enumerate(row):
-            if x:
-                rows[r0 + i][c0 + j] = x
 
 
 def construct_lemma_eq2(lam: int, seed: int = 0, retries: int = 32) -> ExactMatrix:
@@ -465,11 +430,13 @@ def construct_lemma_eq2(lam: int, seed: int = 0, retries: int = 32) -> ExactMatr
     Generic coefficients on the M, K and N families with a[1], b[0], d[1]
     nonzero realize the type; random integers in [-100, 100] stand in for
     generic values, with exact verification and redraw on degeneration.  Each
-    redraw is logged at DEBUG to the "nilcomm" logger.
+    draw is typed once, and each redraw is logged at DEBUG to the "nilcomm"
+    logger.
     """
     if lam < 2:
         raise ValueError(f"need block size >= 2, got {lam}")
     target = Partition((lam + 1, lam - 1))
+    host = Partition((lam, lam))
     for attempt in range(retries):
         rng = Stream(derive(seed, 4, attempt))
         a = [0] + [rng.randint(-100, 100) for _ in range(lam - 1)]
@@ -480,9 +447,8 @@ def construct_lemma_eq2(lam: int, seed: int = 0, retries: int = 32) -> ExactMatr
         d[1] = rng.nonzero(100)
         x = TwoBlockElement(lam, lam, tuple(a), tuple(b), (0,) * lam, tuple(d))
         m = tb_to_matrix(x)
-        jt = jordan_type(m)
-        if jt == tuple(target):
-            _verify_witness(m, Partition((lam, lam)), target)
+        jt = _verify_witness(m, host)
+        if jt == target:
             return m
         # imported here, so that only a redraw pays for `logging` (0.5 MB)
         import logging
@@ -511,10 +477,8 @@ def maxrank_partners(l1: int, l2: int, seed: int = 0) -> dict[Partition, ExactMa
     if gap <= 1:
         if (l1, l2) == (1, 1):
             w = ExactMatrix([[0, 1], [0, 0]])
-        elif gap == 0:
-            w = tb_to_matrix(tb_add(tb_unit(l1, l2, "K", 0), tb_unit(l1, l2, "L", 1)))
         else:
-            w = tb_to_matrix(tb_add(tb_unit(l1, l2, "K", 0), tb_unit(l1, l2, "L", 0)))
+            w = tb_to_matrix(_element(l1, l2, [("K", 0, 1), ("L", 1 - gap, 1)]))
         out[Partition((n,))] = w
     elif gap == 2:
         out[host] = build_jordan(host)

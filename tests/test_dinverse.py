@@ -1,10 +1,7 @@
-import warnings
-
 import pytest
 
 from nilcomm import dinverse
 from nilcomm.dinverse import (
-    FiberCountFinding,
     dinv,
     dinv_diff2,
     dinv_n11,
@@ -123,16 +120,9 @@ def test_dinv_two_part_counts_and_sets():
         dinv_two_part(5, 1)
     with pytest.raises(ValueError):
         dinv_two_part(5, 5)
-
-
-def test_dinv_two_part_r5_brute():
-    # the gap-5 fallback matches the stated count here, so no finding is filed
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FiberCountFinding)
-        for mu in (6, 7, 8):
-            got = dinv_two_part(mu, 5)
-            assert len(got) == 4 * (mu - 5)
-            assert got == dmap_all(2 * mu - 5).fiber(P(mu, mu - 5))
+    # gap 5 has no explicit family; explore_q1 covers it
+    with pytest.raises(ValueError, match="2..4"):
+        dinv_two_part(8, 5)
 
 
 def test_dinv_n11_closed_form():
@@ -179,6 +169,14 @@ def test_explore_q1_report():
         explore_q1(7, 4)
     with pytest.raises(ValueError):
         explore_q1(5, 5)
+
+
+def test_explore_q1_gap5_fibers():
+    # the brute-force fibers match the stated count (r-1)(mu-r) here
+    for mu in (6, 7, 8):
+        rep = explore_q1(mu, 5)
+        assert rep.size == rep.conjectured == 4 * (mu - 5) and rep.matches
+        assert set(rep.fiber) == dmap_all(2 * mu - 5).fiber(P(mu, mu - 5))
 
 
 def test_explore_q2_report():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import logging
 import math
@@ -8,7 +9,7 @@ import pytest
 from nilcomm import twoblock
 from nilcomm._rng import Stream, derive
 from nilcomm.exactla import build_jordan, jordan_type, rank
-from nilcomm.partitions import Partition, almost_rect
+from nilcomm.partitions import Partition, almost_rect, enumerate_partitions
 from nilcomm.twoblock import (
     TwoBlockElement,
     antidiagonal,
@@ -353,7 +354,7 @@ def test_lemma_eq2_types():
 
 def test_lemma_eq2_logs_each_redraw(monkeypatch, caplog):
     # the first draw is reported degenerate, so exactly one redraw happens;
-    # the accepted draw is typed twice, by the loop and by the witness check
+    # each draw is typed once, by the witness check
     calls = []
 
     def degenerate_once(m):
@@ -363,7 +364,7 @@ def test_lemma_eq2_logs_each_redraw(monkeypatch, caplog):
     monkeypatch.setattr(twoblock, "jordan_type", degenerate_once)
     with caplog.at_level(logging.DEBUG, logger="nilcomm"):
         m = construct_lemma_eq2(3, seed=11)
-    assert len(calls) == 3 and m == calls[1] == calls[2] != calls[0]
+    assert len(calls) == 2 and m == calls[1] != calls[0]
     assert jordan_type(m) == (4, 2)
     [rec] = caplog.records
     assert rec.name == "nilcomm" and rec.levelno == logging.DEBUG
@@ -374,7 +375,58 @@ def test_lemma_eq2_logs_each_redraw(monkeypatch, caplog):
     calls.clear()
     with caplog.at_level(logging.WARNING):
         construct_lemma_eq2(3, seed=11)
-    assert len(calls) == 3 and caplog.records == []
+    assert len(calls) == 2 and caplog.records == []
+
+
+def test_witnesses_are_typed_once(monkeypatch):
+    # hosts with one and two odd pairs, every rank: the pairs' elements are
+    # written into the host matrix unverified, and the whole is typed once
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return jordan_type(m)
+
+    monkeypatch.setattr(twoblock, "jordan_type", counting)
+    for mu in [(3, 1), (5, 3, 2, 1), (7, 5, 3, 3, 1), (4, 3, 3, 2, 1)]:
+        p = Partition(mu)
+        for a in range(p.n // 2 + 1):
+            calls.clear()
+            m = construct_squarezero_partner(p, a)
+            assert calls == [m], (mu, a)
+    for l1, l2, a in [(5, 3, 4), (5, 3, 2), (4, 4, 4), (6, 2, 3), (3, 3, 0)]:
+        calls.clear()
+        m = construct_lemma_odd(l1, l2, a)
+        assert calls == [m], (l1, l2, a)
+
+
+# SHA-256 of the witnesses below, recorded at commit 32f066b, before odd
+# pairs and block powers were built as coefficient vectors
+GOLDEN_WITNESSES = "ac390531a449b91dc5555a3827daf865882756005e67810ad66cbdcaa4dfcda2"
+
+
+def test_witnesses_match_golden_digest():
+    h = hashlib.sha256()
+
+    def feed(m):
+        h.update(m.dump().encode())
+        h.update(b"\n")
+
+    for n in range(1, 11):
+        for mu in enumerate_partitions(n):
+            for a in range(n // 2 + 1):
+                feed(construct_squarezero_partner(mu, a))
+    for n in range(2, 17):
+        for l1 in range((n + 1) // 2, n):
+            for a in range(n // 2 + 1):
+                feed(construct_lemma_odd(l1, n - l1, a))
+    for m in range(2, 9):
+        feed(construct_lemma_eq2(m, 0))
+    for l1, l2 in [(5, 4), (6, 4), (7, 3)]:
+        for shape, w in maxrank_partners(l1, l2).items():
+            h.update(str(tuple(shape)).encode())
+            feed(w)
+    assert h.hexdigest() == GOLDEN_WITNESSES
 
 
 def test_maxrank_partners_cases():
