@@ -2,11 +2,23 @@
 """Layer timings of the library, written to BENCH_<label>.json.
 
 Usage: python3 scripts/bench.py --label L [--repeats K] [--root DIR]
+           [--against DIR2 [--against-label L2]]
 
 Times the checkout at DIR (default: the one holding this script) and writes
 BENCH_L.json at the root of this script's checkout, with the Python
 version, the CPU count, DIR's commit (`git describe --always --dirty`) and,
-per measurement, the median and the K raw times in seconds:
+per measurement, the median and the K raw times in seconds.
+
+With --against, the checkout at DIR2 is timed in the same run and written
+to BENCH_L2.json (default L2: L_against).  Each checkout is set up once in
+its own worker process; then, in every repeat and for every measurement,
+both workers run it one after the other, DIR first in even repeats and DIR2
+first in odd ones.  So the two sides of a pair are seconds apart, not
+minutes, and load that drifts on a shared machine hits both.  Each file
+records its partner's label and commit, which side ran first in each repeat,
+and the median over repeats of its own time divided by its partner's.
+
+Measurements:
 
 - cli.dmap_n20_s, cli.dinv_n14_s: wall time of one fresh
   `python -m nilcomm.cli ... --json` process.  The package is copied without
@@ -19,12 +31,14 @@ per measurement, the median and the K raw times in seconds:
 - commutant.sample_jordan_small_s: 5 seeded draws on each of the 42
   partitions of 10, the small hosts that carry most of a sample bank's time;
 - twoblock.tb_pow_order_s: orders of 200 fixed nilpotent two-block elements;
+- twoblock.tb_to_matrix_s: dense realizations of the same 200 elements;
 - exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
   rank n - 2;
 - exactla.rank_centralizer_{12,16,20}_s: ranks of the first three powers of
   40 fixed nilpotent elements commuting with J_lambda (20 on each of two
   hosts lambda per n), built here from the block-Toeplitz pattern of the
   centralizer;
+- exactla.matmul_s: the squares `m @ m` of those 360 powers;
 - verify.suite{1,5,11}_s: one acceptance suite at the scale `run_all` gives
   it (--max-n 16, seed 0), through `verify.SUITES`; suite 11's witnesses are
   collected once beforehand, and its sample bank cache is cleared before
@@ -179,6 +193,10 @@ def measurements(root: str, pkg_root: str) -> dict:
             commutant.sample_jordan(lam, s) for lam in small_hosts for s in range(5)]),
         "twoblock.tb_pow_order_s": lambda: timed(lambda: [
             twoblock.tb_pow_order(x) for x in elements]),
+        "twoblock.tb_to_matrix_s": lambda: timed(lambda: [
+            twoblock.tb_to_matrix(x) for x in elements]),
+        "exactla.matmul_s": lambda: timed(lambda: [
+            m @ m for ms in powers.values() for m in ms]),
     }
     for n in (20, 30, 40):
         out[f"dinverse.dmap_all_{n}_s"] = lambda n=n: cold_table(n)
@@ -200,41 +218,120 @@ def commit(root: str) -> str:
     return res.stdout.strip() if res.returncode == 0 else "unknown"
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--root", default=HERE, help="checkout to time")
-    args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be >= 1")
-    root = os.path.abspath(args.root)
+def worker(root: str) -> int:
+    """Set up root's measurements, print their names as one JSON line, then
+    answer each measurement name read from stdin with its seconds."""
     with tempfile.TemporaryDirectory() as pkg_root:
         shutil.copytree(os.path.join(root, "src", "nilcomm"),
                         os.path.join(pkg_root, "nilcomm"),
                         ignore=shutil.ignore_patterns("__pycache__"))
         timers = measurements(root, pkg_root)
-        runs = {name: [] for name in timers}
-        for _ in range(args.repeats):
-            for name, fn in timers.items():
-                runs[name].append(fn())
+        print(json.dumps(list(timers)), flush=True)
+        for line in sys.stdin:
+            print(json.dumps(timers[line.strip()]()), flush=True)
+    return 0
+
+
+class Side:
+    """One checkout, timed by a worker process running this script."""
+
+    def __init__(self, label: str, root: str):
+        self.label, self.root = label, root
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--worker", root],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def reply(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            sys.exit(f"bench: the worker for {self.root} exited "
+                     f"({self.proc.wait()})")
+        return json.loads(line)
+
+    def time(self, name: str) -> float:
+        self.proc.stdin.write(name + "\n")
+        self.proc.stdin.flush()
+        return self.reply()
+
+    def close(self) -> None:
+        """End of input: the worker finishes what it is doing, removes its
+        package copy and exits."""
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def write(side: Side, runs: dict, repeats: int, partner: Side | None,
+          first: list) -> None:
     doc = {
-        "label": args.label,
-        "commit": commit(root),
+        "label": side.label,
+        "commit": commit(side.root),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
-        "repeats": args.repeats,
+        "repeats": repeats,
         "unit": "s",
-        "medians": {k: statistics.median(v) for k, v in runs.items()},
-        "runs": runs,
+        "medians": {k: statistics.median(v) for k, v in runs[side.label].items()},
+        "runs": runs[side.label],
     }
-    path = os.path.join(HERE, f"BENCH_{args.label}.json")
+    if partner is not None:
+        mine, theirs = runs[side.label], runs[partner.label]
+        doc["paired_with"] = {"label": partner.label, "commit": commit(partner.root)}
+        doc["first"] = first
+        doc["ratio_medians"] = {k: statistics.median(a / b for a, b in zip(v, theirs[k]))
+                                for k, v in mine.items()}
+    path = os.path.join(HERE, f"BENCH_{side.label}.json")
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-    for k, v in doc["medians"].items():
-        print(f"{k:30s} {v:.4f}")
     print(f"wrote {path}")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--root", default=HERE, help="checkout to time")
+    ap.add_argument("--against", help="second checkout, timed in the same repeats")
+    ap.add_argument("--against-label")
+    ap.add_argument("--worker", help=argparse.SUPPRESS)  # a worker's checkout
+    args = ap.parse_args()
+    if args.worker:
+        return worker(args.worker)
+    if not args.label:
+        ap.error("--label is required")
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
+    sides = [Side(args.label, os.path.abspath(args.root))]
+    try:
+        if args.against:
+            other = args.against_label or f"{args.label}_against"
+            if other == args.label:
+                ap.error("--against-label must differ from --label")
+            sides.append(Side(other, os.path.abspath(args.against)))
+        names = [side.reply() for side in sides]
+        if any(n != names[0] for n in names):
+            sys.exit("bench: the checkouts have different measurements")
+        runs = {side.label: {name: [] for name in names[0]} for side in sides}
+        first = []
+        for r in range(args.repeats):
+            order = sides if r % 2 == 0 else sides[::-1]
+            first.append(order[0].label)
+            for name in names[0]:
+                for side in order:
+                    runs[side.label][name].append(side.time(name))
+    finally:
+        for side in sides:
+            side.close()
+    partner = {sides[0].label: sides[-1], sides[-1].label: sides[0]}
+    for side in sides:
+        write(side, runs, args.repeats,
+              partner[side.label] if len(sides) == 2 else None, first)
+    for name, times in runs[sides[0].label].items():
+        line = f"{name:32s} {statistics.median(times):.4f}"
+        if len(sides) == 2:
+            theirs = runs[sides[1].label][name]
+            line += (f" {statistics.median(theirs):.4f}  ratio "
+                     f"{statistics.median(a / b for a, b in zip(times, theirs)):.3f}")
+        print(line)
     return 0
 
 

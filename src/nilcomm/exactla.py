@@ -39,34 +39,56 @@ def _check_entry(x):
     return x
 
 
+def _checked_int(seqs: Sequence[Sequence]) -> bool:
+    """Raise TypeError unless every entry of the sequences is an int or a
+    Fraction; return whether every entry's type is exactly int.  Entries are
+    checked by the set of their types, one by one only when that set goes
+    beyond {int, Fraction} (bool, float, subclasses)."""
+    types = set()
+    for seq in seqs:
+        types.update(map(type, seq))
+    if not types <= {int, Fraction}:
+        for seq in seqs:
+            for x in seq:
+                _check_entry(x)
+    return types == {int}
+
+
 class ExactMatrix:
     """Immutable dense matrix with int/Fraction entries.
 
-    Entries are checked once per matrix by the set of their types; only a
-    set beyond {int, Fraction} (bool, float, subclasses) is checked entry by
-    entry.  `_int` records that every entry's type is exactly int.
+    Entries are checked once per matrix by the set of their types
+    (`_checked_int`).  `_int` True means every entry's type is exactly int;
+    False promises nothing.  `_trusted` builds a matrix from rows whose
+    entries and shape are already known to be valid, as `@` and
+    `twoblock.tb_to_matrix` do.
     """
 
     __slots__ = ("rows", "cols", "_rows", "_int")
 
     def __init__(self, rows: Iterable[Sequence]):
         data = tuple(map(tuple, rows))
-        types = set()
-        for row in data:
-            types.update(map(type, row))
-        if not types <= {int, Fraction}:
-            for row in data:
-                for x in row:
-                    _check_entry(x)
+        is_int = _checked_int(data)
         if not data or not data[0]:
             raise ValueError("matrix must be nonempty")
         w = len(data[0])
         if any(len(r) != w for r in data):
             raise ValueError("ragged rows")
+        self._set(data, is_int)
+
+    @classmethod
+    def _trusted(cls, data: tuple, is_int: bool) -> "ExactMatrix":
+        """Matrix on a nonempty tuple of equal-length tuples whose entries are
+        int or Fraction, with no check; is_int as for `_int`."""
+        m = object.__new__(cls)
+        m._set(data, is_int)
+        return m
+
+    def _set(self, data: tuple, is_int: bool) -> None:
         object.__setattr__(self, "_rows", data)
         object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", w)
-        object.__setattr__(self, "_int", types == {int})
+        object.__setattr__(self, "cols", len(data[0]))
+        object.__setattr__(self, "_int", is_int)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -112,7 +134,10 @@ class ExactMatrix:
                 f"shape mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        return ExactMatrix(_mul(self._rows, _nonzeros(other._rows), other.cols))
+        # products and sums of int and Fraction entries are int or Fraction
+        return ExactMatrix._trusted(
+            tuple(map(tuple, _mul(self._rows, _nonzeros(other._rows), other.cols))),
+            self._int and other._int)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):

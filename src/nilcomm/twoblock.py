@@ -13,10 +13,14 @@ The only nonzero products are
   K_i N_j = K_{i+j}    L_i M_j = L_{i+j}    L_i K_j = N_{l1-l2+i+j}
   N_i L_j = L_{i+j}    N_i N_j = N_{i+j}
 
-with M_j = 0 for j >= l1 and K_j = L_j = N_j = 0 for j >= l2.  Working with
-coefficient vectors instead of dense matrices makes powers and rank bounds of
-these elements nearly free; every construction below is still verified against
-the dense realization.
+with M_j = 0 for j >= l1 and K_j = L_j = N_j = 0 for j >= l2.  That is the
+algebra End_R(V) of V = R/t^l1 + R/t^l2, R = k[t]: with g = l1 - l2, the
+element (a, b, c, d) acts on (u, w) in V as the 2x2 polynomial matrix
+[[a, t^g b], [c, d]], and takes the block generators g1 = (1, 0) and
+g2 = (0, 1) to (a, c) and (t^g b, d).  Working with coefficient vectors
+instead of dense matrices makes products, orders and ranks of these elements
+nearly free; every construction below is still verified against the dense
+realization.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from itertools import accumulate
 from nilcomm import exactla
 from nilcomm._rng import Stream, derive
 from nilcomm.partitions import Partition, almost_rect, conjugate
-from nilcomm.exactla import ExactMatrix, _nonzeros, build_jordan, jordan_type
+from nilcomm.exactla import ExactMatrix, _checked_int, _nonzeros, build_jordan, jordan_type
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,9 @@ class TwoBlockElement:
             len(v) != self.l2 for v in (self.b, self.c, self.d)
         ):
             raise ValueError("coefficient vectors have wrong length")
+        if not type(self.a) is type(self.b) is type(self.c) is type(self.d) is tuple:
+            for name in ("a", "b", "c", "d"):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -119,106 +126,148 @@ def tb_add(x: TwoBlockElement, y: TwoBlockElement) -> TwoBlockElement:
 
 
 def tb_mul(x: TwoBlockElement, y: TwoBlockElement) -> TwoBlockElement:
-    """Bilinear extension of the product table in the module docstring."""
+    """The product table in the module docstring: x applied to y's two
+    columns y g1 = (y.a, y.c) and y g2 = (t^g y.b, y.d)."""
     if (x.l1, x.l2) != (y.l1, y.l2):
         raise ValueError("block size mismatch")
-    y_nz = _nonzeros((y.a, y.b, y.c, y.d))
-    prod = _tb_mul_raw(x.l1, x.l2, (x.a, x.b, x.c, x.d), y_nz)
-    return TwoBlockElement(x.l1, x.l2, *map(tuple, prod))
+    gap = x.l1 - x.l2
+    x_nz = _nonzeros((x.a, x.b, x.c, x.d))
+    a, c = _step(x.l1, x.l2, x_nz, y.a, y.c)
+    top, d = _step(x.l1, x.l2, x_nz, (0,) * gap + y.b, y.d)
+    return TwoBlockElement(x.l1, x.l2, tuple(a), tuple(top[gap:]), tuple(c), tuple(d))
 
 
-def _tb_mul_raw(l1: int, l2: int, x, y_nz) -> tuple:
-    """`tb_mul` on raw (a, b, c, d) vectors, the right factor given by its
-    `_nonzeros` lists; returns the product's vectors as lists.
-
-    `_nonzeros` lists are in increasing index order, so each inner loop stops
-    at its first index past the truncation (M_j = 0 for j >= l1, the others
-    for j >= l2)."""
+def _step(l1: int, l2: int, x_nz, u, w) -> tuple:
+    """x (u, w) = (a u + t^g b w mod t^l1, c u + d w mod t^l2), as lists, for
+    x given by the `_nonzeros` lists of its (a, b, c, d).  They are in
+    increasing index order, so each inner loop stops at its first index past
+    the truncation."""
     gap = l1 - l2
-    a = [0] * l1
-    b = [0] * l2
-    c = [0] * l2
-    d = [0] * l2
-    xa, xb, xc, xd = _nonzeros(x)
-    ya, yb, yc, yd = y_nz
-    for i, u in xa:
-        for j, v in ya:  # M M -> M
-            if i + j >= l1:
-                break
-            a[i + j] += u * v
-        for j, v in yb:  # M K -> K
-            if i + j >= l2:
-                break
-            b[i + j] += u * v
-    for i, u in xb:
-        for j, v in yc:  # K L -> M shifted by the block-size gap
-            if gap + i + j >= l1:
-                break
-            a[gap + i + j] += u * v
-        for j, v in yd:  # K N -> K
-            if i + j >= l2:
-                break
-            b[i + j] += u * v
-    for i, u in xc:
-        for j, v in ya:  # L M -> L
-            if i + j >= l2:
-                break
-            c[i + j] += u * v
-        for j, v in yb:  # L K -> N shifted by the block-size gap
-            if gap + i + j >= l2:
-                break
-            d[gap + i + j] += u * v
-    for i, u in xd:
-        for j, v in yc:  # N L -> L
-            if i + j >= l2:
-                break
-            c[i + j] += u * v
-        for j, v in yd:  # N N -> N
-            if i + j >= l2:
-                break
-            d[i + j] += u * v
-    return a, b, c, d
+    top = [0] * l1
+    bottom = [0] * l2
+    xa, xb, xc, xd = x_nz
+    for j, v in enumerate(u):
+        if v:
+            for i, s in xa:  # a u
+                if i + j >= l1:
+                    break
+                top[i + j] += s * v
+            for i, s in xc:  # c u
+                if i + j >= l2:
+                    break
+                bottom[i + j] += s * v
+    for j, v in enumerate(w):
+        if v:
+            for i, s in xb:  # t^g b w
+                if gap + i + j >= l1:
+                    break
+                top[gap + i + j] += s * v
+            for i, s in xd:  # d w
+                if i + j >= l2:
+                    break
+                bottom[i + j] += s * v
+    return top, bottom
 
 
 def tb_pow_order(x: TwoBlockElement, cap: int | None = None) -> int:
     """Smallest k >= 1 with x^k = 0, or raises if x is not nilpotent-form.
 
-    Powers are raw coefficient vectors, multiplied by x's nonzero entries
-    listed once; a nonzero x^(cap + 1) raises RuntimeError (cap: n + 1).
+    x is R-linear and V = R g1 + R g2, so x^k = 0 exactly when x^k g1 = 0
+    and x^k g2 = 0: the order is the longer of the two generator orbits.  When c[0] != 0, c is a unit mod t^l2 and g2 = c^-1 (x g1 - a g1)
+    lies in R g1 + R x g1, so g1's orbit decides alone; likewise g2's when
+    l1 = l2 and b[0] != 0.  A nonzero x^(cap + 1) g raises RuntimeError
+    (cap: n + 1).
     """
     if not x.is_nilpotent_form():
         raise ValueError("order is only computed for nilpotent-form elements")
     cap = cap if cap is not None else x.n + 1
-    acc = (x.a, x.b, x.c, x.d)
-    x_nz = _nonzeros(acc)
-    k = 1
-    while any(map(any, acc)):
-        if k > cap:
-            raise RuntimeError("power order exceeded cap; bug")
-        acc = _tb_mul_raw(x.l1, x.l2, acc, x_nz)
-        k += 1
-    return k
+    l1, l2 = x.l1, x.l2
+    x_nz = _nonzeros((x.a, x.b, x.c, x.d))
+    orbits = [(x.a, x.c), ((0,) * (l1 - l2) + x.b, x.d)]  # x g1, x g2
+    if x.c[0]:
+        del orbits[1]
+    elif l1 == l2 and x.b[0]:
+        del orbits[0]
+    order = 1
+    for u, w in orbits:
+        k = 1
+        while any(u) or any(w):
+            if k > cap:
+                raise RuntimeError("power order exceeded cap; bug")
+            u, w = _step(l1, l2, x_nz, u, w)
+            k += 1
+        order = max(order, k)
+    return order
 
 
 def tb_to_matrix(x: TwoBlockElement) -> ExactMatrix:
-    """Dense realization; commutes with the two-block Jordan matrix exactly."""
-    rows = [[0] * x.n for _ in range(x.n)]
-    _place(rows, x, 0, x.l1)
-    return ExactMatrix(rows)
+    """Dense realization; commutes with the two-block Jordan matrix exactly.
+
+    Entry types are checked once, on the n coefficients, not the n^2 entries.
+    """
+    is_int = _checked_int((x.a, x.b, x.c, x.d))
+    return ExactMatrix._trusted(_dense_rows(x), is_int)
+
+
+def _dense_rows(x: TwoBlockElement) -> tuple:
+    """x's dense rows, each the join of two windows of the coefficient tuples
+    padded by l1 - 1 zeros in front (so index s = l1 - 1 holds each constant
+    term).  With g = l1 - l2:
+
+      top row r     a[s-r : s-r+l1] + b[s-r : s-r+l2]   (M_i at (r, r+i),
+                                                          K_k at (r, l1+k+r))
+      bottom row r  c[s-g-r : s-g-r+l1] + d[s-r : s-r+l2] (L_l at (l1+r, g+l+r),
+                                                          N_i at (l1+r, l1+r+i))
+    """
+    l1, l2 = x.l1, x.l2
+    pad = (0,) * (l1 - 1)
+    a, b, c, d = pad + x.a, pad + x.b, pad + x.c, pad + x.d
+    s = l1 - 1
+    t = l2 - 1  # s - g
+    return tuple([a[s - r:s - r + l1] + b[s - r:s - r + l2] for r in range(l1)]
+                 + [c[t - r:t - r + l1] + d[s - r:s - r + l2] for r in range(l2)])
 
 
 def _place(rows: list, x: TwoBlockElement, o1: int, o2: int) -> None:
-    """Add x's dense entries into rows, its top block on the rows and columns
+    """Write x's dense rows into rows: its top block on the rows and columns
     from o1, its bottom block on those from o2."""
     l1, l2 = x.l1, x.l2
-    # (coefficients, first row, first column, block length) per family; L's
-    # columns start l1 - l2 into the top block
-    for vec, r0, c0, size in ((x.a, o1, o1, l1), (x.b, o1, o2, l2),
-                              (x.c, o2, o1 + l1 - l2, l2), (x.d, o2, o2, l2)):
-        for i, v in enumerate(vec):
-            if v:
-                for r in range(size - i):
-                    rows[r0 + r][c0 + i + r] += v
+    for r, dense in enumerate(_dense_rows(x)):
+        row = rows[o1 + r] if r < l1 else rows[o2 + r - l1]
+        row[o1:o1 + l1] = dense[:l1]
+        row[o2:o2 + l2] = dense[l1:]
+
+
+def tb_rank(x: TwoBlockElement) -> int:
+    """Rank of the dense realization, from the Fitting ideal of x's cokernel.
+
+    The cokernel R^2 / (X R^2 + diag(t^l1, t^l2) R^2) of x's matrix X (see
+    the module docstring) is killed by t^l1, so its dimension n - rank is the
+    t-adic valuation v of the gcd of the 2x2 minors of [X | diag(t^l1,
+    t^l2)]: ad - t^g bc, t^l2 a, t^l1 b, t^l1 c, t^l1 d and t^n.  Hence
+
+      rank = n - min(v(ad - t^g bc), l2 + v(a), l1 + v(b), l1 + v(c),
+                     l1 + v(d), n),
+
+    with v(ad - t^g bc) found one coefficient at a time, up to the minimum
+    of the other terms.  Any coefficients, nilpotent form or not.
+    """
+    l1, l2 = x.l1, x.l2
+    gap = l1 - l2
+    a, b, c, d = x.a, x.b, x.c, x.d
+    # sentinels l1 (a) and l2 (b, c, d) for a zero family keep the bound <= n
+    alpha, beta, gamma, delta = x.leading_indices()
+    bound = min(l2 + alpha, l1 + min(beta, gamma, delta))
+    for k in range(min(alpha + delta, gap + beta + gamma), bound):
+        coef = 0
+        for i in range(max(alpha, k - l2 + 1), min(l1 - 1, k - delta) + 1):
+            coef += a[i] * d[k - i]
+        h = k - gap  # t^g bc contributes b[j] c[h - j]
+        for j in range(max(beta, h - l2 + 1), min(l2 - 1, h - gamma) + 1):
+            coef -= b[j] * c[h - j]
+        if coef:
+            return x.n - k
+    return x.n - bound
 
 
 def tb_rank_bound(x: TwoBlockElement) -> int:

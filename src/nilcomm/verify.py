@@ -26,10 +26,13 @@ from nilcomm.partitions import (
     is_stable,
 )
 from nilcomm.twoblock import (
+    TwoBlockElement,
     antidiagonal,
     antidiagonal_block_rank_formulas,
     construct_lemma_eq2,
     construct_squarezero_partner,
+    tb_pow_order,
+    tb_rank,
     tb_to_matrix,
 )
 
@@ -203,14 +206,37 @@ def suite4(max_n: int = 14, seed: int = 0) -> SuiteResult:
                    f"all four formulas exact, n <= {max_n}")
 
 
+def two_part_draws(l1: int, l2: int, samples: int, seed: int = 0,
+                   coeff_bound: int = 10):
+    """Suite 5's draws on the host (l1, l2): `samples` nilpotent-form elements
+    with integer coefficients in [-coeff_bound, coeff_bound], seeded by
+    derive(seed, 5, l1, l2).  Yields (element, order) for each draw of rank
+    n - 2 (`tb_rank`), whose Jordan type is then (order, n - order)."""
+    n = l1 + l2
+    rng = Stream(derive(seed, 5, l1, l2))
+    for _ in range(samples):
+        a = (0,) + tuple(
+            rng.randint(-coeff_bound, coeff_bound) for _ in range(l1 - 1))
+        bco = [rng.randint(-coeff_bound, coeff_bound) for _ in range(l2)]
+        cco = [rng.randint(-coeff_bound, coeff_bound) for _ in range(l2)]
+        d = (0,) + tuple(
+            rng.randint(-coeff_bound, coeff_bound) for _ in range(l2 - 1))
+        if l1 == l2:
+            if rng.randint(0, 1):
+                bco[0] = 0
+            else:
+                cco[0] = 0
+        x = TwoBlockElement(l1, l2, a, tuple(bco), tuple(cco), d)
+        if tb_rank(x) == n - 2:
+            yield x, tb_pow_order(x)
+
+
 def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
            seed: int = 0, coeff_bound: int = 10,
            witnesses: list | None = None) -> SuiteResult:
     """Two-part hosts: the off-by-one partner exists for equal blocks, and
     sampling the full commuting parametrization never produces a two-part
     type outside the allowed set; the pair rule forbids exactly the rest."""
-    from nilcomm.twoblock import TwoBlockElement, tb_pow_order
-
     fails: list[str] = []
     checked = 0
     for m in range(2, max_n // 2 + 1):
@@ -241,25 +267,8 @@ def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
                 h = n // 2
                 if (l1, l2) in ((h, h), (h + 1, h - 1)):
                     allowed = {(h, h), (h + 1, h - 1)}
-            rng = Stream(derive(seed, 5, l1, l2))
-            for _ in range(samples):
-                a = (0,) + tuple(
-                    rng.randint(-coeff_bound, coeff_bound) for _ in range(l1 - 1))
-                bco = [rng.randint(-coeff_bound, coeff_bound) for _ in range(l2)]
-                cco = [rng.randint(-coeff_bound, coeff_bound) for _ in range(l2)]
-                d = (0,) + tuple(
-                    rng.randint(-coeff_bound, coeff_bound) for _ in range(l2 - 1))
-                if l1 == l2:
-                    if rng.randint(0, 1):
-                        bco[0] = 0
-                    else:
-                        cco[0] = 0
-                x = TwoBlockElement(l1, l2, a, tuple(bco), tuple(cco), d)
-                checked += 1
-                dense = tb_to_matrix(x)
-                if exactla.rank(dense) != n - 2:
-                    continue
-                order = tb_pow_order(x)
+            checked += samples
+            for x, order in two_part_draws(l1, l2, samples, seed, coeff_bound):
                 q = (order, n - order)
                 if q not in allowed:
                     fails.append(f"host ({l1},{l2}): sampled two-part type {q}")

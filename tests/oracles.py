@@ -161,3 +161,14 @@ def jordan_type_by_nullities(m: ExactMatrix) -> Partition:
 def brute_fiber(mu, table) -> set:
     """Inverse image of mu read off a full D table."""
     return {lam for lam, res in table.entries.items() if res.d == Partition(mu)}
+
+
+def assert_trusted_matrix(m):
+    """A matrix built without the entry check (`ExactMatrix._trusted`) is the
+    matrix the checked constructor builds from its rows, and its `_int` flag
+    promises only what is true: every entry is exactly an int."""
+    checked = ExactMatrix(m.row_data())
+    assert m == checked and (m.rows, m.cols) == (checked.rows, checked.cols)
+    assert all(type(x) in (int, Fraction) for row in m.row_data() for x in row)
+    if m._int:
+        assert all(type(x) is int for row in m.row_data() for x in row)

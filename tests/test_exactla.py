@@ -246,7 +246,21 @@ def test_product_matches_triple_loop(data):
 
     p, q, r = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
     a, b = matrix(p, q), matrix(q, r)
-    assert a @ b == ExactMatrix(oracles.naive_product(a.row_data(), b.row_data()))
+    prod = a @ b
+    assert prod == ExactMatrix(oracles.naive_product(a.row_data(), b.row_data()))
+    oracles.assert_trusted_matrix(prod)
+
+
+def test_product_int_flag_is_both_factors_int():
+    ints = ExactMatrix([[1, 2], [0, 3]])
+    halves = ExactMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    # a Fraction factor clears the flag even where every product entry is int
+    zero_frac = ExactMatrix([[Fraction(0), 0], [0, 0]])
+    for a, b, flag in ((ints, ints, True), (ints, halves, False),
+                       (halves, ints, False), (ints, zero_frac, False)):
+        prod = a @ b
+        assert prod._int is flag
+        oracles.assert_trusted_matrix(prod)
 
 
 def test_jordan_type_invariant_under_conjugation():
