@@ -2,18 +2,18 @@
 """Layer timings of the library, written to BENCH_<label>.json.
 
 Usage: python3 scripts/bench.py --label L [--repeats K] [--root DIR]
-           [--against DIR2 [--against-label L2]]
+           [--against DIR2]
 
 Times the checkout at DIR (default: the one holding this script) and writes
 BENCH_L.json at the root of this script's checkout, with the Python
 version, the CPU count, DIR's commit (`git describe --always --dirty`) and,
 per measurement, the median and the K raw times in seconds.
 
-With --against, the checkout at DIR2 is timed in the same run and written
-to BENCH_L2.json (default L2: L_against).  Each checkout is set up once in
-its own worker process; then, in every repeat and for every measurement,
-both workers run it one after the other, DIR first in even repeats and DIR2
-first in odd ones.  So the two sides of a pair are seconds apart, not
+With --against, the checkout at DIR2 (the one to compare with, usually the
+parent commit's) is timed in the same run and written to BENCH_L_base.json.
+Each checkout is set up once in its own worker process; then, in every
+repeat and for every measurement, both workers run it one after the other,
+DIR first in even repeats and DIR2 first in odd ones.  So the two sides of a pair are seconds apart, not
 minutes, and load that drifts on a shared machine hits both.  Each file
 records its partner's label and commit, which side ran first in each repeat,
 and the median over repeats of its own time divided by its partner's.
@@ -291,7 +291,6 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--root", default=HERE, help="checkout to time")
     ap.add_argument("--against", help="second checkout, timed in the same repeats")
-    ap.add_argument("--against-label")
     ap.add_argument("--worker", help=argparse.SUPPRESS)  # a worker's checkout
     args = ap.parse_args()
     if args.worker:
@@ -303,10 +302,7 @@ def main() -> int:
     sides = [Side(args.label, os.path.abspath(args.root))]
     try:
         if args.against:
-            other = args.against_label or f"{args.label}_against"
-            if other == args.label:
-                ap.error("--against-label must differ from --label")
-            sides.append(Side(other, os.path.abspath(args.against)))
+            sides.append(Side(f"{args.label}_base", os.path.abspath(args.against)))
         names = [side.reply() for side in sides]
         if any(n != names[0] for n in names):
             sys.exit("bench: the checkouts have different measurements")
