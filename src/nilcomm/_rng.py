@@ -52,6 +52,26 @@ class Stream:
             if x < limit:
                 return lo + x % span
 
+    def ints(self, lo: int, hi: int, k: int) -> list:
+        """The k values of k calls to randint(lo, hi), in order, leaving the
+        same state; the splitmix64 step and the rejection test are inlined."""
+        span = hi - lo + 1
+        if span <= 0:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        limit = (1 << 64) - ((1 << 64) % span)
+        s = self._state
+        out = []
+        while len(out) < k:
+            for _ in range(k - len(out)):  # one pass more per rejection
+                s = (s + _GOLDEN) & _MASK
+                z = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+                z ^= z >> 31
+                if z < limit:
+                    out.append(lo + z % span)
+        self._state = s
+        return out
+
     def nonzero(self, bound: int) -> int:
         """Uniform nonzero integer in [-bound, bound]."""
         if bound < 1:

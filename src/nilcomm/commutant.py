@@ -85,41 +85,43 @@ def commutant_basis(lam) -> CommutantBasis:
 
 # bounded above the hosts any suite, test or benchmark draws from
 @lru_cache(maxsize=2048)
-def _cached_gens(lam: tuple) -> tuple:
-    return _generators(Partition(lam))
+def _plan(lam: tuple) -> tuple:
+    """(pos, cells): pos[v] is the place of basis vector v in `_draw`'s order;
+    cells holds each drawn generator's cells there as flat indices row * n + col.
+    Leading diagonals between equal parts are drawn only for i < j."""
+    lam = Partition(lam)
+    n = lam.n
+    keys = [(r - p, p, i) for i, p in enumerate(lam) for r in range(p)]
+    pos = [0] * n
+    for place, v in enumerate(sorted(range(n), key=keys.__getitem__)):
+        pos[v] = place
+    return tuple(pos), tuple(
+        tuple(pos[r0 + r] * n + pos[c0 + k + r] for r in range(length))
+        for (i, j, k, length, r0, c0) in _generators(lam)
+        if k or lam[i] != lam[j] or i < j)
 
 
-def _draw_rows(lam: tuple, stream: Stream, bound: int) -> list:
-    """Random integer coefficients on the generators, strictly upper triangular
-    on the leading diagonals inside each group of equal parts (this forces the
-    image in the semisimple quotient, hence the whole element, to be nilpotent).
-
-    Every draw is strictly upper triangular when the basis vectors are ordered
-    by distance to the end of their block descending, then block size
-    ascending, then block index ascending: a generator moves a vector no
-    closer to the end of the target block than to the end of its own, equally
-    close only into a larger block or, between equal parts, on the leading
-    diagonal, which is drawn only for i < j.  So its nonzero pattern is
-    acyclic, and `_jordan_type_rows` certifies nilpotency without a zero
-    power.
-    """
+def _draw(lam: tuple, stream: Stream, bound: int) -> list:
+    """Rows of a random element, coefficients in [-bound, bound] on the drawn
+    generators, in the nilpotency order: by distance to the block end
+    descending, then block size ascending, then block index ascending.  A
+    generator moves a vector no closer to the end of the target block than to
+    the end of its own, equally close only into a larger block or, between
+    equal parts, on a leading diagonal, drawn only for i < j.  So every draw
+    is strictly upper triangular, hence nilpotent."""
     n = sum(lam)
-    rows = [[0] * n for _ in range(n)]
-    for (i, j, k, length, r0, c0) in _cached_gens(lam):
-        if lam[i] == lam[j] and k == 0:
-            coef = stream.randint(-bound, bound) if i < j else 0
-        else:
-            coef = stream.randint(-bound, bound)
+    cells = _plan(lam)[1]
+    flat = [0] * (n * n)
+    for gen, coef in zip(cells, stream.ints(-bound, bound, len(cells))):
         if coef:
-            for r in range(length):
-                rows[r0 + r][c0 + k + r] += coef
-    return rows
+            for c in gen:
+                flat[c] = coef
+    return [flat[r:r + n] for r in range(0, n * n, n)]
 
 
 def sample_jordan(lam, seed: int, coeff_bound: int = 10) -> tuple:
-    """Jordan type of one random nilpotent commuting element (no dense object kept)."""
-    rows = _draw_rows(tuple(lam), Stream(seed), coeff_bound)
-    return _jordan_type_rows(rows)
+    """Jordan type of one random nilpotent commuting element, in `_draw`'s order."""
+    return _jordan_type_rows(_draw(tuple(lam), Stream(seed), coeff_bound))
 
 
 @dataclass(frozen=True)
@@ -150,8 +152,8 @@ def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> Commuta
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     b = build_jordan(lam)
-    rows = _draw_rows(tuple(lam), Stream(derive(seed, 1, 0)), coeff_bound)
-    m = ExactMatrix(rows)
+    rows, pos = _draw(lam, Stream(derive(seed, 1, 0)), coeff_bound), _plan(lam)[0]
+    m = ExactMatrix([[rows[p][q] for q in pos] for p in pos])  # standard basis
     if m @ b != b @ m:
         raise RuntimeError(f"sample fails commutation for {tuple(lam)} (seed {seed}); bug")
     try:

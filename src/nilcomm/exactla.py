@@ -9,8 +9,8 @@ A Jordan type's rank sequence stops at the first rank drop of one; the ranks
 after it follow once the matrix is known to be nilpotent.  Two certificates
 give that.  The structural one needs no arithmetic: when the graph with an
 edge i -> c for each nonzero A[i][c] is acyclic, a permutation makes A
-strictly upper triangular.  Every sampled centralizer element has such a
-pattern.  Otherwise (a cyclic pattern, which every non-nilpotent matrix and a
+strictly upper triangular.  Every sampled centralizer element is drawn
+already in that shape.  Otherwise (a cyclic pattern, which every non-nilpotent matrix and a
 dense conjugate have) one exact zero power decides.
 
 The Bareiss elimination is lazy: a row whose pivot-column entry is zero is
@@ -335,15 +335,16 @@ def _jordan_type_rows(rows0):
     Ranks r_k of the powers A^k are taken until the first k at which the rank
     drops by exactly one.  Drops never grow (Frobenius rank inequality), so a
     nilpotent A then has ranks r_k - 1, ..., 0 at the next r_k powers.
-    Nilpotency is certified by the nonzero pattern when it is acyclic
-    (`_acyclic`); otherwise A^(k + r_k) = 0 is checked exactly, which
+    Nilpotency is certified by the nonzero pattern when it is strictly upper
+    triangular (an O(n) test, which every sampled draw passes) or else
+    acyclic (`_acyclic`); otherwise A^(k + r_k) = 0 is checked exactly, which
     certifies both nilpotency and the remaining ranks.  A nonzero
     A^(k + r_k), or a drop of zero, means A is not nilpotent.  A's nonzero
     lists are built once, for the pattern and for every product A^k A.
     """
     n = len(rows0)
     a_nz = _nonzeros(rows0)
-    acyclic = _acyclic(a_nz)
+    acyclic = all(not nz or nz[0][0] > i for i, nz in enumerate(a_nz)) or _acyclic(a_nz)
     powers = [rows0]  # powers[i] = A^(i + 1)
     ranks = [n]  # ranks[k] = rank of A^k
     while True:

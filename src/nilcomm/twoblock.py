@@ -79,11 +79,13 @@ class TwoBlockElement:
 
         Sentinels l1 (for a) and l2 (for b, c, d) when a family is zero.
         """
-        alpha = next((i for i, x in enumerate(self.a) if x), self.l1)
-        beta = next((i for i, x in enumerate(self.b) if x), self.l2)
-        gamma = next((i for i, x in enumerate(self.c) if x), self.l2)
-        delta = next((i for i, x in enumerate(self.d) if x), self.l2)
-        return alpha, beta, gamma, delta
+        out = [self.l1, self.l2, self.l2, self.l2]
+        for f, vec in enumerate((self.a, self.b, self.c, self.d)):
+            for i, x in enumerate(vec):  # a plain loop: no generator per family
+                if x:
+                    out[f] = i
+                    break
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return not (any(self.a) or any(self.b) or any(self.c) or any(self.d))

@@ -215,17 +215,12 @@ def two_part_draws(l1: int, l2: int, samples: int, seed: int = 0,
     n = l1 + l2
     rng = Stream(derive(seed, 5, l1, l2))
     for _ in range(samples):
-        a = (0,) + tuple(
-            rng.randint(-coeff_bound, coeff_bound) for _ in range(l1 - 1))
-        bco = [rng.randint(-coeff_bound, coeff_bound) for _ in range(l2)]
-        cco = [rng.randint(-coeff_bound, coeff_bound) for _ in range(l2)]
-        d = (0,) + tuple(
-            rng.randint(-coeff_bound, coeff_bound) for _ in range(l2 - 1))
+        v = rng.ints(-coeff_bound, coeff_bound, l1 + 3 * l2 - 2)  # a[1:] b c d[1:]
+        o = l1 - 1
+        a, d = (0, *v[:o]), (0, *v[o + 2 * l2:])
+        bco, cco = v[o:o + l2], v[o + l2:o + 2 * l2]
         if l1 == l2:
-            if rng.randint(0, 1):
-                bco[0] = 0
-            else:
-                cco[0] = 0
+            (bco if rng.randint(0, 1) else cco)[0] = 0
         x = TwoBlockElement(l1, l2, a, tuple(bco), tuple(cco), d)
         if tb_rank(x) == n - 2:
             yield x, tb_pow_order(x)

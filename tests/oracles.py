@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 
+from nilcomm.commutant import _generators
 from nilcomm.exactla import ExactMatrix, build_jordan, nullity
 from nilcomm.partitions import Partition, conjugate
 
@@ -172,3 +173,21 @@ def assert_trusted_matrix(m):
     assert all(type(x) in (int, Fraction) for row in m.row_data() for x in row)
     if m._int:
         assert all(type(x) is int for row in m.row_data() for x in row)
+
+
+def draw_rows_standard(lam: tuple, stream, bound: int) -> list:
+    """A sampled centralizer element in the standard basis, one randint per
+    generator in `_generators` order: the leading diagonals between equal
+    parts are drawn for i < j and left zero (no draw) for i >= j.  `stream`
+    may be any object with randint(lo, hi), random.Random included."""
+    n = sum(lam)
+    rows = [[0] * n for _ in range(n)]
+    for (i, j, k, length, r0, c0) in _generators(Partition(lam)):
+        if lam[i] == lam[j] and k == 0:
+            coef = stream.randint(-bound, bound) if i < j else 0
+        else:
+            coef = stream.randint(-bound, bound)
+        if coef:
+            for r in range(length):
+                rows[r0 + r][c0 + k + r] += coef
+    return rows

@@ -1,13 +1,15 @@
+import hashlib
+
 import pytest
 
-from nilcomm import commutant
+from nilcomm import commutant, verify
 from nilcomm.commutant import (
     commutant_basis,
     sample_jordan,
     sample_nilpotent_commuting,
 )
 from nilcomm.dinverse import dmap, dmap_index
-from nilcomm._rng import derive
+from nilcomm._rng import Stream, derive
 from nilcomm.exactla import ExactMatrix, build_jordan, jordan_type, rank
 from nilcomm.partitions import (
     Partition,
@@ -138,7 +140,7 @@ def test_image_dominates_input():
 def test_non_nilpotent_draw_raises(monkeypatch):
     # the first draw is the identity, which commutes with every Jordan matrix
     # but is not nilpotent; later draws are genuine, so a redraw would hide it
-    real = commutant._draw_rows
+    real = commutant._draw
     calls = []
 
     def first_draw_identity(lam, stream, bound):
@@ -148,6 +150,35 @@ def test_non_nilpotent_draw_raises(monkeypatch):
         n = sum(lam)
         return [[int(r == c) for c in range(n)] for r in range(n)]
 
-    monkeypatch.setattr(commutant, "_draw_rows", first_draw_identity)
+    monkeypatch.setattr(commutant, "_draw", first_draw_identity)
     with pytest.raises(RuntimeError, match="seed 5"):
         sample_nilpotent_commuting(Partition([3, 1]), 5)
+
+
+def test_draw_matches_standard_basis_oracle():
+    # `_draw` is the oracle's draw written in the nilpotency order: permuted
+    # back by `_plan`'s positions it is the same element, the stream is left
+    # in the same state, and the type ranked in that order is the element's
+    for lam in partitions_up_to(12):
+        key = tuple(lam)
+        pos = commutant._plan(key)[0]
+        for seed in range(3):
+            fast, slow = Stream(seed), Stream(seed)
+            rows = commutant._draw(key, fast, 10)
+            want = oracles.draw_rows_standard(key, slow, 10)
+            assert [[rows[p][q] for q in pos] for p in pos] == want, (lam, seed)
+            assert fast.next64() == slow.next64(), (lam, seed)
+            assert sample_jordan(lam, seed) == oracles.jordan_type_by_nullities(
+                ExactMatrix(want)), (lam, seed)
+
+
+# SHA-256 of verify.sample_bank(8, 20, 0), recorded at commit 933d369, where
+# draws were written in the standard basis with one randint per generator
+SAMPLE_BANK_8_20 = "56534c012def5f78f3eeb568fc9b4813a08bb7c6439e1a55c7eaa175dbbd32fa"
+
+
+def test_sample_bank_matches_golden_digest():
+    h = hashlib.sha256()
+    for lam, draws in verify.sample_bank(8, 20, 0).items():
+        h.update(repr((tuple(lam), [tuple(q) for q in draws])).encode())
+    assert h.hexdigest() == SAMPLE_BANK_8_20

@@ -29,7 +29,7 @@ from nilcomm.exactla import (
     toeplitz_product_rank_check,
     zeros,
 )
-from nilcomm.commutant import _draw_rows, sample_jordan
+from nilcomm.commutant import _draw, sample_jordan
 from nilcomm._rng import Stream
 from nilcomm.partitions import Partition
 
@@ -221,7 +221,7 @@ def test_jordan_type_matches_nullity_oracle():
         for seed in range(2)
     ]
     for lam, seed in hosts:
-        m = ExactMatrix(_draw_rows(tuple(lam), Stream(seed), 10))
+        m = ExactMatrix(oracles.draw_rows_standard(tuple(lam), Stream(seed), 10))
         want = oracles.jordan_type_by_nullities(m)
         assert jordan_type(m) == want, (lam, seed)
         assert jordan_type(m.scale(Fraction(1, 3))) == want, (lam, seed)
@@ -342,8 +342,8 @@ def test_lazy_rank_on_centralizer_powers():
     hosts += [(lam, 3) for lam in ((5, 4, 2, 1), (4, 4, 4), (6, 3, 3),
                                    (7, 5, 3, 1), (4, 4, 4, 4), (6, 6, 2, 2))]
     for lam, seed in hosts:
-        # _draw_rows only calls randint(lo, hi), which random.Random has too
-        rows = _draw_rows(lam, random.Random(seed), 10)
+        # the oracle draws by randint(lo, hi), which random.Random has too
+        rows = oracles.draw_rows_standard(lam, random.Random(seed), 10)
         assert_int_rank_is_gauss_rank(nonzero_powers(rows))
 
 
@@ -401,11 +401,12 @@ def test_lazy_rank_reaches_both_lazy_paths():
 
 
 def test_sampler_draws_have_acyclic_patterns():
-    # the order in `_draw_rows`' docstring makes every draw strictly upper
-    # triangular, so every sampled Jordan type skips the zero power
+    # `_draw` writes every draw in the order its docstring proves strictly
+    # upper triangular, so every sampled Jordan type skips the zero power
     for lam in partitions_up_to(12):
         for seed in range(3):
-            rows = _draw_rows(tuple(lam), Stream(seed), 10)
+            rows = _draw(tuple(lam), Stream(seed), 10)
+            assert all(not any(row[:r + 1]) for r, row in enumerate(rows)), (lam, seed)
             assert _acyclic(_nonzeros(rows)), (lam, seed)
 
 

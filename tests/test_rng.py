@@ -1,6 +1,8 @@
 """Golden values of the seeded stream: printed seeds must stay replayable, so
 any rewrite of `_rng` has to reproduce these outputs exactly."""
 
+import pytest
+
 from nilcomm._rng import Stream, derive
 
 
@@ -21,3 +23,19 @@ def test_derived_stream_draws_are_pinned():
 
 def test_derive_is_pinned():
     assert derive(7, 5, 3, 2) == 0xCC1A6EDD8D29F1F0
+
+
+def test_ints_equals_randint_calls():
+    # spans 1, 2 and 21, and 2^63 + 1, where about half the raw values are
+    # rejected, so the batch redraws within one call
+    for lo, hi in ((3, 3), (0, 1), (-10, 10), (0, 1 << 63)):
+        for k in (0, 1, 2, 7, 60):
+            batch, single = Stream(derive(5, hi - lo, k)), Stream(derive(5, hi - lo, k))
+            assert batch.ints(lo, hi, k) == [single.randint(lo, hi) for _ in range(k)]
+            assert batch.next64() == single.next64()
+
+
+def test_ints_refuses_an_empty_range():
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="empty range"):
+            Stream(0).ints(1, 0, k)
