@@ -172,6 +172,14 @@ def test_draw_matches_standard_basis_oracle():
                 ExactMatrix(want)), (lam, seed)
 
 
+def test_unsorted_hosts_draw_as_their_partition():
+    # `_plan` sorts the host; the standard-basis draw tested equal parts on
+    # the unsorted tuple against sorted generators, so (1, 1, 2) raised
+    for lam in ((1, 1, 2), (1, 3), (2, 3, 1), (1, 2, 2, 3)):
+        for seed in range(5):
+            assert sample_jordan(lam, seed) == sample_jordan(Partition(lam), seed)
+
+
 # SHA-256 of verify.sample_bank(8, 20, 0), recorded at commit 933d369, where
 # draws were written in the standard basis with one randint per generator
 SAMPLE_BANK_8_20 = "56534c012def5f78f3eeb568fc9b4813a08bb7c6439e1a55c7eaa175dbbd32fa"
