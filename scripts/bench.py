@@ -32,6 +32,8 @@ Measurements:
   partitions of 10, the small hosts that carry most of a sample bank's time;
 - twoblock.tb_pow_order_s: orders of 200 fixed nilpotent two-block elements;
 - twoblock.tb_to_matrix_s: dense realizations of the same 200 elements;
+- twoblock.witnesses_s: `construct_lemma_eq2(m)` and
+  `maxrank_partners(m + 1, m - 1)` for m = 2..12, each witness typed densely;
 - exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
   rank n - 2;
 - exactla.rank_centralizer_{12,16,20}_s: ranks of the first three powers of
@@ -195,6 +197,9 @@ def measurements(root: str, pkg_root: str) -> dict:
             twoblock.tb_pow_order(x) for x in elements]),
         "twoblock.tb_to_matrix_s": lambda: timed(lambda: [
             twoblock.tb_to_matrix(x) for x in elements]),
+        "twoblock.witnesses_s": lambda: timed(lambda: [
+            (twoblock.construct_lemma_eq2(m), twoblock.maxrank_partners(m + 1, m - 1))
+            for m in range(2, 13)]),
         "exactla.matmul_s": lambda: timed(lambda: [
             m @ m for ms in powers.values() for m in ms]),
     }

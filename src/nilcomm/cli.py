@@ -102,11 +102,12 @@ def _cmd_sample(args) -> int:
 
 
 def _transcript(args, host: Partition, m, label: str, expect,
-                fields=lambda jt: {}) -> int:
+                fields=lambda jt: {}, seeded: bool = True) -> int:
     """Type a constructed witness once, print the transcript, and return 0 when
     it commutes with the host Jordan matrix and has the expected type, else 1.
 
-    fields maps the measured type to the extra (name, value) items printed."""
+    fields maps the measured type to the extra (name, value) items printed;
+    the JSON seed is null when seeded is False (a fixed construction)."""
     from nilcomm import exactla
 
     b = exactla.build_jordan(host)
@@ -121,7 +122,7 @@ def _transcript(args, host: Partition, m, label: str, expect,
             "commutes": commutes,
             **{k: list(v) if isinstance(v, Partition) else v
                for k, v in extra.items()},
-            "seed": args.seed,
+            "seed": args.seed if seeded else None,
         }
         if args.dump_matrix:
             out["matrix"] = _matrix_rows(m)
@@ -168,9 +169,9 @@ def _cmd_construct_antidiagonal(args) -> int:
 def _cmd_construct_lemma_eq2(args) -> int:
     from nilcomm.twoblock import construct_lemma_eq2
 
-    m = construct_lemma_eq2(args.lam, args.seed)
+    m = construct_lemma_eq2(args.lam)
     return _transcript(args, Partition((args.lam, args.lam)), m, "off-by-one partner",
-                       (args.lam + 1, args.lam - 1))
+                       (args.lam + 1, args.lam - 1), seeded=False)
 
 
 def _cmd_construct_lemma_odd(args) -> int:

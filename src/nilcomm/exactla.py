@@ -1,9 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
-Rank via fraction-free (Bareiss) elimination on integer rows, Jordan types of
-nilpotent matrices from the ranks of successive powers, and the Jordan-chain
-change of basis.  No floating point enters this module; nullity differences of
-one decide Jordan types, so there is no tolerance anywhere.
+Rank via fraction-free (Bareiss) elimination on integer rows and Jordan types
+of nilpotent matrices from the ranks of successive powers.  There is no
+Fraction elimination, RREF or change of basis: every witness in the library is
+written down in closed form and only typed here.  No floating point enters this
+module; nullity differences of one decide Jordan types, so there is no
+tolerance anywhere.
 
 A Jordan type's rank sequence stops at the first rank drop of one; the ranks
 after it follow once the matrix is known to be nilpotent.  Two certificates
@@ -240,9 +242,11 @@ def _int_rank(rows: list) -> int:
     in row r, and by the Sylvester identity its Bareiss row at step s is
     `stored * p_s / p_level`.  So a row eliminated at step s becomes
     `(p_s * stored - coef * pivot_row) // p_level`, which is its Bareiss row
-    at step s, and a lagging pivot row is first brought to step s - 1 by
-    `* p_(s-1) // p_level`.  Every quotient is a minor of the input, so every
-    division is exact and entries grow no more than in eager Bareiss.
+    at step s.  A lagging pivot row is brought to step s - 1 by
+    `* p_(s-1) // p_level`: its pivot entry at once, the rest of the row only
+    when a row below has a nonzero in the pivot column.  Every quotient is a
+    minor of the input, so every division is exact and entries grow no more
+    than in eager Bareiss.
     """
     nr = len(rows)
     if nr == 0:
@@ -266,14 +270,17 @@ def _int_rank(rows: list) -> int:
         # the row at pr takes the pivot row's place; the pivot row is not
         # needed after this step
         rows[piv], level[piv] = rows[pr], level[pr]
+        p = prow[pc]
         if lag != pr:
             up, down = pivots[pr], pivots[lag]
-            prow = [x * up // down for x in prow]
-        p = prow[pc]
+            p = p * up // down
         for r in range(pr + 1, nr):
             row = rows[r]
             coef = row[pc]
             if coef:
+                if lag != pr:
+                    prow = [x * up // down for x in prow]
+                    lag = pr
                 d = pivots[level[r]]
                 if d == 1:
                     for c in range(pc + 1, nc):
@@ -430,132 +437,6 @@ def toeplitz_product_rank_check(c: ExactMatrix, d: ExactMatrix) -> bool:
         raise ValueError("inputs must be upper-triangular Toeplitz")
     r = c.cols
     return rank(c @ d) == max(rank(c) + rank(d) - r, 0)
-
-
-def rref(m: ExactMatrix):
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    rows = [[Fraction(x) for x in r] for r in m.row_data()]
-    nr, nc = len(rows), len(rows[0])
-    pivots = []
-    pr = 0
-    for pc in range(nc):
-        piv = next((r for r in range(pr, nr) if rows[r][pc]), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = 1 / rows[pr][pc]
-        rows[pr] = [x * inv for x in rows[pr]]
-        for r in range(nr):
-            if r != pr and rows[r][pc]:
-                coef = rows[r][pc]
-                rows[r] = [a - coef * b for a, b in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    return rows, pivots
-
-
-def nullspace(m: ExactMatrix) -> list[tuple]:
-    """Basis of the right kernel, as tuples of Fractions."""
-    rows, pivots = rref(m)
-    nc = m.cols
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
-
-
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    if not m.is_square():
-        raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    aug = ExactMatrix(
-        tuple(row) + tuple(1 if i == j else 0 for j in range(n))
-        for i, row in enumerate(m.row_data())
-    )
-    rows, pivots = rref(aug)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return ExactMatrix(r[n:] for r in rows[:n])
-
-
-def jordan_chain_basis(e: ExactMatrix):
-    """Invertible P with P^-1 e P in Jordan form; returns (P, type).
-
-    Chains are assembled top down: pick vectors of maximal height first,
-    extend the span, and push each chosen top through e to fill its chain.
-    """
-    jt = jordan_type(e)  # also certifies nilpotency
-    n = e.rows
-    s = jt[0]
-    powers = [identity(n)]
-    for _ in range(s):
-        powers.append(powers[-1] @ e)
-    kernels = [nullspace(powers[k]) for k in range(s + 1)]
-
-    def _clear(vec):
-        mult = lcm(*(x.denominator for x in vec)) if vec else 1
-        return [int(x * mult) for x in vec]
-
-    span_rows: list[list[int]] = []
-    span_rank = 0
-
-    def try_add(vec) -> bool:
-        nonlocal span_rank
-        cand = span_rows + [_clear(vec)]
-        r = _int_rank([row[:] for row in cand])
-        if r > span_rank:
-            span_rows.append(_clear(vec))
-            span_rank = r
-            return True
-        return False
-
-    tops: list[tuple[int, tuple]] = []  # (height, vector)
-    carried: list[tuple] = []
-    for k in range(s, 0, -1):
-        # seed the span with everything of height < k
-        span_rows = []
-        span_rank = 0
-        for v in kernels[k - 1]:
-            try_add(v)
-        next_carried = []
-        for v in carried:
-            if not try_add(v):
-                raise RuntimeError("chain vectors became dependent; bug")
-            next_carried.append(v)
-        want = len(kernels[k]) - len(kernels[k - 1])  # vectors at height k
-        new_tops = []
-        for v in kernels[k]:
-            if len(next_carried) + len(new_tops) >= want:
-                break
-            if try_add(v):
-                new_tops.append(v)
-        if len(next_carried) + len(new_tops) != want:
-            raise RuntimeError("could not complete chain basis; bug")
-        for v in new_tops:
-            tops.append((k, v))
-        carried = [_apply(e, v) for v in next_carried + new_tops]
-
-    cols: list[tuple] = []
-    for height, v in sorted(tops, key=lambda hv: -hv[0]):
-        chain = [v]
-        for _ in range(height - 1):
-            chain.append(_apply(e, chain[-1]))
-        cols.extend(reversed(chain))
-    p = ExactMatrix(zip(*cols))
-    return p, jt
-
-
-def _apply(m: ExactMatrix, vec) -> tuple:
-    return tuple(
-        sum(x * v for x, v in zip(row, vec) if x) for row in m.row_data()
-    )
 
 
 def jordan_power_type(m: int, k: int) -> Partition:

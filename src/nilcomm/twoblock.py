@@ -19,8 +19,9 @@ element (a, b, c, d) acts on (u, w) in V as the 2x2 polynomial matrix
 [[a, t^g b], [c, d]], and takes the block generators g1 = (1, 0) and
 g2 = (0, 1) to (a, c) and (t^g b, d).  Working with coefficient vectors
 instead of dense matrices makes products, orders and ranks of these elements
-nearly free; every construction below is still verified against the dense
-realization.
+nearly free.  Every construction below is a fixed element written down in
+closed form (none draws random numbers), and each witness is still verified
+once against its dense realization.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from nilcomm import exactla
-from nilcomm._rng import Stream, derive
 from nilcomm.partitions import Partition, almost_rect, conjugate
 from nilcomm.exactla import ExactMatrix, _checked_int, _nonzeros, build_jordan, jordan_type
 
@@ -475,49 +474,29 @@ def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
     return out
 
 
-def construct_lemma_eq2(lam: int, seed: int = 0, retries: int = 32) -> ExactMatrix:
-    """Element of type (lam+1, lam-1) commuting with the equal-block Jordan matrix.
+def construct_lemma_eq2(lam: int, seed: int = 0) -> ExactMatrix:
+    """Element M_1 + N_1 + K_0 = J_(lam,lam) + K_0 of type (lam+1, lam-1),
+    which commutes with the equal-block Jordan matrix; verified densely.
 
-    Generic coefficients on the M, K and N families with a[1], b[0], d[1]
-    nonzero realize the type; random integers in [-100, 100] stand in for
-    generic values, with exact verification and redraw on degeneration.  Each
-    draw is typed once, and each redraw is logged at DEBUG to the "nilcomm"
-    logger.
+    `seed` is ignored: the element is fixed.  The argument stays so that
+    callers which still pass one keep working.
     """
     if lam < 2:
         raise ValueError(f"need block size >= 2, got {lam}")
-    target = Partition((lam + 1, lam - 1))
-    host = Partition((lam, lam))
-    for attempt in range(retries):
-        rng = Stream(derive(seed, 4, attempt))
-        a = [0] + [rng.randint(-100, 100) for _ in range(lam - 1)]
-        b = [rng.randint(-100, 100) for _ in range(lam)]
-        d = [0] + [rng.randint(-100, 100) for _ in range(lam - 1)]
-        a[1] = rng.nonzero(100)
-        b[0] = rng.nonzero(100)
-        d[1] = rng.nonzero(100)
-        x = TwoBlockElement(lam, lam, tuple(a), tuple(b), (0,) * lam, tuple(d))
-        m = tb_to_matrix(x)
-        jt = _verify_witness(m, host)
-        if jt == target:
-            return m
-        # imported here, so that only a redraw pays for `logging` (0.5 MB)
-        import logging
-
-        logging.getLogger("nilcomm").debug(
-            "construct_lemma_eq2(%d): attempt %d (seed %d) has type %s, not %s; "
-            "redrawing", lam, attempt, seed, tuple(jt), tuple(target))
-    raise RuntimeError(
-        f"no generic draw of type {tuple(target)} after {retries} retries (seed {seed})"
-    )
+    out = tb_to_matrix(_element(lam, lam, [("M", 1, 1), ("N", 1, 1), ("K", 0, 1)]))
+    _verify_witness(out, Partition((lam, lam)), Partition((lam + 1, lam - 1)))
+    return out
 
 
-def maxrank_partners(l1: int, l2: int, seed: int = 0) -> dict[Partition, ExactMatrix]:
+def maxrank_partners(l1: int, l2: int) -> dict[Partition, ExactMatrix]:
     """Jordan types of maximal-rank elements commuting with the two-block host.
 
     Gap <= 1 gives the full-cycle type (n); gap exactly 2 gives the host type
     and its balanced neighbor; gap >= 3 gives only the host type.  Each type
-    is returned with a verified witness.
+    is returned with a verified witness.  The gap-2 neighbor (m, m), with
+    m = l2 + 1, is (m-1) M_1 - K_0 + L_0 + (m+1) N_1 (no N_1 when m = 2):
+    m times J_(m,m) written in a Jordan chain basis of
+    `construct_lemma_eq2(m)`'s element.
     """
     if not (l1 >= l2 >= 1):
         raise ValueError(f"need l1 >= l2 >= 1, got ({l1}, {l2})")
@@ -531,16 +510,12 @@ def maxrank_partners(l1: int, l2: int, seed: int = 0) -> dict[Partition, ExactMa
         else:
             w = tb_to_matrix(_element(l1, l2, [("K", 0, 1), ("L", 1 - gap, 1)]))
         out[Partition((n,))] = w
-    elif gap == 2:
-        out[host] = build_jordan(host)
-        m = l2 + 1
-        e = construct_lemma_eq2(m, seed)
-        p, jt = exactla.jordan_chain_basis(e)
-        assert jt == (l1, l2)
-        pinv = exactla.inverse(p)
-        out[Partition((m, m))] = pinv @ build_jordan(Partition((m, m))) @ p
     else:
         out[host] = build_jordan(host)
+    if gap == 2:
+        m = l2 + 1
+        terms = [("M", 1, m - 1), ("K", 0, -1), ("L", 0, 1)] + [("N", 1, m + 1)] * (m > 2)
+        out[Partition((m, m))] = tb_to_matrix(_element(l1, l2, terms))
     for shape, w in out.items():
         _verify_witness(w, host, shape)
     return out

@@ -239,7 +239,7 @@ def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
         host = Partition((m, m))
         b = exactla.build_jordan(host)
         try:
-            e = construct_lemma_eq2(m, seed)
+            e = construct_lemma_eq2(m)
         except Exception as exc:
             fails.append(f"m={m}: {exc}")
             continue

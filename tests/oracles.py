@@ -103,7 +103,9 @@ def euler_partition_count(n: int) -> int:
 
 
 def gauss_rank(m: ExactMatrix) -> int:
-    """Plain fraction Gaussian elimination, independent of the library path."""
+    """Plain fraction Gaussian elimination, independent of the library path:
+    each pivot row clears the nonzero entries below it, one nonzero of the
+    pivot row at a time."""
     a = [list(map(Fraction, row)) for row in m.row_data()]
     rows, cols = len(a), len(a[0])
     r = 0
@@ -112,16 +114,33 @@ def gauss_rank(m: ExactMatrix) -> int:
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        nz = [(j, y) for j, y in enumerate(a[r]) if y != 0]
+        for row in a[r + 1:]:
+            if row[c] != 0:
+                f = row[c] / a[r][c]
+                for j, y in nz:
+                    row[j] -= f * y
         r += 1
         if r == rows:
             break
     return r
+
+
+def unitriangular_inverse(m: ExactMatrix) -> ExactMatrix:
+    """Inverse of a unit upper- or lower-triangular matrix by back
+    substitution: row r of the inverse of upper U is e_r minus the sum of
+    U[r][k] times row k over k > r.  Lower input goes through its transpose."""
+    u = m.row_data()
+    n = len(u)
+    if any(u[r][c] for r in range(n) for c in range(r)):
+        return unitriangular_inverse(m.transpose()).transpose()
+    assert all(u[r][r] == 1 for r in range(n)), "not unit triangular"
+    inv = [[int(r == c) for c in range(n)] for r in range(n)]
+    for r in range(n - 2, -1, -1):
+        for k in range(r + 1, n):
+            if u[r][k]:
+                inv[r] = [x - u[r][k] * y for x, y in zip(inv[r], inv[k])]
+    return ExactMatrix(inv)
 
 
 def naive_product(a, b) -> list:

@@ -135,6 +135,12 @@ def test_construct_lemmas(capsys):
     doc = json.loads(out)
     assert doc["jordan"] == [2, 2, 2, 2]
     assert doc["square_zero"] is True
+    # the equal-block partner is fixed: --seed changes no byte of it
+    args = ("construct", "lemma-eq2", "5", "--json", "--dump-matrix")
+    rc, out, _ = run(capsys, *args, "--seed", "0")
+    assert (rc, run(capsys, *args, "--seed", "9")) == (0, (0, out, ""))
+    doc = json.loads(out)
+    assert doc["jordan"] == [6, 4] and doc["seed"] is None
 
 
 def test_check_pair(capsys):

@@ -16,16 +16,12 @@ from nilcomm.exactla import (
     build_jordan,
     direct_sum,
     identity,
-    inverse,
     is_ut_toeplitz,
     jordan_block,
-    jordan_chain_basis,
     jordan_power_type,
     jordan_type,
     nullity,
-    nullspace,
     rank,
-    rref,
     toeplitz_product_rank_check,
     zeros,
 )
@@ -149,39 +145,6 @@ def test_product_rank_bound(a, b):
     assert rank(a @ b) <= min(rank(a), rank(b))
 
 
-def test_rref_and_nullspace():
-    m = ExactMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    rows, pivots = rref(m)
-    assert len(pivots) == rank(m) == 2
-    basis = nullspace(m)
-    assert len(basis) == 1
-    v = basis[0]
-    for r in m.row_data():
-        assert sum(a * x for a, x in zip(r, v)) == 0
-
-
-@given(square(4))
-def test_nullspace_spans_kernel(m):
-    basis = nullspace(m)
-    assert len(basis) == nullity(m)
-    for v in basis:
-        for r in m.row_data():
-            assert sum(a * x for a, x in zip(r, v)) == 0
-    if basis:
-        stacked = ExactMatrix(basis)
-        assert rank(stacked) == len(basis)
-
-
-def test_inverse_and_solve():
-    m = ExactMatrix([[2, 1, 0], [0, 1, 3], [0, 0, Fraction(1, 2)]])
-    assert m @ inverse(m) == identity(3)
-    b = ExactMatrix([[1], [0], [2]])
-    x = inverse(m) @ b
-    assert m @ x == b
-    with pytest.raises(ValueError):
-        inverse(ExactMatrix([[1, 1], [1, 1]]))
-
-
 def test_direct_sum_types_merge():
     a, b = jordan_block(3), jordan_block(2)
     s = direct_sum(a, b)
@@ -272,23 +235,9 @@ def test_jordan_type_invariant_under_conjugation():
         for r in range(n)
     ]
     p = ExactMatrix(p_rows)
-    conj = inverse(p) @ j @ p
+    conj = oracles.unitriangular_inverse(p) @ j @ p
+    assert p @ oracles.unitriangular_inverse(p) == identity(n)
     assert jordan_type(conj) == (4, 2, 1)
-
-
-def test_jordan_chain_basis_recovers_jordan_form():
-    for p in [Partition([3, 1]), Partition([4, 2, 2]), Partition([2, 2, 1])]:
-        j = build_jordan(p)
-        n = j.rows
-        q_rows = [
-            [1 if c == r else (3 * r + c) % 5 - 2 if c > r else 0 for c in range(n)]
-            for r in range(n)
-        ]
-        q = ExactMatrix(q_rows)
-        e = inverse(q) @ j @ q
-        pmat, typ = jordan_chain_basis(e)
-        assert typ == p
-        assert inverse(pmat) @ e @ pmat == j
 
 
 def test_ut_toeplitz_predicate():
@@ -400,6 +349,27 @@ def test_lazy_rank_reaches_both_lazy_paths():
     assert _int_rank([list(row) for row in rows]) == 5
 
 
+def test_lazy_rank_scales_the_pivot_of_an_unused_pivot_row():
+    # Bareiss pivots p_0 = 1, p_1 = 3, p_2 = 3, p_3 = -6, p_4 = 2; input row
+    # k is named r_k
+    rows = [
+        [3, 0, -2, 1],  # r_0: step-1 pivot
+        # r_1: lags at level 0, then is the step-2 pivot row with nothing
+        # below it in column 1, so only its pivot is brought up: p_2 =
+        # 1 * p_1 // p_0 = 3, and the rest of the row is never scaled
+        [0, 1, 2, 2],
+        # r_2: lags at level 0 through step 2, then is the step-3 pivot row,
+        # brought up by p_2 // p_0 to [0, 0, -6, 0]; an unscaled p_2 = 1
+        # would give p_3 = -2 and take r_3's last entry to 2 // 3 = 0
+        [0, 0, -2, 0],
+        # r_3: eliminated at step 1 to [0, 0, -1, -1] (level 1), then at
+        # step 3 as (p_3 * r_3 + r_2) // p_1 to [0, 0, 0, 2], the step-4 pivot
+        [-2, 0, 1, -1],
+    ]
+    assert oracles.gauss_rank(ExactMatrix(rows)) == 4
+    assert _int_rank([list(row) for row in rows]) == 4
+
+
 def test_sampler_draws_have_acyclic_patterns():
     # `_draw` writes every draw in the order its docstring proves strictly
     # upper triangular, so every sampled Jordan type skips the zero power
@@ -464,7 +434,9 @@ def test_cyclic_nilpotent_conjugates_take_the_zero_power_path(monkeypatch):
         up = ExactMatrix([[rng.choice((-2, -1, 1, 2)) if c > r else int(c == r)
                            for c in range(n)] for r in range(n)])
         p = low @ up
-        m = inverse(p) @ build_jordan(lam) @ p
+        p_inv = oracles.unitriangular_inverse(up) @ oracles.unitriangular_inverse(low)
+        assert p @ p_inv == identity(n)
+        m = p_inv @ build_jordan(lam) @ p
         m = ExactMatrix([[int(x) for x in row] for row in m.row_data()])
         assert not _acyclic(_nonzeros(m.row_data())), lam
         want = oracles.jordan_type_by_nullities(m)

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import logging
 import math
 from fractions import Fraction
 
@@ -482,40 +481,42 @@ def test_squarezero_partner_spot_checks():
         construct_squarezero_partner(Partition([3, 1]), 3)
 
 
+def equal_block_partner(m):
+    """J_(m,m) + K_0 as dense rows, written without the coefficient algebra:
+    ones on both blocks' superdiagonals and at (r, m + r)."""
+    rows = [[0] * (2 * m) for _ in range(2 * m)]
+    for r in range(2 * m - 1):
+        if r != m - 1:
+            rows[r][r + 1] = 1
+    for r in range(m):
+        rows[r][m + r] = 1
+    return ExactMatrix(rows)
+
+
 def test_lemma_eq2_types():
-    for lam in range(2, 9):
-        m = construct_lemma_eq2(lam, seed=5)
-        j = build_jordan(Partition([lam, lam]))
-        assert m @ j == j @ m
-        assert jordan_type(m) == (lam + 1, lam - 1)
+    for m in range(2, 41):
+        want = equal_block_partner(m)
+        j = build_jordan(Partition([m, m]))
+        assert want @ j == j @ want
+        assert jordan_type(want) == (m + 1, m - 1), m
+        if m <= 6:
+            assert oracles.jordan_type_by_nullities(want) == (m + 1, m - 1), m
+        for seed in (0, 1, 7):
+            assert construct_lemma_eq2(m, seed) == want, (m, seed)
     with pytest.raises(ValueError):
         construct_lemma_eq2(1)
 
 
-def test_lemma_eq2_logs_each_redraw(monkeypatch, caplog):
-    # the first draw is reported degenerate, so exactly one redraw happens;
-    # each draw is typed once, by the witness check
-    calls = []
-
-    def degenerate_once(m):
-        calls.append(m)
-        return Partition([3, 3]) if len(calls) == 1 else jordan_type(m)
-
-    monkeypatch.setattr(twoblock, "jordan_type", degenerate_once)
-    with caplog.at_level(logging.DEBUG, logger="nilcomm"):
-        m = construct_lemma_eq2(3, seed=11)
-    assert len(calls) == 2 and m == calls[1] != calls[0]
-    assert jordan_type(m) == (4, 2)
-    [rec] = caplog.records
-    assert rec.name == "nilcomm" and rec.levelno == logging.DEBUG
-    assert rec.getMessage() == ("construct_lemma_eq2(3): attempt 0 (seed 11) has "
-                                "type (3, 3), not (4, 2); redrawing")
-    # nothing reaches the default WARNING level
-    caplog.clear()
-    calls.clear()
-    with caplog.at_level(logging.WARNING):
-        construct_lemma_eq2(3, seed=11)
-    assert len(calls) == 2 and caplog.records == []
+def test_gap2_partner_has_the_balanced_type():
+    for m in range(2, 41):
+        got = maxrank_partners(m + 1, m - 1)
+        assert set(got) == {Partition([m + 1, m - 1]), Partition([m, m])}, m
+        w = got[Partition([m, m])]
+        j = build_jordan(Partition([m + 1, m - 1]))
+        assert w @ j == j @ w
+        assert jordan_type(w) == (m, m), m
+        if m <= 6:
+            assert oracles.jordan_type_by_nullities(w) == (m, m), m
 
 
 def test_witnesses_are_typed_once(monkeypatch):
@@ -538,35 +539,55 @@ def test_witnesses_are_typed_once(monkeypatch):
         calls.clear()
         m = construct_lemma_odd(l1, l2, a)
         assert calls == [m], (l1, l2, a)
+    for m in range(2, 6):
+        calls.clear()
+        w = construct_lemma_eq2(m)
+        assert calls == [w], m
+    for l1, l2 in [(5, 4), (6, 4), (7, 3), (3, 1)]:
+        calls.clear()
+        got = maxrank_partners(l1, l2)
+        assert calls == list(got.values()), (l1, l2)
 
 
-# SHA-256 of the witnesses below, recorded at commit 32f066b, before odd
-# pairs and block powers were built as coefficient vectors
-GOLDEN_WITNESSES = "ac390531a449b91dc5555a3827daf865882756005e67810ad66cbdcaa4dfcda2"
+# SHA-256 of the square-zero and lemma-odd witnesses below, recorded at
+# commit 6e5af0c
+GOLDEN_SQUAREZERO_WITNESSES = "a485e70fd6163d77d5f135412627e3aa289df72aaf0b1729247680546216f589"
+# SHA-256 of the equal-block and maximal-rank witnesses below, in closed form
+GOLDEN_TWO_BLOCK_WITNESSES = "bcc5e93ce05e2aa499f9472974b4f3b12174107df2de315a52bab496bf495b34"
+
+
+def witness_digest(matrices) -> str:
+    h = hashlib.sha256()
+    for m in matrices:
+        if isinstance(m, Partition):
+            h.update(str(tuple(m)).encode())
+        else:
+            h.update(m.dump().encode())
+            h.update(b"\n")
+    return h.hexdigest()
 
 
 def test_witnesses_match_golden_digest():
-    h = hashlib.sha256()
+    def squarezero():
+        for n in range(1, 11):
+            for mu in enumerate_partitions(n):
+                for a in range(n // 2 + 1):
+                    yield construct_squarezero_partner(mu, a)
+        for n in range(2, 17):
+            for l1 in range((n + 1) // 2, n):
+                for a in range(n // 2 + 1):
+                    yield construct_lemma_odd(l1, n - l1, a)
 
-    def feed(m):
-        h.update(m.dump().encode())
-        h.update(b"\n")
+    def two_block():
+        for m in range(2, 9):
+            yield construct_lemma_eq2(m)
+        for l1, l2 in [(5, 4), (6, 4), (7, 3)]:
+            for shape, w in maxrank_partners(l1, l2).items():
+                yield shape
+                yield w
 
-    for n in range(1, 11):
-        for mu in enumerate_partitions(n):
-            for a in range(n // 2 + 1):
-                feed(construct_squarezero_partner(mu, a))
-    for n in range(2, 17):
-        for l1 in range((n + 1) // 2, n):
-            for a in range(n // 2 + 1):
-                feed(construct_lemma_odd(l1, n - l1, a))
-    for m in range(2, 9):
-        feed(construct_lemma_eq2(m, 0))
-    for l1, l2 in [(5, 4), (6, 4), (7, 3)]:
-        for shape, w in maxrank_partners(l1, l2).items():
-            h.update(str(tuple(shape)).encode())
-            feed(w)
-    assert h.hexdigest() == GOLDEN_WITNESSES
+    assert (witness_digest(squarezero()), witness_digest(two_block())) == (
+        GOLDEN_SQUAREZERO_WITNESSES, GOLDEN_TWO_BLOCK_WITNESSES)
 
 
 def test_maxrank_partners_cases():
