@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every subcommand is deterministic given its flags: seeds are explicit,
-sampling is seeded, and JSON output always carries the seed it was
-produced with so any reported shape can be re-derived.
+sampling is seeded, and JSON output carries the seed it was produced with
+so any reported shape can be re-derived (null for a fixed construction,
+which no seed changes).
 
 Exit codes: 0 success, 1 a verification failed, 2 bad input or a refused
 guard, 3 an internal error (a failed consistency check, i.e. a bug).
