@@ -24,8 +24,8 @@ def main() -> int:
         doc = {
             "n": args.n,
             "entries": [
-                {"lambda": list(lam), "d": list(res.d), "method": res.method}
-                for lam, res in table.entries.items()
+                {"lambda": list(lam), "d": list(d)}
+                for lam, d in table.entries.items()
             ],
         }
         json.dump(doc, sys.stdout, indent=2)
@@ -33,9 +33,9 @@ def main() -> int:
         return 0
 
     width = max(len(str(lam)) for lam in table.entries)
-    for lam, res in table.entries.items():
-        mark = "*" if res.d == lam else " "
-        print(f"{str(lam):<{width}} {mark} -> {res.d}   [{res.method}]")
+    for lam, d in table.entries.items():
+        mark = "*" if d == lam else " "
+        print(f"{str(lam):<{width}} {mark} -> {d}")
     print(f"\n{len(table.entries)} partitions (* = fixed point)")
     return 0
 

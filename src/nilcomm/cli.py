@@ -2,11 +2,13 @@
 
 Every subcommand is deterministic given its flags: seeds are explicit,
 sampling is seeded, and JSON output carries the seed it was produced with
-so any reported shape can be re-derived (null for a fixed construction,
-which no seed changes).
+so any reported shape can be re-derived.  The seed is null where none is
+used: dmap, dinv, explore and the fixed constructions (squarezero,
+lemma-eq2, lemma-odd) accept --seed and ignore it.
 
 Exit codes: 0 success, 1 a verification failed, 2 bad input or a refused
-guard, 3 an internal error (a failed consistency check, i.e. a bug).
+guard, 3 an internal error (a failed consistency check or a non-nilpotent
+witness, i.e. a bug).
 """
 
 from __future__ import annotations
@@ -49,15 +51,11 @@ def _guard(args, n: int) -> bool:
 
 def _cmd_dmap(args) -> int:
     lam = parse(args.partition)
-    res = dmap(lam)
+    d = dmap(lam)
     if args.json:
-        out = res.to_json_dict()
-        out["seed"] = args.seed
-        _emit_json(out)
+        _emit_json({"lambda": list(lam), "d": list(d), "seed": None})
     else:
-        print(f"D{lam} = {res.d}")
-        print(f"method {res.method}, "
-              f"checks index={res.index_check} parts={res.parts_check}")
+        print(f"D{lam} = {d}")
     return 0
 
 
@@ -67,7 +65,7 @@ def _cmd_dinv(args) -> int:
         return 2
     out = fiber_json(mu)
     if args.json:
-        out["seed"] = args.seed
+        out["seed"] = None
         _emit_json(out)
     else:
         print(f"D^-1{mu}: {out['size']} partitions")
@@ -103,17 +101,21 @@ def _cmd_sample(args) -> int:
 
 
 def _transcript(args, host: Partition, m, label: str, expect,
-                fields=lambda jt: {}, seeded: bool = True) -> int:
+                fields=lambda jt: {}, seed: int | None = None) -> int:
     """Type a constructed witness once, print the transcript, and return 0 when
     it commutes with the host Jordan matrix and has the expected type, else 1.
 
     fields maps the measured type to the extra (name, value) items printed;
-    the JSON seed is null when seeded is False (a fixed construction)."""
+    seed is the JSON seed, None for a fixed construction.  Every witness is
+    nilpotent by construction, so a non-nilpotent one is a bug."""
     from nilcomm import exactla
 
     b = exactla.build_jordan(host)
     commutes = m @ b == b @ m
-    jt = exactla.jordan_type(m)
+    try:
+        jt = exactla.jordan_type(m)
+    except exactla.NotNilpotentError as exc:
+        raise RuntimeError(f"{label} for host {host}: {exc}; bug") from exc
     extra = fields(jt)
     if args.json:
         out = {
@@ -123,7 +125,7 @@ def _transcript(args, host: Partition, m, label: str, expect,
             "commutes": commutes,
             **{k: list(v) if isinstance(v, Partition) else v
                for k, v in extra.items()},
-            "seed": args.seed if seeded else None,
+            "seed": seed,
         }
         if args.dump_matrix:
             out["matrix"] = _matrix_rows(m)
@@ -164,7 +166,7 @@ def _cmd_construct_antidiagonal(args) -> int:
     x, pred, case = antidiagonal(args.l1, args.l2, args.j, args.l, bc, cc)
     extra = {"element": x.render(), "case": case, "predicted": pred}
     return _transcript(args, Partition((args.l1, args.l2)), tb_to_matrix(x),
-                       "antidiagonal element", pred, lambda jt: extra)
+                       "antidiagonal element", pred, lambda jt: extra, args.seed)
 
 
 def _cmd_construct_lemma_eq2(args) -> int:
@@ -172,7 +174,7 @@ def _cmd_construct_lemma_eq2(args) -> int:
 
     m = construct_lemma_eq2(args.lam)
     return _transcript(args, Partition((args.lam, args.lam)), m, "off-by-one partner",
-                       (args.lam + 1, args.lam - 1), seeded=False)
+                       (args.lam + 1, args.lam - 1))
 
 
 def _cmd_construct_lemma_odd(args) -> int:
@@ -221,7 +223,7 @@ def _cmd_explore_q1(args) -> int:
     rep = explore_q1(args.mu, args.r)
     if args.json:
         out = rep.to_json_dict()
-        out["seed"] = args.seed
+        out["seed"] = None
         _emit_json(out)
     else:
         target = Partition((rep.mu, rep.mu - rep.r))
@@ -239,7 +241,7 @@ def _cmd_explore_q2(args) -> int:
     rep = explore_q2(mu)
     if args.json:
         out = rep.to_json_dict()
-        out["seed"] = args.seed
+        out["seed"] = None
         _emit_json(out)
     else:
         print(f"rank-minimal elements of the fiber of {rep.mu}:")

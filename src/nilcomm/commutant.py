@@ -7,17 +7,17 @@ gives a basis of dimension sum(min(p_i, p_j)).
 
 Random nilpotent elements drawn on that basis have Jordan types dominated by
 the generic commuting type D(p).  D itself is computed by Oblak's recursion
-in `dinverse`; `dmap`, `dmap_index` and `DMapResult` are re-exported here for
-callers that import them from this module.
+in `dinverse`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from nilcomm._rng import Stream, derive
-from nilcomm.dinverse import DMapResult, dmap, dmap_index  # noqa: F401
+# perfbench/run.py imports dmap_index from this module
+from nilcomm.dinverse import dmap_index  # noqa: F401
 from nilcomm.partitions import Partition
 from nilcomm.exactla import (
     ExactMatrix,
@@ -46,41 +46,6 @@ def _generators(lam: Partition) -> tuple[Gen, ...]:
             for k in range(q - m, q):
                 gens.append((i, j, k, min(p, q - k), offs[i], offs[j]))
     return tuple(gens)
-
-
-@dataclass(frozen=True)
-class CommutantBasis:
-    lam: Partition
-    gens: tuple
-    dim: int
-
-    @cached_property
-    def basis(self) -> list[ExactMatrix]:
-        """Dense generators, each checked to commute with the Jordan matrix."""
-        n = self.lam.n
-        b = build_jordan(self.lam)
-        out = []
-        for (_, _, k, length, r0, c0) in self.gens:
-            rows = [[0] * n for _ in range(n)]
-            for r in range(length):
-                rows[r0 + r][c0 + k + r] = 1
-            e = ExactMatrix(rows)
-            if e @ b != b @ e:
-                raise RuntimeError(f"generator fails to commute for {tuple(self.lam)}")
-            out.append(e)
-        return out
-
-
-def commutant_basis(lam) -> CommutantBasis:
-    """Structural basis of the commuting algebra of the Jordan matrix of lam."""
-    lam = Partition(lam)
-    gens = _generators(lam)
-    expected = sum(min(p, q) for p in lam for q in lam)
-    if len(gens) != expected:
-        raise RuntimeError(
-            f"basis size {len(gens)} disagrees with the min-sum formula {expected}"
-        )
-    return CommutantBasis(lam, gens, len(gens))
 
 
 # bounded above the hosts any suite, test or benchmark draws from

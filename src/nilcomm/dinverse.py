@@ -55,23 +55,7 @@ def dmap_index(lam) -> int:
     return _index_window(tuple(lam))[0]
 
 
-class DMapResult(NamedTuple):
-    lam: Partition
-    d: Partition
-    method: str
-    index_check: bool
-    parts_check: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "d": list(self.d),
-            "method": self.method,
-            "checks": {"index": self.index_check, "parts": self.parts_check},
-        }
-
-
-def dmap(lam) -> DMapResult:
+def dmap(lam) -> Partition:
     """Generic commuting type of lam, by Oblak's recursion.
 
     With u = dmap_index(lam) attained first on the window lam_i..lam_(i+r),
@@ -92,33 +76,31 @@ def dmap(lam) -> DMapResult:
                             reverse=True))
     d = Partition(parts)
     cover = min_ar_cover(lam)
-    index_check = d[0] == parts[0]
-    parts_check = d.t == cover
-    if not (index_check and parts_check):
+    if d[0] != parts[0] or d.t != cover:
         raise RuntimeError(
             f"recursion gave {tuple(d)} for {tuple(lam)}: first part {d[0]} vs "
             f"{parts[0]}, parts {d.t} vs {cover}; bug"
         )
-    return DMapResult(lam, d, "recursion", index_check, parts_check)
+    return d
 
 
 class DTable(NamedTuple):
-    """Image of every partition of n, with the per-entry computation record."""
+    """Image of every partition of n."""
 
     n: int
-    entries: dict  # Partition -> DMapResult
+    entries: dict  # Partition -> D(Partition)
 
     def image(self, lam) -> Partition:
-        return self.entries[Partition(lam)].d
+        return self.entries[Partition(lam)]
 
     def fiber(self, mu) -> set:
         mu = Partition(mu)
-        return {lam for lam, res in self.entries.items() if res.d == mu}
+        return {lam for lam, d in self.entries.items() if d == mu}
 
     def fibers(self) -> dict:
         out: dict[Partition, set] = {}
-        for lam, res in self.entries.items():
-            out.setdefault(res.d, set()).add(lam)
+        for lam, d in self.entries.items():
+            out.setdefault(d, set()).add(lam)
         return out
 
 
@@ -132,9 +114,7 @@ def dmap_all(n: int) -> DTable:
 # the last 24 sizes asked for: more than any suite, test or benchmark uses
 @lru_cache(maxsize=24)
 def _table(n: int) -> DTable:
-    entries: dict[Partition, DMapResult] = {}
-    for lam in enumerate_partitions(n):
-        entries[lam] = dmap(lam)
+    entries = {lam: dmap(lam) for lam in enumerate_partitions(n)}
     if len(entries) != count_partitions(n):
         raise RuntimeError(f"table at n={n} is incomplete")
     return DTable(n, entries)

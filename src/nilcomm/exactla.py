@@ -110,26 +110,6 @@ class ExactMatrix:
     def __hash__(self):
         return hash(self._rows)
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in addition")
-        return ExactMatrix(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in subtraction")
-        return ExactMatrix(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)
-        )
-
-    def scale(self, c) -> "ExactMatrix":
-        _check_entry(c)
-        return ExactMatrix(tuple(c * x for x in r) for r in self._rows)
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(
@@ -141,19 +121,8 @@ class ExactMatrix:
             tuple(map(tuple, _mul(self._rows, _nonzeros(other._rows), other.cols))),
             self._int and other._int)
 
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            return self.__matmul__(other)
-        return self.scale(other)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(zip(*self._rows))
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._rows for x in r)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
         """Submatrix with rows [r0, r1) and columns [c0, c1)."""
@@ -190,21 +159,6 @@ def _mul(a, b_nz, w: int) -> list:
     return out
 
 
-def zeros(rows: int, cols: int) -> ExactMatrix:
-    return ExactMatrix([[0] * cols for _ in range(rows)])
-
-
-def identity(n: int) -> ExactMatrix:
-    return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def jordan_block(m: int) -> ExactMatrix:
-    """Nilpotent single block: ones on the superdiagonal."""
-    return ExactMatrix(
-        [[1 if j == i + 1 else 0 for j in range(m)] for i in range(m)]
-    )
-
-
 def build_jordan(p) -> ExactMatrix:
     """Block-diagonal nilpotent matrix with block sizes given by the partition."""
     ps = tuple(p)
@@ -215,20 +169,6 @@ def build_jordan(p) -> ExactMatrix:
         for i in range(m - 1):
             rows[off + i][off + i + 1] = 1
         off += m
-    return ExactMatrix(rows)
-
-
-def direct_sum(*ms: ExactMatrix) -> ExactMatrix:
-    n = sum(m.rows for m in ms)
-    w = sum(m.cols for m in ms)
-    rows = [[0] * w for _ in range(n)]
-    r0 = c0 = 0
-    for m in ms:
-        for i, row in enumerate(m.row_data()):
-            for j, x in enumerate(row):
-                rows[r0 + i][c0 + j] = x
-        r0 += m.rows
-        c0 += m.cols
     return ExactMatrix(rows)
 
 
@@ -313,10 +253,6 @@ def rank(m: ExactMatrix) -> int:
     return _int_rank(_int_rows(m))
 
 
-def nullity(m: ExactMatrix) -> int:
-    return m.cols - rank(m)
-
-
 def jordan_type(a: ExactMatrix) -> Partition:
     """Jordan type of a nilpotent matrix from nullities of its powers.
 
@@ -326,7 +262,7 @@ def jordan_type(a: ExactMatrix) -> Partition:
     `_jordan_type_rows`), is a certificate of failure.  An acyclic nonzero
     pattern certifies nilpotency without that power.
     """
-    if not a.is_square():
+    if a.rows != a.cols:
         raise ValueError("jordan_type needs a square matrix")
     data = a.row_data()
     if not a._int and any(isinstance(x, Fraction) for r in data for x in r):

@@ -30,10 +30,6 @@ class Partition(tuple):
         return super().__new__(cls, ps)
 
     @property
-    def parts(self) -> tuple:
-        return tuple(self)
-
-    @property
     def n(self) -> int:
         return sum(self)
 

@@ -31,7 +31,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from nilcomm.partitions import Partition, almost_rect, conjugate
-from nilcomm.exactla import ExactMatrix, _checked_int, _nonzeros, build_jordan, jordan_type
+from nilcomm.exactla import (
+    ExactMatrix, NotNilpotentError, _checked_int, _nonzeros, build_jordan, jordan_type)
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,6 @@ class TwoBlockElement:
                     out[f] = i
                     break
         return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not (any(self.a) or any(self.b) or any(self.c) or any(self.d))
 
     def render(self) -> str:
         toks = []
@@ -374,11 +372,15 @@ def antidiagonal_block_rank_formulas(l1: int, l2: int, j: int, l: int, m: int) -
 
 
 def _verify_witness(a: ExactMatrix, host, expect: Partition | None = None) -> Partition:
-    """Check commutation with the host Jordan matrix and return the Jordan type."""
+    """Check commutation with the host Jordan matrix and return the Jordan type.
+    Every witness is nilpotent by construction, so a non-nilpotent one is a bug."""
     b = build_jordan(host)
     if a @ b != b @ a:
         raise RuntimeError(f"witness does not commute with the Jordan matrix of {tuple(host)}")
-    jt = jordan_type(a)
+    try:
+        jt = jordan_type(a)
+    except NotNilpotentError as exc:
+        raise RuntimeError(f"witness for {tuple(host)}: {exc}; bug") from exc
     if expect is not None and jt != tuple(expect):
         raise RuntimeError(f"witness has type {tuple(jt)}, expected {tuple(expect)}")
     return jt

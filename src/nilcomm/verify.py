@@ -114,9 +114,9 @@ def suite2(max_n: int = 16, sample_n: int = 10, seed: int = 0) -> SuiteResult:
         for a in range(n // 2 + 1):
             lam = Partition((2,) * a + (1,) * (n - 2 * a))
             checked += 1
-            res = dmap(lam)
-            if res.d != (n,):
-                fails.append(f"lam={tuple(lam)}: recursion gave {tuple(res.d)}")
+            d = dmap(lam)
+            if d != (n,):
+                fails.append(f"lam={tuple(lam)}: recursion gave {tuple(d)}")
             if n <= sample_n:
                 checked += 1
                 if not any(sample_jordan(lam, derive(seed, 2, i)) == (n,)
@@ -357,8 +357,8 @@ def suite8() -> SuiteResult:
 
 def suite9() -> SuiteResult:
     """The worked image D((3,1,1)) = (4,1)."""
-    res = dmap((3, 1, 1))
-    fails = [] if res.d == (4, 1) else [f"got {tuple(res.d)}"]
+    d = dmap((3, 1, 1))
+    fails = [] if d == (4, 1) else [f"got {tuple(d)}"]
     return _result(9, "worked image example", 1, fails, "(3,1,1) maps to (4,1)")
 
 
@@ -368,11 +368,11 @@ def suite10(max_n: int = 12) -> SuiteResult:
     checked = 0
     for n in range(1, max_n + 1):
         table = dmap_all(n)
-        for lam, res in table.entries.items():
+        for lam, d in table.entries.items():
             checked += 2
-            if table.image(res.d) != res.d:
-                fails.append(f"lam={tuple(lam)}: image {tuple(res.d)} not fixed")
-            if is_stable(lam) != (res.d == lam):
+            if table.image(d) != d:
+                fails.append(f"lam={tuple(lam)}: image {tuple(d)} not fixed")
+            if is_stable(lam) != (d == lam):
                 fails.append(f"lam={tuple(lam)}: stability vs fixed-point mismatch")
     return _result(10, "idempotence and stability", checked, fails,
                    f"both properties hold for n <= {max_n}")

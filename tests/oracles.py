@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from nilcomm.commutant import _generators
-from nilcomm.exactla import ExactMatrix, build_jordan, nullity
+from nilcomm.exactla import ExactMatrix, build_jordan, rank
 from nilcomm.partitions import Partition, conjugate
 
 
@@ -72,7 +72,7 @@ def kron_commutant_nullity(lam) -> int:
                 coef[k * n + c] += j[r, k]
                 coef[r * n + k] -= j[k, c]
             rows.append(coef)
-    return nullity(ExactMatrix(rows))
+    return n * n - rank(ExactMatrix(rows))
 
 
 def centralizer_dim_formula(lam) -> int:
@@ -133,7 +133,8 @@ def unitriangular_inverse(m: ExactMatrix) -> ExactMatrix:
     u = m.row_data()
     n = len(u)
     if any(u[r][c] for r in range(n) for c in range(r)):
-        return unitriangular_inverse(m.transpose()).transpose()
+        inv_t = unitriangular_inverse(ExactMatrix(zip(*u)))
+        return ExactMatrix(zip(*inv_t.row_data()))
     assert all(u[r][r] == 1 for r in range(n)), "not unit triangular"
     inv = [[int(r == c) for c in range(n)] for r in range(n)]
     for r in range(n - 2, -1, -1):
@@ -144,11 +145,14 @@ def unitriangular_inverse(m: ExactMatrix) -> ExactMatrix:
 
 
 def naive_product(a, b) -> list:
-    """Triple-loop product of two row sequences, zeros included."""
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+    """Triple-loop product of two row sequences: entry (i, j) sums
+    a[i][t] * b[t][j] over the t where a[i][t] is nonzero, listed once per
+    row; zero entries of b are multiplied like any other."""
+    out = []
+    for row in a:
+        nz = [t for t, x in enumerate(row) if x]
+        out.append([sum(row[t] * b[t][j] for t in nz) for j in range(len(b[0]))])
+    return out
 
 
 def has_cycle_by_closure(pattern) -> bool:
@@ -180,7 +184,7 @@ def jordan_type_by_nullities(m: ExactMatrix) -> Partition:
 
 def brute_fiber(mu, table) -> set:
     """Inverse image of mu read off a full D table."""
-    return {lam for lam, res in table.entries.items() if res.d == Partition(mu)}
+    return {lam for lam, d in table.entries.items() if d == Partition(mu)}
 
 
 def assert_trusted_matrix(m):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import nilcomm
-from nilcomm import dinverse, verify
+from nilcomm import dinverse, twoblock, verify
 from nilcomm.cli import main
 
 SRC = str(Path(nilcomm.__file__).resolve().parent.parent)
@@ -29,20 +29,28 @@ def run_fresh(*args):
 
 def test_dmap_text(capsys):
     rc, out, err = run(capsys, "dmap", "3,1,1")
-    assert rc == 0
-    assert "D(3,1,1) = (4,1)" in out
-    assert "method recursion" in out and "trials" not in out
+    assert (rc, out, err) == (0, "D(3,1,1) = (4,1)\n", "")
 
 
 def test_dmap_json(capsys):
     rc, out, _ = run(capsys, "dmap", "2^3,1", "--json")
     assert rc == 0
-    doc = json.loads(out)
-    assert doc["lambda"] == [2, 2, 2, 1]
-    assert doc["d"] == [7]
-    assert doc["method"] == "recursion"
-    assert "trials_used" not in doc
-    assert "seed" in doc
+    assert json.loads(out) == {"lambda": [2, 2, 2, 1], "d": [7], "seed": None}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dmap", "3,1,1"],
+    ["dinv", "6,2"],
+    ["explore", "q1", "--mu", "7", "--r", "5"],
+    ["explore", "q2", "4,2"],
+    ["construct", "squarezero", "3,3,1", "--rank", "3"],
+    ["construct", "lemma-odd", "5", "3", "4"],
+])
+def test_unseeded_commands_print_a_null_seed(capsys, argv):
+    # --seed is accepted and changes no byte: these commands draw nothing
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert run(capsys, *argv, "--json", "--seed", "9") == (rc, out, "")
+    assert rc == 0 and json.loads(out)["seed"] is None
 
 
 def test_dinv_text_and_json(capsys):
@@ -210,6 +218,16 @@ def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
     rc, out, err = run(capsys, "dmap", "3,1,1")
     assert rc == 3 and out == ""
     assert err.startswith("internal error: recursion gave") and "bug" in err
+    # a witness that is not nilpotent is a bug, whether the construction's
+    # own check or the transcript types it first
+    element = twoblock._element
+    monkeypatch.setattr(twoblock, "_element", lambda l1, l2, terms: element(
+        l1, l2, [*terms, ("M", 0, 1)]))
+    for argv in (["construct", "lemma-eq2", "4"],
+                 ["construct", "antidiagonal", "5", "3", "0", "1"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3 and out == "", argv
+        assert err.startswith("internal error:") and "not nilpotent" in err, argv
 
 
 def test_usage_errors(capsys):

@@ -108,8 +108,8 @@ def test_filter_accepts_conjugate_pairs():
 
 def test_filter_accepts_image_pairs():
     for lam in partitions_up_to(10):
-        assert compatible_filter(lam, dmap(lam).d).verdict == UNKNOWN
-        assert compatible_filter(dmap(lam).d, lam).verdict == UNKNOWN
+        assert compatible_filter(lam, dmap(lam)).verdict == UNKNOWN
+        assert compatible_filter(dmap(lam), lam).verdict == UNKNOWN
 
 
 def test_filter_accepts_identical_pairs():

@@ -31,9 +31,8 @@ def P(*xs):
 def test_table_is_complete_and_consistent():
     t = dmap_all(9)
     assert len(t.entries) == count_partitions(9)
-    for lam, res in t.entries.items():
-        assert res.d == dmap(lam).d
-        assert res.method == "recursion"
+    for lam, d in t.entries.items():
+        assert d == dmap(lam)
 
 
 def test_table_cache_evicts_and_rebuilds():
@@ -45,16 +44,16 @@ def test_table_cache_evicts_and_rebuilds():
     assert rebuilt is not first[1] and rebuilt == first[1]
     assert dmap_all(bound + 1) is first[bound + 1]
     for n in (2, 7, bound + 1):
-        for lam, res in dmap_all(n).entries.items():
-            assert res.d == dmap(lam).d
+        for lam, d in dmap_all(n).entries.items():
+            assert d == dmap(lam)
         assert dinv(P(n)) == {lam for lam in enumerate_partitions(n)
-                              if dmap(lam).d == P(n)}
+                              if dmap(lam) == P(n)}
 
 
 def test_fibers_partition_the_whole_set():
     for n in (6, 8, 10):
         t = dmap_all(n)
-        images = {res.d for res in t.entries.values()}
+        images = set(t.entries.values())
         union = set()
         for mu in images:
             f = t.fiber(mu)
@@ -69,7 +68,7 @@ def test_fibers_partition_the_whole_set():
 def test_dinv_matches_table_fibers():
     for n in (7, 9):
         t = dmap_all(n)
-        for mu in {res.d for res in t.entries.values()}:
+        for mu in set(t.entries.values()):
             assert dinv(mu) == t.fiber(mu)
     # non-stable image has an empty fiber
     assert dinv(P(3, 2)) == set()

@@ -37,6 +37,5 @@ def test_unknown_attribute_raises():
 
 
 def test_commutant_reexports_the_dinverse_map():
-    assert commutant.dmap is dinverse.dmap
+    # perfbench/run.py imports dmap_index from commutant
     assert commutant.dmap_index is dinverse.dmap_index
-    assert commutant.DMapResult is dinverse.DMapResult

@@ -1,0 +1,40 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nilcomm
+
+SRC = Path(nilcomm.__file__).resolve().parent.parent
+SCRIPTS = SRC.parent / "scripts"
+
+
+def run_script(name, *args):
+    """The script in a new interpreter with only src/ on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("dmap_table.py", ["8"]),
+    ("fiber_census.py", ["--max-n", "8"]),
+    ("question_evidence.py", ["q1", "--max-n", "12"]),
+    ("question_evidence.py", ["q2", "--max-n", "10"]),
+])
+def test_script_runs(name, args):
+    res = run_script(name, *args)
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout
+
+
+def test_dmap_table_json_lists_every_image():
+    res = run_script("dmap_table.py", "8", "--json")
+    assert res.returncode == 0, res.stderr.decode()
+    doc = json.loads(res.stdout)
+    assert doc["n"] == 8 and len(doc["entries"]) == 22
+    assert {"lambda": [3, 3, 1, 1], "d": [6, 2]} in doc["entries"]
+    assert all(set(e) == {"lambda", "d"} for e in doc["entries"])

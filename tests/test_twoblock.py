@@ -198,7 +198,9 @@ def test_add_zero_scale():
         assert tb_to_matrix(z).is_zero()
         x = random_element(l1, l2, rng)
         y = random_element(l1, l2, rng)
-        assert tb_to_matrix(tb_add(x, y)) == tb_to_matrix(x) + tb_to_matrix(y)
+        sums = [[p + q for p, q in zip(r, s)] for r, s in
+                zip(tb_to_matrix(x).row_data(), tb_to_matrix(y).row_data())]
+        assert tb_to_matrix(tb_add(x, y)) == ExactMatrix(sums)
         assert tb_add(x, z) == x
 
 
