@@ -6,9 +6,14 @@ so any reported shape can be re-derived.  The seed is null where none is
 used: dmap, dinv, explore and the fixed constructions (squarezero,
 lemma-eq2, lemma-odd) accept --seed and ignore it.
 
-Exit codes: 0 success, 1 a verification failed, 2 bad input or a refused
-guard, 3 an internal error (a failed consistency check or a non-nilpotent
-witness, i.e. a bug).
+Every construct subcommand prints a witness the library has certified
+(`exactla.certify`: it commutes with the host Jordan matrix and has the
+printed type), typed once.
+
+Exit codes: 0 success, 1 a verification failed (verify, explore), 2 bad
+input or a refused guard, 3 an internal error (a failed consistency check,
+or a witness that fails its certificate, i.e. a bug).  A construct command
+exits 0 or 3, never 1.
 """
 
 from __future__ import annotations
@@ -100,29 +105,19 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _transcript(args, host: Partition, m, label: str, expect,
-                fields=lambda jt: {}, seed: int | None = None) -> int:
-    """Type a constructed witness once, print the transcript, and return 0 when
-    it commutes with the host Jordan matrix and has the expected type, else 1.
+def _transcript(args, host: Partition, m, label: str, jt: Partition,
+                extra: dict, seed: int | None = None) -> int:
+    """Print the transcript of a witness already certified to commute with the
+    host Jordan matrix and to have the Jordan type jt; return 0.
 
-    fields maps the measured type to the extra (name, value) items printed;
-    seed is the JSON seed, None for a fixed construction.  Every witness is
-    nilpotent by construction, so a non-nilpotent one is a bug."""
-    from nilcomm import exactla
-
-    b = exactla.build_jordan(host)
-    commutes = m @ b == b @ m
-    try:
-        jt = exactla.jordan_type(m)
-    except exactla.NotNilpotentError as exc:
-        raise RuntimeError(f"{label} for host {host}: {exc}; bug") from exc
-    extra = fields(jt)
+    extra holds the additional (name, value) items printed; seed is the JSON
+    seed, None for a fixed construction."""
     if args.json:
         out = {
             "construction": label,
             "host": list(host),
             "jordan": list(jt),
-            "commutes": commutes,
+            "commutes": True,
             **{k: list(v) if isinstance(v, Partition) else v
                for k, v in extra.items()},
             "seed": seed,
@@ -132,13 +127,13 @@ def _transcript(args, host: Partition, m, label: str, expect,
         _emit_json(out)
     else:
         print(f"{label} for host {host}")
-        print(f"commutes with host Jordan matrix: {commutes}")
+        print("commutes with host Jordan matrix: True")
         print(f"jordan type: {jt}")
         for k, v in extra.items():
             print(f"{k}: {v}")
         if args.dump_matrix:
             print(m.dump())
-    return 0 if commutes and jt == expect else 1
+    return 0
 
 
 def _square_zero_fields(jt: Partition) -> dict:
@@ -152,21 +147,23 @@ def _cmd_construct_squarezero(args) -> int:
 
     mu = parse(args.partition)
     m = construct_squarezero_partner(mu, args.rank)
-    return _transcript(args, mu, m, "square-zero partner",
-                       _two_row_type(mu.n, args.rank), _square_zero_fields)
+    jt = _two_row_type(mu.n, args.rank)
+    return _transcript(args, mu, m, "square-zero partner", jt, _square_zero_fields(jt))
 
 
 def _cmd_construct_antidiagonal(args) -> int:
     from nilcomm._rng import Stream, derive
+    from nilcomm.exactla import certify
     from nilcomm.twoblock import antidiagonal, tb_to_matrix
 
     rng = Stream(derive(args.seed, 6, args.l1, args.l2, args.j, args.l))
     bc = rng.nonzero(args.coeff_bound)
     cc = rng.nonzero(args.coeff_bound)
     x, pred, case = antidiagonal(args.l1, args.l2, args.j, args.l, bc, cc)
+    host, m = Partition((args.l1, args.l2)), tb_to_matrix(x)
     extra = {"element": x.render(), "case": case, "predicted": pred}
-    return _transcript(args, Partition((args.l1, args.l2)), tb_to_matrix(x),
-                       "antidiagonal element", pred, lambda jt: extra, args.seed)
+    return _transcript(args, host, m, "antidiagonal element", certify(m, host, pred),
+                       extra, args.seed)
 
 
 def _cmd_construct_lemma_eq2(args) -> int:
@@ -174,16 +171,16 @@ def _cmd_construct_lemma_eq2(args) -> int:
 
     m = construct_lemma_eq2(args.lam)
     return _transcript(args, Partition((args.lam, args.lam)), m, "off-by-one partner",
-                       (args.lam + 1, args.lam - 1))
+                       Partition((args.lam + 1, args.lam - 1)), {})
 
 
 def _cmd_construct_lemma_odd(args) -> int:
     from nilcomm.twoblock import _two_row_type, construct_lemma_odd
 
     m = construct_lemma_odd(args.l1, args.l2, args.a)
+    jt = _two_row_type(args.l1 + args.l2, args.a)
     return _transcript(args, Partition((args.l1, args.l2)), m,
-                       "two-block square-zero element",
-                       _two_row_type(args.l1 + args.l2, args.a), _square_zero_fields)
+                       "two-block square-zero element", jt, _square_zero_fields(jt))
 
 
 def _cmd_check(args) -> int:

@@ -3,9 +3,10 @@
 Rank via fraction-free (Bareiss) elimination on integer rows and Jordan types
 of nilpotent matrices from the ranks of successive powers.  There is no
 Fraction elimination, RREF or change of basis: every witness in the library is
-written down in closed form and only typed here.  No floating point enters this
-module; nullity differences of one decide Jordan types, so there is no
-tolerance anywhere.
+written down in closed form and only typed here, by `certify`: the one check
+that a witness commutes with its host's Jordan matrix and has the type it
+should.  No floating point enters this module; nullity differences of one
+decide Jordan types, so there is no tolerance anywhere.
 
 A Jordan type's rank sequence stops at the first rank drop of one; the ranks
 after it follow once the matrix is known to be nilpotent.  Two certificates
@@ -236,17 +237,14 @@ def _int_rank(rows: list) -> int:
 
 
 def _int_rows(m: ExactMatrix) -> list:
-    """Copy rows, clearing denominators per row (rank is unchanged)."""
-    if m._int:
-        return [list(r) for r in m.row_data()]
-    out = []
-    for row in m.row_data():
-        if any(isinstance(x, Fraction) for x in row):
-            mult = lcm(*(x.denominator if isinstance(x, Fraction) else 1 for x in row))
-            out.append([int(x * mult) for x in row])
-        else:
-            out.append(list(row))
-    return out
+    """Copy rows as ints, every row scaled by the lcm of all denominators:
+    one global scale keeps the rank of every power, so it serves both `rank`
+    and `jordan_type`."""
+    data = m.row_data()
+    if m._int or not any(isinstance(x, Fraction) for r in data for x in r):
+        return [list(r) for r in data]
+    mult = lcm(*(x.denominator for r in data for x in r))
+    return [[int(x * mult) for x in r] for r in data]
 
 
 def rank(m: ExactMatrix) -> int:
@@ -264,12 +262,29 @@ def jordan_type(a: ExactMatrix) -> Partition:
     """
     if a.rows != a.cols:
         raise ValueError("jordan_type needs a square matrix")
-    data = a.row_data()
-    if not a._int and any(isinstance(x, Fraction) for r in data for x in r):
-        # global scaling keeps the rank sequence of powers intact
-        mult = lcm(*(x.denominator for r in data for x in r))
-        data = tuple(tuple(int(x * mult) for x in r) for r in data)
-    return Partition(_jordan_type_rows(data))
+    return Partition(_jordan_type_rows(_int_rows(a)))
+
+
+def certify(m: ExactMatrix, host, expect=None, *, seed: int | None = None) -> Partition:
+    """Jordan type of a witness m that commutes with `build_jordan(host)`,
+    checked to equal expect when it is given.
+
+    Every witness and sample is nilpotent and commuting by construction, so
+    any failure, a non-nilpotent m included, is a bug: it raises
+    RuntimeError naming the host, and the seed when one is given.
+    """
+    where = f"host {tuple(host)}" + ("" if seed is None else f", seed {seed}")
+    j = build_jordan(host)
+    if m @ j != j @ m:
+        raise RuntimeError(f"witness for {where} does not commute with its Jordan matrix; bug")
+    try:
+        jt = jordan_type(m)
+    except NotNilpotentError as exc:
+        raise RuntimeError(f"witness for {where}: {exc}; bug") from exc
+    if expect is not None and jt != tuple(expect):
+        raise RuntimeError(
+            f"witness for {where} has type {tuple(jt)}, expected {tuple(expect)}; bug")
+    return jt
 
 
 def _jordan_type_rows(rows0):

@@ -20,8 +20,8 @@ element (a, b, c, d) acts on (u, w) in V as the 2x2 polynomial matrix
 g2 = (0, 1) to (a, c) and (t^g b, d).  Working with coefficient vectors
 instead of dense matrices makes products, orders and ranks of these elements
 nearly free.  Every construction below is a fixed element written down in
-closed form (none draws random numbers), and each witness is still verified
-once against its dense realization.
+closed form (none draws random numbers), and each witness is still certified
+once on its dense realization (`exactla.certify`).
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from nilcomm.partitions import Partition, almost_rect, conjugate
-from nilcomm.exactla import (
-    ExactMatrix, NotNilpotentError, _checked_int, _nonzeros, build_jordan, jordan_type)
+from nilcomm.exactla import ExactMatrix, _checked_int, _nonzeros, build_jordan, certify
 
 
 @dataclass(frozen=True)
@@ -371,21 +370,6 @@ def antidiagonal_block_rank_formulas(l1: int, l2: int, j: int, l: int, m: int) -
     }
 
 
-def _verify_witness(a: ExactMatrix, host, expect: Partition | None = None) -> Partition:
-    """Check commutation with the host Jordan matrix and return the Jordan type.
-    Every witness is nilpotent by construction, so a non-nilpotent one is a bug."""
-    b = build_jordan(host)
-    if a @ b != b @ a:
-        raise RuntimeError(f"witness does not commute with the Jordan matrix of {tuple(host)}")
-    try:
-        jt = jordan_type(a)
-    except NotNilpotentError as exc:
-        raise RuntimeError(f"witness for {tuple(host)}: {exc}; bug") from exc
-    if expect is not None and jt != tuple(expect):
-        raise RuntimeError(f"witness has type {tuple(jt)}, expected {tuple(expect)}")
-    return jt
-
-
 def construct_lemma_odd(l1: int, l2: int, a: int) -> ExactMatrix:
     """Square-zero element of rank a commuting with the two-block Jordan matrix.
 
@@ -399,7 +383,7 @@ def construct_lemma_odd(l1: int, l2: int, a: int) -> ExactMatrix:
     if not 0 <= a <= n // 2:
         raise ValueError(f"rank {a} out of range for n={n}")
     out = tb_to_matrix(_lemma_odd_element(l1, l2, a))
-    _verify_witness(out, Partition((l1, l2)), _two_row_type(n, a))
+    certify(out, Partition((l1, l2)), _two_row_type(n, a))
     return out
 
 
@@ -472,7 +456,7 @@ def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
                 rows[o + r][o + shift + r] = 1
     assert remaining == 0
     out = ExactMatrix(rows)
-    _verify_witness(out, mu, _two_row_type(n, a))
+    certify(out, mu, _two_row_type(n, a))
     return out
 
 
@@ -486,7 +470,7 @@ def construct_lemma_eq2(lam: int, seed: int = 0) -> ExactMatrix:
     if lam < 2:
         raise ValueError(f"need block size >= 2, got {lam}")
     out = tb_to_matrix(_element(lam, lam, [("M", 1, 1), ("N", 1, 1), ("K", 0, 1)]))
-    _verify_witness(out, Partition((lam, lam)), Partition((lam + 1, lam - 1)))
+    certify(out, Partition((lam, lam)), Partition((lam + 1, lam - 1)))
     return out
 
 
@@ -519,5 +503,5 @@ def maxrank_partners(l1: int, l2: int) -> dict[Partition, ExactMatrix]:
         terms = [("M", 1, m - 1), ("K", 0, -1), ("L", 0, 1)] + [("N", 1, m + 1)] * (m > 2)
         out[Partition((m, m))] = tb_to_matrix(_element(l1, l2, terms))
     for shape, w in out.items():
-        _verify_witness(w, host, shape)
+        certify(w, host, shape)
     return out

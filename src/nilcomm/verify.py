@@ -66,9 +66,13 @@ class SuiteResult:
 
 
 def _result(criterion: int, name: str, checked: int, fails: list, ok: str) -> SuiteResult:
-    if not fails:
+    """A suite passes when it made at least one check and none failed."""
+    if fails:
+        detail = f"{len(fails)} failures; first: {fails[0]}"
+    elif not checked:
+        detail = "nothing checked at this scale"
+    else:
         return SuiteResult(criterion, name, True, checked, ok)
-    detail = f"{len(fails)} failures; first: {fails[0]}"
     return SuiteResult(criterion, name, False, checked, detail)
 
 
@@ -78,24 +82,22 @@ def suite1(max_n: int = 10, witnesses: list | None = None) -> SuiteResult:
     checked = 0
     for n in range(1, max_n + 1):
         for mu in enumerate_partitions(n):
-            b = exactla.build_jordan(mu)
             for a in range(n // 2 + 1):
                 checked += 1
                 try:
                     m = construct_squarezero_partner(mu, a)
+                    jt = exactla.certify(m, mu)
                 except Exception as exc:
                     fails.append(f"mu={tuple(mu)} a={a}: {exc}")
                     continue
                 sq_zero = (m @ m).is_zero()
                 rank_ok = exactla.rank(m) == a
-                commutes = m @ b == b @ m
-                if not (sq_zero and rank_ok and commutes):
+                if not (sq_zero and rank_ok):
                     fails.append(
-                        f"mu={tuple(mu)} a={a}: square-zero={sq_zero} "
-                        f"rank-ok={rank_ok} commutes={commutes}")
+                        f"mu={tuple(mu)} a={a}: square-zero={sq_zero} rank-ok={rank_ok}")
                     continue
                 if witnesses is not None:
-                    witnesses.append((mu, exactla.jordan_type(m)))
+                    witnesses.append((mu, jt))
     return _result(1, "square-zero partners", checked, fails,
                    f"all ranks realized for n <= {max_n}")
 
@@ -144,23 +146,17 @@ def suite3(max_n: int = 14, draws: int = 3, seed: int = 0,
     for l1 in range(1, max_n):
         for l2 in range(1, min(l1, max_n - l1) + 1):
             host = Partition((l1, l2))
-            b = exactla.build_jordan(host)
             for j, l in _admissible(l1, l2):
                 for k in range(draws):
                     rng = Stream(derive(seed, 3, l1, l2, j, l, k))
                     bc = Fraction(rng.nonzero(10), rng.randint(1, 4))
                     cc = Fraction(rng.nonzero(10), rng.randint(1, 4))
                     x, pred, case = antidiagonal(l1, l2, j, l, bc, cc)
-                    m = tb_to_matrix(x)
                     checked += 1
-                    if m @ b != b @ m:
-                        fails.append(f"({l1},{l2}) j={j} l={l}: no commutation")
-                        continue
-                    jt = exactla.jordan_type(m)
-                    if jt != pred:
-                        fails.append(
-                            f"({l1},{l2}) j={j} l={l} case {case}: "
-                            f"type {tuple(jt)} vs predicted {tuple(pred)}")
+                    try:
+                        exactla.certify(tb_to_matrix(x), host, pred)
+                    except RuntimeError as exc:
+                        fails.append(f"({l1},{l2}) j={j} l={l} case {case}: {exc}")
                         continue
                     cases[case] += 1
                     if witnesses is not None:
@@ -170,7 +166,7 @@ def suite3(max_n: int = 14, draws: int = 3, seed: int = 0,
     return _result(3, "antidiagonal types", checked, fails, ok)
 
 
-def suite4(max_n: int = 14, seed: int = 0) -> SuiteResult:
+def suite4(max_n: int = 14) -> SuiteResult:
     """Block ranks of antidiagonal powers follow the four closed formulas."""
     fails: list[str] = []
     checked = 0
@@ -237,18 +233,10 @@ def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
     for m in range(2, max_n // 2 + 1):
         checked += 1
         host = Partition((m, m))
-        b = exactla.build_jordan(host)
         try:
-            e = construct_lemma_eq2(m)
+            jt = exactla.certify(construct_lemma_eq2(m), host, (m + 1, m - 1))
         except Exception as exc:
             fails.append(f"m={m}: {exc}")
-            continue
-        if e @ b != b @ e:
-            fails.append(f"m={m}: partner does not commute")
-            continue
-        jt = exactla.jordan_type(e)
-        if jt != (m + 1, m - 1):
-            fails.append(f"m={m}: partner has type {tuple(jt)}")
             continue
         if witnesses is not None:
             witnesses.append((host, jt))
@@ -450,7 +438,7 @@ SUITES = {
     1: lambda m, seed, cb, w: suite1(min(m, 10), witnesses=w),
     2: lambda m, seed, cb, w: suite2(min(m, 16), min(m, 10), seed),
     3: lambda m, seed, cb, w: suite3(min(m, 14), 3, seed, witnesses=w),
-    4: lambda m, seed, cb, w: suite4(min(m, 14), seed),
+    4: lambda m, seed, cb, w: suite4(min(m, 14)),
     5: lambda m, seed, cb, w: suite5(min(m, 16), min(m, 10), 10000, seed, cb, witnesses=w),
     6: lambda m, seed, cb, w: suite6(min(m, 16)),
     7: lambda m, seed, cb, w: suite7(min(m, 16)),

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import nilcomm
-from nilcomm import dinverse, twoblock, verify
+from nilcomm import dinverse, exactla, twoblock, verify
 from nilcomm.cli import main
 
 SRC = str(Path(nilcomm.__file__).resolve().parent.parent)
@@ -218,8 +218,8 @@ def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
     rc, out, err = run(capsys, "dmap", "3,1,1")
     assert rc == 3 and out == ""
     assert err.startswith("internal error: recursion gave") and "bug" in err
-    # a witness that is not nilpotent is a bug, whether the construction's
-    # own check or the transcript types it first
+    # a witness that is not nilpotent is a bug, whether the construction
+    # certifies it (lemma-eq2) or the command does (antidiagonal) ...
     element = twoblock._element
     monkeypatch.setattr(twoblock, "_element", lambda l1, l2, terms: element(
         l1, l2, [*terms, ("M", 0, 1)]))
@@ -228,6 +228,40 @@ def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
         rc, out, err = run(capsys, *argv)
         assert rc == 3 and out == "", argv
         assert err.startswith("internal error:") and "not nilpotent" in err, argv
+    # ... but in suite 3 it is a failed verification
+    rc, out, err = run(capsys, "verify", "--suite", "3", "--max-n", "4")
+    assert rc == 1 and err == ""
+    assert out.startswith("CRITERION 3 [antidiagonal types]: FAIL") and "not nilpotent" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "squarezero", "3,3,1", "--rank", "3"],
+    ["construct", "antidiagonal", "5", "3", "0", "1"],
+    ["construct", "lemma-eq2", "4"],
+    ["construct", "lemma-odd", "5", "3", "4", "--json"],
+])
+def test_construct_types_its_witness_once(capsys, monkeypatch, argv):
+    # every Jordan type goes through this kernel, whatever name the caller
+    # imported: the transcript prints the type the certificate computed
+    calls = []
+    kernel = exactla._jordan_type_rows
+    monkeypatch.setattr(exactla, "_jordan_type_rows",
+                        lambda rows: calls.append(rows) or kernel(rows))
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0 and len(calls) == 1
+
+
+def test_verify_fails_a_suite_that_checks_nothing(capsys):
+    rc, out, _ = run(capsys, "verify", "--max-n", "0", "--json")
+    results = json.loads(out)["results"]
+    assert rc == 1
+    empty = [r for r in results if not r["checked"]]
+    assert len(empty) == 10
+    assert all(not r["passed"] and r["detail"] == "nothing checked at this scale"
+               for r in empty)
+    rc, out, _ = run(capsys, "verify", "--max-n", "4", "--json")
+    assert rc == 0
+    assert all(r["passed"] and r["checked"] > 0 for r in json.loads(out)["results"])
 
 
 def test_usage_errors(capsys):

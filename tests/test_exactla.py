@@ -14,6 +14,7 @@ from nilcomm.exactla import (
     _nonzeros,
     NotNilpotentError,
     build_jordan,
+    certify,
     is_ut_toeplitz,
     jordan_power_type,
     jordan_type,
@@ -161,6 +162,24 @@ def test_jordan_type_rejects_non_nilpotent():
     rows = [list(row) + [0] for row in build_jordan((4, 2)).row_data()]
     with pytest.raises(NotNilpotentError, match="power 5 is nonzero"):
         jordan_type(ExactMatrix(rows + [[0] * 6 + [1]]))
+
+
+def test_certify_types_witnesses_and_raises_on_bugs():
+    host = Partition((3, 1))
+    j = build_jordan(host)
+    assert certify(j @ j, host) == (2, 1, 1)
+    half = ExactMatrix([[Fraction(x, 2) for x in row] for row in j.row_data()])
+    assert certify(half, host, (3, 1)) == (3, 1)
+    # nilpotent, but E_30 does not commute with J_(3,1)
+    e30 = ExactMatrix([[int((r, c) == (3, 0)) for c in range(4)] for r in range(4)])
+    with pytest.raises(RuntimeError, match=r"host \(3, 1\) does not commute"):
+        certify(e30, host)
+    # commutes, but is not nilpotent
+    ident = ExactMatrix([[int(r == c) for c in range(4)] for r in range(4)])
+    with pytest.raises(RuntimeError, match=r"host \(3, 1\), seed 5: matrix is not nilpotent"):
+        certify(ident, host, seed=5)
+    with pytest.raises(RuntimeError, match=r"has type \(3, 1\), expected \(2, 2\)"):
+        certify(j, host, (2, 2))
 
 
 def test_jordan_type_matches_nullity_oracle():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nilcomm import twoblock, verify
+from nilcomm import exactla, twoblock, verify
 from nilcomm._rng import Stream, derive
 from nilcomm.exactla import ExactMatrix, build_jordan, jordan_type, rank
 from nilcomm.partitions import Partition, almost_rect, enumerate_partitions
@@ -530,7 +530,7 @@ def test_witnesses_are_typed_once(monkeypatch):
         calls.append(m)
         return jordan_type(m)
 
-    monkeypatch.setattr(twoblock, "jordan_type", counting)
+    monkeypatch.setattr(exactla, "jordan_type", counting)
     for mu in [(3, 1), (5, 3, 2, 1), (7, 5, 3, 3, 1), (4, 3, 3, 2, 1)]:
         p = Partition(mu)
         for a in range(p.n // 2 + 1):
