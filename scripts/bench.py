@@ -41,6 +41,8 @@ Measurements:
   hosts lambda per n), built here from the block-Toeplitz pattern of the
   centralizer;
 - exactla.matmul_s: the squares `m @ m` of those 360 powers;
+- constraints.filter_s: `compatible_filter` on each of the 3 582 ordered
+  pairs of partitions of one n <= 10;
 - verify.suite{1,5,11}_s: one acceptance suite at the scale `run_all` gives
   it (--max-n 16, seed 0), through `verify.SUITES`; suite 11's witnesses are
   collected once beforehand, and its sample bank cache is cleared before
@@ -146,7 +148,8 @@ def centralizer_element(rng: random.Random, lam: tuple) -> list:
 def measurements(root: str, pkg_root: str) -> dict:
     """Name -> zero-argument function returning seconds."""
     sys.path.insert(0, os.path.join(root, "src"))
-    from nilcomm import commutant, dinverse, exactla, partitions, twoblock, verify
+    from nilcomm import (commutant, constraints, dinverse, exactla, partitions,
+                         twoblock, verify)
 
     if not commutant.__file__.startswith(os.path.join(root, "src")):
         sys.exit(f"bench: imported nilcomm from {commutant.__file__}, not {root}")
@@ -165,6 +168,9 @@ def measurements(root: str, pkg_root: str) -> dict:
                     sys.exit(f"bench: element for {lam} does not commute with J")
                 powers[n] += [x, x @ x, x @ x @ x]
     small_hosts = [tuple(lam) for lam in partitions.enumerate_partitions(10)]
+    filter_pairs = [(lam, mu) for n in range(1, 11)
+                    for lam in partitions.enumerate_partitions(n)
+                    for mu in partitions.enumerate_partitions(n)]
     for lam in SAMPLE_HOSTS + small_hosts:
         commutant.sample_jordan(lam, 0)  # fills the generator cache
     witnesses = []
@@ -202,6 +208,8 @@ def measurements(root: str, pkg_root: str) -> dict:
             for m in range(2, 13)]),
         "exactla.matmul_s": lambda: timed(lambda: [
             m @ m for ms in powers.values() for m in ms]),
+        "constraints.filter_s": lambda: timed(lambda: [
+            constraints.compatible_filter(lam, mu) for lam, mu in filter_pairs]),
     }
     for n in (20, 30, 40):
         out[f"dinverse.dmap_all_{n}_s"] = lambda n=n: cold_table(n)

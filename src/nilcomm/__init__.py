@@ -1,8 +1,9 @@
 """Exact-arithmetic toolkit for nilpotent commutators of nilpotent matrices.
 
 Everything is computed over the rationals with no floating point: Jordan
-types, centralizer bases, randomized nilpotent sampling, the generic
-commuting-orbit map on partitions, and its inverse images.
+types, randomized nilpotent sampling in the centralizer, the generic
+commuting-orbit map on partitions, its inverse images, and necessary
+conditions on pairs of commuting Jordan types.
 
 The names below load their home module on first use (PEP 562), so
 importing the package, or one of its modules, loads nothing else.

@@ -3,14 +3,18 @@
 Each rule is a partial obstruction: `forbidden` means the two types can never
 be the Jordan forms of commuting nilpotent matrices, with the firing rules
 recorded as reasons.  `unknown` asserts nothing; these are necessary
-conditions only, and no completeness is claimed.  The relation is symmetric,
-so every rule is applied in both argument orders wherever its precondition
-holds.
+conditions only, and no completeness is claimed.
+
+The rules sit in one table, `RULES`.  A rule reads one type as the host and
+the other as its partner and yields one detail string per firing.  The
+relation is symmetric, so `compatible_filter` applies each rule in both
+orders, (lam, mu) then (mu, lam), before it moves to the next rule; the
+reasons come out in that rule-major order, and a repeated reason once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from nilcomm.partitions import Partition, is_almost_rectangular
 
@@ -18,8 +22,7 @@ FORBIDDEN = "forbidden"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(NamedTuple):
     rule: str
     detail: str
 
@@ -27,18 +30,14 @@ class Reason:
         return {"rule": self.rule, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     lam: Partition
     mu: Partition
-    verdict: str
-    reasons: tuple = field(default_factory=tuple)
+    reasons: tuple
 
-    def __post_init__(self):
-        if self.verdict == FORBIDDEN and not self.reasons:
-            raise ValueError("forbidden verdict needs at least one reason")
-        if self.verdict == UNKNOWN and self.reasons:
-            raise ValueError("unknown verdict carries no reasons")
+    @property
+    def verdict(self) -> str:
+        return FORBIDDEN if self.reasons else UNKNOWN
 
     def to_json_dict(self) -> dict:
         return {
@@ -49,140 +48,67 @@ class PairVerdict:
         }
 
 
-def _pair(lam, mu) -> tuple[Partition, Partition]:
-    lam, mu = Partition(lam), Partition(mu)
-    if lam.n != mu.n:
-        raise ValueError(f"sizes differ: {lam.n} vs {mu.n}")
-    return lam, mu
-
-
-def _verdict(lam, mu, reasons: list) -> PairVerdict:
-    if reasons:
-        return PairVerdict(lam, mu, FORBIDDEN, tuple(dict.fromkeys(reasons)))
-    return PairVerdict(lam, mu, UNKNOWN)
-
-
-def check_prop_ar(lam, mu) -> PairVerdict:
-    """A full cycle commutes only with almost-rectangular types (both orders)."""
-    lam, mu = _pair(lam, mu)
-    n = lam.n
-    reasons = []
-    for a, b in ((lam, mu), (mu, lam)):
-        if a == (n,) and not is_almost_rectangular(b):
-            reasons.append(
-                Reason("prop_ar", f"({n}) pairs only with almost-rectangular types")
-            )
-    return _verdict(lam, mu, reasons)
-
-
-def check_ind1(lam, mu) -> PairVerdict:
+def _ind1(a, b, n):
     """Many parts force a square-zero partner.
 
     If the partner has s parts with 2 s >= 2 n - (last part of the host),
     its rank is at most half the smallest host block, every centralizer
     block then has square zero, and a first part above 2 is impossible.
     """
-    lam, mu = _pair(lam, mu)
-    n = lam.n
-    reasons = []
-    for a, b in ((lam, mu), (mu, lam)):
-        if 2 * b.t >= 2 * n - a[-1] and b[0] > 2:
-            reasons.append(
-                Reason(
-                    "ind1",
-                    f"{b.t} parts with smallest host block {a[-1]} force first part <= 2",
-                )
-            )
-    return _verdict(lam, mu, reasons)
+    if 2 * b.t >= 2 * n - a[-1] and b[0] > 2:
+        yield f"{b.t} parts with smallest host block {a[-1]} force first part <= 2"
 
 
-def check_ind2(lam, mu) -> PairVerdict:
-    """Two-block host with a partner of more than l1 parts bounds the first part.
-
-    The bound is ceil(l2 / (s - l1)) where s is the partner's part count.
-    """
-    lam, mu = _pair(lam, mu)
-    if lam.t != 2:
-        raise ValueError(f"host must have exactly 2 parts, got {tuple(lam)}")
-    reasons = []
-    s = mu.t
-    if s > lam[0]:
-        bound = -(-lam[1] // (s - lam[0]))
-        if mu[0] > bound:
-            reasons.append(
-                Reason("ind2", f"{s} parts bound the first part by {bound}")
-            )
-    return _verdict(lam, mu, reasons)
+def _ind2(a, b, n):
+    """Two-block host (l1, l2) with a partner of s > l1 parts bounds the
+    partner's first part by ceil(l2 / (s - l1))."""
+    if a.t == 2 and b.t > a[0]:
+        bound = -(-a[1] // (b.t - a[0]))
+        if b[0] > bound:
+            yield f"{b.t} parts bound the first part by {bound}"
 
 
-def check_nilorder(lam, mu) -> PairVerdict:
+def _nilorder(a, b, n):
     """Equal two-block host (m, m): the partner is (n) or has first part <= m + 1."""
-    lam, mu = _pair(lam, mu)
-    if lam.t != 2 or lam[0] != lam[1]:
-        raise ValueError(f"host must be (m, m), got {tuple(lam)}")
-    m = lam[0]
-    n = lam.n
-    reasons = []
-    if tuple(mu) != (n,) and mu[0] > m + 1:
-        reasons.append(
-            Reason("nilorder", f"first part {mu[0]} exceeds {m + 1} and is not ({n})")
-        )
-    return _verdict(lam, mu, reasons)
+    if a.t == 2 and a[0] == a[1] and b != (n,) and b[0] > a[0] + 1:
+        yield f"first part {b[0]} exceeds {a[0] + 1} and is not ({n})"
 
 
-def check_two_part_pairs(lam, mu) -> PairVerdict:
-    """Two distinct two-part types commute only in the balanced exceptional pair.
-
-    Allowed: equal types, or (n even) the pair (n/2, n/2) with (n/2+1, n/2-1).
-    """
-    lam, mu = _pair(lam, mu)
-    if lam.t != 2 or mu.t != 2:
-        raise ValueError("both types must have exactly 2 parts")
-    if lam == mu:
-        return _verdict(lam, mu, [])
-    n = lam.n
-    if n % 2 == 0:
-        h = n // 2
-        exceptional = {(h, h), (h + 1, h - 1)}
-        if {tuple(lam), tuple(mu)} == exceptional:
-            return _verdict(lam, mu, [])
-    return _verdict(
-        lam, mu,
-        [Reason("two_part", "distinct two-part types outside the balanced pair")],
-    )
+def _two_part(a, b, n):
+    """Two distinct two-part types commute only in the balanced exceptional
+    pair: (n/2, n/2) with (n/2 + 1, n/2 - 1), n even."""
+    h = n // 2
+    if a.t == b.t == 2 and a != b and (n % 2 or {a, b} != {(h, h), (h + 1, h - 1)}):
+        yield "distinct two-part types outside the balanced pair"
 
 
-def check_thm3(lam, mu) -> PairVerdict:
+def _thm3(a, b, n):
     """For n >= 4, a host forbids (n) unless almost rectangular, and an
-    almost-rectangular host with a block of size >= 3 forbids (n-1, 1)."""
-    lam, mu = _pair(lam, mu)
-    n = lam.n
+    almost-rectangular host with a block of size >= 3 forbids (n-1, 1).
+
+    This also covers the full cycle (n) pairing only with almost-rectangular
+    types: every type with n <= 3 is almost rectangular."""
     if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    reasons = []
-    for a, b in ((lam, mu), (mu, lam)):
-        if tuple(b) == (n,) and not is_almost_rectangular(a):
-            reasons.append(Reason("thm3", f"({n}) needs an almost-rectangular partner"))
-        if tuple(b) == (n - 1, 1) and is_almost_rectangular(a) and a[0] >= 3:
-            reasons.append(
-                Reason("thm3", f"({n - 1},1) is impossible beside a square cube host")
-            )
-    return _verdict(lam, mu, reasons)
+        return
+    if b == (n,) and not is_almost_rectangular(a):
+        yield f"({n}) needs an almost-rectangular partner"
+    if b == (n - 1, 1) and is_almost_rectangular(a) and a[0] >= 3:
+        yield f"({n - 1},1) is impossible beside a square cube host"
+
+
+RULES = (("ind1", _ind1), ("ind2", _ind2), ("nilorder", _nilorder),
+         ("two_part", _two_part), ("thm3", _thm3))
 
 
 def compatible_filter(lam, mu) -> PairVerdict:
-    """Conjunction of every rule whose precondition holds, in both orders."""
-    lam, mu = _pair(lam, mu)
-    reasons: list[Reason] = []
-    reasons.extend(check_prop_ar(lam, mu).reasons)
-    reasons.extend(check_ind1(lam, mu).reasons)
-    for a, b in ((lam, mu), (mu, lam)):
-        if a.t == 2:
-            reasons.extend(check_ind2(a, b).reasons)
-        if a.t == 2 and a[0] == a[1]:
-            reasons.extend(check_nilorder(a, b).reasons)
-    if lam.t == 2 and mu.t == 2:
-        reasons.extend(check_two_part_pairs(lam, mu).reasons)
-    if lam.n >= 4:
-        reasons.extend(check_thm3(lam, mu).reasons)
-    return _verdict(lam, mu, reasons)
+    """Every rule of RULES, each in both orders: `forbidden` iff one fires."""
+    lam, mu = Partition(lam), Partition(mu)
+    n = lam.n
+    if mu.n != n:
+        raise ValueError(f"sizes differ: {n} vs {mu.n}")
+    reasons = dict.fromkeys(
+        Reason(name, detail)
+        for name, rule in RULES
+        for a, b in ((lam, mu), (mu, lam))
+        for detail in rule(a, b, n))
+    return PairVerdict(lam, mu, tuple(reasons))

@@ -16,7 +16,7 @@ from functools import lru_cache
 from nilcomm import exactla
 from nilcomm._rng import Stream, derive
 from nilcomm.commutant import sample_jordan
-from nilcomm.constraints import FORBIDDEN, check_two_part_pairs, compatible_filter
+from nilcomm.constraints import FORBIDDEN, compatible_filter
 from nilcomm.dinverse import dinv, dinv_diff2, dinv_two_part, dmap, dmap_all
 from nilcomm.partitions import (
     Partition,
@@ -266,11 +266,12 @@ def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
         for lam in shapes:
             for mu in shapes:
                 checked += 1
-                verdict = check_two_part_pairs(lam, mu).verdict
+                fires = any(r.rule == "two_part"
+                            for r in compatible_filter(lam, mu).reasons)
                 ok = lam == mu or {tuple(lam), tuple(mu)} == exceptional
-                if (verdict == FORBIDDEN) == ok:
-                    fails.append(
-                        f"pair {tuple(lam)},{tuple(mu)}: verdict {verdict}")
+                if fires == ok:
+                    fails.append(f"pair {tuple(lam)},{tuple(mu)}: two_part "
+                                 f"{'fires' if fires else 'is silent'}")
     return _result(5, "two-part realizability", checked, fails,
                    f"no sampled type escapes, partners exist to n = {max_n}")
 

@@ -159,6 +159,12 @@ def test_check_pair(capsys):
     rc, out, _ = run(capsys, "check", "pair", "4,2", "3,2,1", "--json")
     doc = json.loads(out)
     assert doc["verdict"] in ("unknown", "forbidden")
+    # a full cycle beside a non-almost-rectangular type: thm3 says it once
+    rc, out, _ = run(capsys, "check", "pair", "6", "4,2")
+    assert rc == 0 and "forbidden" in out
+    assert out.count("thm3") == 1 and "prop_ar" not in out
+    rc, out, err = run(capsys, "check", "pair", "3,1", "3,2")
+    assert (rc, out) == (2, "") and "sizes differ" in err
 
 
 def test_verify_single_suite(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from nilcomm.dinverse import dmap
@@ -6,97 +8,119 @@ from nilcomm.constraints import (
     UNKNOWN,
     PairVerdict,
     Reason,
-    check_ind1,
-    check_ind2,
-    check_nilorder,
-    check_prop_ar,
-    check_thm3,
-    check_two_part_pairs,
     compatible_filter,
 )
 from nilcomm.partitions import Partition, conjugate, enumerate_partitions
 
 from .conftest import partitions_up_to
 
+# SHA-256 over (lam, mu, verdict, reasons in order) for every pair with
+# n <= 10, recorded before prop_ar was folded into thm3, with the prop_ar
+# reasons left out
+FILTER_DIGEST_N10 = "c249d1f88d294977b12ccaaed1819ec9c22b35536158327d99e7866925039e0a"
+
 
 def P(*xs):
     return Partition(xs)
 
 
+def rules(lam, mu):
+    return [r.rule for r in compatible_filter(lam, mu).reasons]
+
+
 def test_verdict_invariants():
-    with pytest.raises(ValueError):
-        PairVerdict(P(2, 1), P(2, 1), FORBIDDEN, ())
-    v = PairVerdict(P(2, 1), P(3), UNKNOWN)
-    assert v.reasons == ()
+    # the verdict is read off the reasons, so it cannot disagree with them
+    v = PairVerdict(P(2, 1), P(3), ())
+    assert v.verdict == UNKNOWN and compatible_filter(P(2, 1), P(3)) == v
     d = v.to_json_dict()
     assert d["verdict"] == "unknown"
+    v = PairVerdict(P(4, 2), P(6), (Reason("thm3", "demo"),))
+    assert v.verdict == FORBIDDEN
     with pytest.raises(ValueError):
-        check_prop_ar(P(3), P(2, 2))
+        compatible_filter(P(3), P(2, 2))
 
 
 def test_prop_ar_rule():
-    # a single Jordan block pairs only with near-equal-part shapes
-    assert check_prop_ar(P(6), P(3, 3)).verdict == UNKNOWN
-    assert check_prop_ar(P(6), P(2, 2, 2)).verdict == UNKNOWN
-    assert check_prop_ar(P(6), P(4, 2)).verdict == FORBIDDEN
-    assert check_prop_ar(P(4, 2), P(6)).verdict == FORBIDDEN
-    assert check_prop_ar(P(4, 2), P(3, 3)).verdict == UNKNOWN
+    # a single Jordan block pairs only with near-equal-part shapes; thm3's
+    # first clause says so, and no separate prop_ar reason is given
+    assert compatible_filter(P(6), P(3, 3)).verdict == UNKNOWN
+    assert compatible_filter(P(6), P(2, 2, 2)).verdict == UNKNOWN
+    assert rules(P(6), P(4, 2)) == ["thm3"]
+    assert rules(P(4, 2), P(6)) == ["thm3"]
+    assert compatible_filter(P(4, 2), P(3, 3)).verdict == UNKNOWN
 
 
 def test_ind1_rule():
     # many parts with a big lead part cannot sit beside a fat partner
-    v = check_ind1(P(4, 4), P(3, 1, 1, 1, 1, 1))
+    v = compatible_filter(P(4, 4), P(3, 1, 1, 1, 1, 1))
     assert v.verdict == FORBIDDEN
-    assert any(r.rule == "ind1" for r in v.reasons)
+    assert "ind1" in [r.rule for r in v.reasons]
     # symmetric in the order of the pair
-    assert check_ind1(P(3, 1, 1, 1, 1, 1), P(4, 4)).verdict == FORBIDDEN
-    assert check_ind1(P(5, 1), P(2, 1, 1, 1, 1)).verdict == UNKNOWN
+    assert "ind1" in rules(P(3, 1, 1, 1, 1, 1), P(4, 4))
+    assert "ind1" not in rules(P(5, 1), P(2, 1, 1, 1, 1))
 
 
 def test_ind2_rule():
-    v = check_ind2(P(4, 4), P(3, 1, 1, 1, 1, 1))
-    assert v.verdict == FORBIDDEN
-    assert check_ind2(P(4, 4), P(2, 2, 1, 1, 1, 1)).verdict == UNKNOWN
-    assert check_ind2(P(3, 2), P(2, 1, 1, 1)).verdict == UNKNOWN
-    with pytest.raises(ValueError):
-        check_ind2(P(3, 2, 1), P(6))
+    assert "ind2" in rules(P(4, 4), P(3, 1, 1, 1, 1, 1))
+    assert "ind2" not in rules(P(4, 4), P(2, 2, 1, 1, 1, 1))
+    assert "ind2" not in rules(P(3, 2), P(2, 1, 1, 1))
+    # a host of three parts is outside the rule, in either order
+    assert "ind2" not in rules(P(3, 2, 1), P(6))
 
 
 def test_nilorder_rule():
-    assert check_nilorder(P(3, 3), P(5, 1)).verdict == FORBIDDEN
-    assert check_nilorder(P(3, 3), P(6)).verdict == UNKNOWN
-    assert check_nilorder(P(3, 3), P(4, 2)).verdict == UNKNOWN
-    with pytest.raises(ValueError):
-        check_nilorder(P(4, 3), P(7))
+    assert "nilorder" in rules(P(3, 3), P(5, 1))
+    assert "nilorder" not in rules(P(3, 3), P(6))
+    assert "nilorder" not in rules(P(3, 3), P(4, 2))
+    # an unequal two-block host is outside the rule
+    assert "nilorder" not in rules(P(4, 3), P(7))
 
 
 def test_two_part_rule():
-    assert check_two_part_pairs(P(4, 2), P(4, 2)).verdict == UNKNOWN
-    assert check_two_part_pairs(P(4, 2), P(3, 3)).verdict == UNKNOWN
-    assert check_two_part_pairs(P(3, 3), P(4, 2)).verdict == UNKNOWN
-    assert check_two_part_pairs(P(5, 1), P(4, 2)).verdict == FORBIDDEN
-    assert check_two_part_pairs(P(4, 3), P(5, 2)).verdict == FORBIDDEN
-    with pytest.raises(ValueError):
-        check_two_part_pairs(P(4, 2), P(2, 2, 2))
+    assert "two_part" not in rules(P(4, 2), P(4, 2))
+    assert "two_part" not in rules(P(4, 2), P(3, 3))
+    assert "two_part" not in rules(P(3, 3), P(4, 2))
+    assert "two_part" in rules(P(5, 1), P(4, 2))
+    assert "two_part" in rules(P(4, 3), P(5, 2))
+    assert "two_part" not in rules(P(4, 2), P(2, 2, 2))
 
 
 def test_thm3_rule():
-    assert check_thm3(P(6), P(4, 2)).verdict == FORBIDDEN
-    assert check_thm3(P(5, 1), P(3, 3)).verdict == FORBIDDEN
-    assert check_thm3(P(5, 1), P(2, 2, 2)).verdict == UNKNOWN
-    assert check_thm3(P(6), P(3, 3)).verdict == UNKNOWN
-    with pytest.raises(ValueError):
-        check_thm3(P(2, 1), P(3))
+    assert "thm3" in rules(P(6), P(4, 2))
+    assert "thm3" in rules(P(5, 1), P(3, 3))
+    assert "thm3" not in rules(P(5, 1), P(2, 2, 2))
+    assert "thm3" not in rules(P(6), P(3, 3))
+    # below n = 4 neither clause applies: J and J^2 commute
+    assert "thm3" not in rules(P(2, 1), P(3))
 
 
 def test_filter_merges_reasons():
     v = compatible_filter(P(6, 2), P(4, 4))
     assert v.verdict == FORBIDDEN
-    rules = {r.rule for r in v.reasons}
-    assert "nilorder" in rules and "two_part" in rules
+    names = {r.rule for r in v.reasons}
+    assert "nilorder" in names and "two_part" in names
     j = v.to_json_dict()
     assert j["lambda"] == [6, 2] and j["verdict"] == "forbidden"
     assert len(j["reasons"]) == len(v.reasons)
+
+
+def test_filter_matches_parent_digest():
+    h = hashlib.sha256()
+    count = 0
+    for n in range(1, 11):
+        parts = list(enumerate_partitions(n))
+        for lam in parts:
+            for mu in parts:
+                v = compatible_filter(lam, mu)
+                reasons = tuple((r.rule, r.detail) for r in v.reasons)
+                h.update(repr((tuple(lam), tuple(mu), v.verdict, reasons)).encode()
+                         + b"\n")
+                count += 1
+                w = compatible_filter(mu, lam)
+                assert w.verdict == v.verdict, (lam, mu)
+                assert set(w.reasons) == set(v.reasons), (lam, mu)
+    assert count == 3582
+    assert h.hexdigest() == FILTER_DIGEST_N10
 
 
 def test_filter_accepts_conjugate_pairs():
