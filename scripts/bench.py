@@ -43,10 +43,12 @@ Measurements:
 - exactla.matmul_s: the squares `m @ m` of those 360 powers;
 - constraints.filter_s: `compatible_filter` on each of the 3 582 ordered
   pairs of partitions of one n <= 10;
-- verify.suite{1,5,11}_s: one acceptance suite at the scale `run_all` gives
-  it (--max-n 16, seed 0), through `verify.SUITES`; suite 11's witnesses are
-  collected once beforehand, and its sample bank cache is cleared before
-  each run.  A suite that fails stops the script.
+- verify.suite{1..12}_s: each acceptance suite's own `seconds` from
+  `verify.run_suite(k)`, at the scale `run_all` gives it (--max-n 16,
+  seed 0); run_suite(11) first runs suites 1, 3 and 5 for their pairs, which
+  are not in its time.  The fiber-table cache, and the sample-bank cache of
+  versions that kept one (`verify._bank`), are cleared before each run, so
+  every suite starts cold.  A suite that fails stops the script.
 
 Inputs are fixed (seeded `random`, never the library's own generator), and
 only names that every benchmarked version of the library has are used.
@@ -173,18 +175,15 @@ def measurements(root: str, pkg_root: str) -> dict:
                     for mu in partitions.enumerate_partitions(n)]
     for lam in SAMPLE_HOSTS + small_hosts:
         commutant.sample_jordan(lam, 0)  # fills the generator cache
-    witnesses = []
-    for k in verify.WITNESS_SUITES:
-        verify.SUITES[k](16, 0, 10, witnesses)
 
     def suite(k):
-        verify._bank.cache_clear()
-        t0 = perf_counter()
-        res = verify.SUITES[k](16, 0, 10, list(witnesses) if k == 11 else [])
-        seconds = perf_counter() - t0
+        dinverse._table.cache_clear()
+        if hasattr(verify, "_bank"):
+            verify._bank.cache_clear()
+        res = verify.run_suite(k, 16, 0, 10)
         if not res.passed:
             sys.exit(f"bench: suite {k} failed: {res.detail}")
-        return seconds
+        return res.seconds
 
     def cold_table(n):
         dinverse._table.cache_clear()
@@ -219,7 +218,7 @@ def measurements(root: str, pkg_root: str) -> dict:
     for n, ms in powers.items():
         out[f"exactla.rank_centralizer_{n}_s"] = lambda ms=ms: timed(lambda: [
             exactla.rank(m) for m in ms])
-    for k in (1, 5, 11):
+    for k in range(1, 13):
         out[f"verify.suite{k}_s"] = lambda k=k: suite(k)
     return out
 

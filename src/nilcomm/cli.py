@@ -23,7 +23,7 @@ import json
 import sys
 
 from nilcomm.dinverse import dmap, explore_q1, explore_q2, fiber_json
-from nilcomm.partitions import Partition, parse
+from nilcomm.partitions import Partition, parse, two_column
 
 # every other layer (commutant, exactla, _rng, verify, twoblock, constraints)
 # and fractions are imported inside the subcommands that use them, so a dmap
@@ -143,11 +143,11 @@ def _square_zero_fields(jt: Partition) -> dict:
 
 
 def _cmd_construct_squarezero(args) -> int:
-    from nilcomm.twoblock import _two_row_type, construct_squarezero_partner
+    from nilcomm.twoblock import construct_squarezero_partner
 
     mu = parse(args.partition)
     m = construct_squarezero_partner(mu, args.rank)
-    jt = _two_row_type(mu.n, args.rank)
+    jt = two_column(mu.n, args.rank)
     return _transcript(args, mu, m, "square-zero partner", jt, _square_zero_fields(jt))
 
 
@@ -175,10 +175,10 @@ def _cmd_construct_lemma_eq2(args) -> int:
 
 
 def _cmd_construct_lemma_odd(args) -> int:
-    from nilcomm.twoblock import _two_row_type, construct_lemma_odd
+    from nilcomm.twoblock import construct_lemma_odd
 
     m = construct_lemma_odd(args.l1, args.l2, args.a)
-    jt = _two_row_type(args.l1 + args.l2, args.a)
+    jt = two_column(args.l1 + args.l2, args.a)
     return _transcript(args, Partition((args.l1, args.l2)), m,
                        "two-block square-zero element", jt, _square_zero_fields(jt))
 

@@ -122,6 +122,11 @@ def almost_rect(n: int, t: int) -> Partition:
     return Partition([q + 1] * r + [q] * (t - r))
 
 
+def two_column(n: int, a: int) -> Partition:
+    """(2^a, 1^(n-2a)): the Jordan type of a square-zero n x n matrix of rank a."""
+    return Partition([2] * a + [1] * (n - 2 * a))
+
+
 def is_almost_rectangular(p) -> bool:
     ps = tuple(p)
     return ps[0] - ps[-1] <= 1

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from nilcomm.partitions import Partition, almost_rect, conjugate
+from nilcomm.partitions import Partition, almost_rect, conjugate, two_column
 from nilcomm.exactla import ExactMatrix, _checked_int, _nonzeros, build_jordan, certify
 
 
@@ -383,7 +383,7 @@ def construct_lemma_odd(l1: int, l2: int, a: int) -> ExactMatrix:
     if not 0 <= a <= n // 2:
         raise ValueError(f"rank {a} out of range for n={n}")
     out = tb_to_matrix(_lemma_odd_element(l1, l2, a))
-    certify(out, Partition((l1, l2)), _two_row_type(n, a))
+    certify(out, Partition((l1, l2)), two_column(n, a))
     return out
 
 
@@ -404,10 +404,6 @@ def _lemma_odd_element(l1: int, l2: int, a: int) -> TwoBlockElement:
         terms = [("M", k1, 1), ("K", k2, 1), ("L", k2, -1)]
         terms += [("N", k2 + 1, 1)] * (k2 + 1 < l2)
     return _element(l1, l2, terms)
-
-
-def _two_row_type(n: int, a: int) -> Partition:
-    return Partition([2] * a + [1] * (n - 2 * a))
 
 
 def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
@@ -456,7 +452,7 @@ def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
                 rows[o + r][o + shift + r] = 1
     assert remaining == 0
     out = ExactMatrix(rows)
-    certify(out, mu, _two_row_type(n, a))
+    certify(out, mu, two_column(n, a))
     return out
 
 

@@ -1,17 +1,18 @@
 """Acceptance suites: every claim the library rests on, checked at desk scale.
 
-Each suite returns a SuiteResult and never raises on a mere mismatch; the
-failures are counted and the first one is quoted.  run_all executes the
-twelve suites in order, sharing verified commuting pairs between the
-construction suites and the constraint-soundness suite.
+Each suite is a function of its scale and seed that returns a SuiteResult
+and never raises on a mere mismatch; the failures are counted and the first
+one is quoted.  No suite reads or writes state outside its arguments: the
+construction suites (WITNESS_SUITES: 1, 3 and 5) return the commuting pairs
+they verified on their result, and run_all and run_suite pass the union of
+those pairs to the constraint-soundness suite 11.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from nilcomm import exactla
 from nilcomm._rng import Stream, derive
@@ -24,6 +25,7 @@ from nilcomm.partitions import (
     dominance_leq,
     enumerate_partitions,
     is_stable,
+    two_column,
 )
 from nilcomm.twoblock import (
     TwoBlockElement,
@@ -45,6 +47,9 @@ class SuiteResult:
     checked: int
     detail: str
     seconds: float | None = None  # wall time, set by run_all and run_suite
+    # verified (host, type) pairs of a construction suite, for suite 11; not
+    # part of the report
+    pairs: frozenset = field(default=frozenset(), repr=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -65,28 +70,28 @@ class SuiteResult:
         }
 
 
-def _result(criterion: int, name: str, checked: int, fails: list, ok: str) -> SuiteResult:
-    """A suite passes when it made at least one check and none failed."""
+def _result(criterion: int, name: str, checked: int, fails: list, detail: str,
+            pairs=()) -> SuiteResult:
+    """A suite passes, with detail, when it made at least one check and none failed."""
     if fails:
         detail = f"{len(fails)} failures; first: {fails[0]}"
     elif not checked:
         detail = "nothing checked at this scale"
-    else:
-        return SuiteResult(criterion, name, True, checked, ok)
-    return SuiteResult(criterion, name, False, checked, detail)
+    return SuiteResult(criterion, name, checked > 0 and not fails, checked, detail,
+                       pairs=frozenset(pairs))
 
 
-def suite1(max_n: int = 10, witnesses: list | None = None) -> SuiteResult:
+def suite1(max_n: int = 10) -> SuiteResult:
     """Square-zero partners of every rank for every host type."""
     fails: list[str] = []
     checked = 0
+    pairs = set()
     for n in range(1, max_n + 1):
         for mu in enumerate_partitions(n):
             for a in range(n // 2 + 1):
                 checked += 1
                 try:
-                    m = construct_squarezero_partner(mu, a)
-                    jt = exactla.certify(m, mu)
+                    m = construct_squarezero_partner(mu, a)  # of type two_column(n, a)
                 except Exception as exc:
                     fails.append(f"mu={tuple(mu)} a={a}: {exc}")
                     continue
@@ -96,10 +101,9 @@ def suite1(max_n: int = 10, witnesses: list | None = None) -> SuiteResult:
                     fails.append(
                         f"mu={tuple(mu)} a={a}: square-zero={sq_zero} rank-ok={rank_ok}")
                     continue
-                if witnesses is not None:
-                    witnesses.append((mu, jt))
+                pairs.add((mu, two_column(n, a)))
     return _result(1, "square-zero partners", checked, fails,
-                   f"all ranks realized for n <= {max_n}")
+                   f"all ranks realized for n <= {max_n}", pairs)
 
 
 # sampled draws per shape in suite 2's cross-check
@@ -114,7 +118,7 @@ def suite2(max_n: int = 16, sample_n: int = 10, seed: int = 0) -> SuiteResult:
     checked = 0
     for n in range(1, max_n + 1):
         for a in range(n // 2 + 1):
-            lam = Partition((2,) * a + (1,) * (n - 2 * a))
+            lam = two_column(n, a)
             checked += 1
             d = dmap(lam)
             if d != (n,):
@@ -137,11 +141,11 @@ def _admissible(l1: int, l2: int):
             yield j, l
 
 
-def suite3(max_n: int = 14, draws: int = 3, seed: int = 0,
-           witnesses: list | None = None) -> SuiteResult:
+def suite3(max_n: int = 14, draws: int = 3, seed: int = 0) -> SuiteResult:
     """Predicted antidiagonal types match the dense Jordan type exactly."""
     fails: list[str] = []
     checked = 0
+    pairs = set()
     cases = {"a": 0, "b": 0, "c": 0}
     for l1 in range(1, max_n):
         for l2 in range(1, min(l1, max_n - l1) + 1):
@@ -159,11 +163,10 @@ def suite3(max_n: int = 14, draws: int = 3, seed: int = 0,
                         fails.append(f"({l1},{l2}) j={j} l={l} case {case}: {exc}")
                         continue
                     cases[case] += 1
-                    if witnesses is not None:
-                        witnesses.append((host, pred))
+                    pairs.add((host, pred))
     ok = (f"cases a/b/c = {cases['a']}/{cases['b']}/{cases['c']}, "
           f"n <= {max_n}")
-    return _result(3, "antidiagonal types", checked, fails, ok)
+    return _result(3, "antidiagonal types", checked, fails, ok, pairs)
 
 
 def suite4(max_n: int = 14) -> SuiteResult:
@@ -222,58 +225,55 @@ def two_part_draws(l1: int, l2: int, samples: int, seed: int = 0,
             yield x, tb_pow_order(x)
 
 
+def _two_part_types(l1: int, l2: int) -> set:
+    """Two-part types that commute with the host (l1, l2): its own, and both
+    of (h, h) and (h + 1, h - 1) when n = 2h >= 4 and the host is one of them."""
+    h, odd = divmod(l1 + l2, 2)
+    balanced = {(h, h), (h + 1, h - 1)}
+    return balanced if not odd and h >= 2 and (l1, l2) in balanced else {(l1, l2)}
+
+
 def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
-           seed: int = 0, coeff_bound: int = 10,
-           witnesses: list | None = None) -> SuiteResult:
+           seed: int = 0, coeff_bound: int = 10) -> SuiteResult:
     """Two-part hosts: the off-by-one partner exists for equal blocks, and
     sampling the full commuting parametrization never produces a two-part
     type outside the allowed set; the pair rule forbids exactly the rest."""
     fails: list[str] = []
     checked = 0
+    pairs = set()
     for m in range(2, max_n // 2 + 1):
         checked += 1
-        host = Partition((m, m))
         try:
-            jt = exactla.certify(construct_lemma_eq2(m), host, (m + 1, m - 1))
+            construct_lemma_eq2(m)  # certifies the type (m + 1, m - 1)
         except Exception as exc:
             fails.append(f"m={m}: {exc}")
             continue
-        if witnesses is not None:
-            witnesses.append((host, jt))
+        pairs.add((Partition((m, m)), Partition((m + 1, m - 1))))
 
-    seen_pairs: set[tuple] = set()
     for l1 in range(1, sample_n):
         for l2 in range(1, min(l1, sample_n - l1) + 1):
             n = l1 + l2
-            allowed = {(l1, l2)}
-            if n % 2 == 0 and n >= 4:
-                h = n // 2
-                if (l1, l2) in ((h, h), (h + 1, h - 1)):
-                    allowed = {(h, h), (h + 1, h - 1)}
+            allowed = _two_part_types(l1, l2)
             checked += samples
-            for x, order in two_part_draws(l1, l2, samples, seed, coeff_bound):
-                q = (order, n - order)
-                if q not in allowed:
-                    fails.append(f"host ({l1},{l2}): sampled two-part type {q}")
-                elif witnesses is not None and ((l1, l2), q) not in seen_pairs:
-                    seen_pairs.add(((l1, l2), q))
-                    witnesses.append((Partition((l1, l2)), Partition(q)))
+            seen = {(order, n - order)
+                    for _, order in two_part_draws(l1, l2, samples, seed, coeff_bound)}
+            fails += [f"host ({l1},{l2}): sampled two-part type {q}"
+                      for q in sorted(seen - allowed)]
+            pairs.update((Partition((l1, l2)), Partition(q)) for q in seen & allowed)
 
     for n in range(2, max_n + 1):
         shapes = [Partition((p, n - p)) for p in range((n + 1) // 2, n)]
-        h = n // 2
-        exceptional = {(h, h), (h + 1, h - 1)} if n % 2 == 0 and n >= 4 else set()
         for lam in shapes:
+            allowed = _two_part_types(*lam)
             for mu in shapes:
                 checked += 1
                 fires = any(r.rule == "two_part"
                             for r in compatible_filter(lam, mu).reasons)
-                ok = lam == mu or {tuple(lam), tuple(mu)} == exceptional
-                if fires == ok:
+                if fires == (mu in allowed):
                     fails.append(f"pair {tuple(lam)},{tuple(mu)}: two_part "
                                  f"{'fires' if fires else 'is silent'}")
     return _result(5, "two-part realizability", checked, fails,
-                   f"no sampled type escapes, partners exist to n = {max_n}")
+                   f"no sampled type escapes, partners exist to n = {max_n}", pairs)
 
 
 def suite6(max_n: int = 16) -> SuiteResult:
@@ -369,17 +369,9 @@ def suite10(max_n: int = 12) -> SuiteResult:
 
 def sample_bank(n_max: int = 10, per: int = 1000, seed: int = 0,
                 coeff_bound: int = 10) -> dict:
-    """per sampled commuting types for every partition of every n <= n_max.
-
-    Keyed by the host partition; memoized, so the acceptance suite and the
-    property tests share one bank.
-    """
-    return _bank(n_max, per, seed, coeff_bound)
-
-
-# a bank at suite-11 scale holds 138 000 types: keep only the few in use
-@lru_cache(maxsize=4)
-def _bank(n_max: int, per: int, seed: int, coeff_bound: int) -> dict:
+    """per sampled commuting types for every partition of every n <= n_max,
+    keyed by the host partition.  Draw i on host lam is seeded by
+    derive(seed, 7, *lam, i)."""
     bank = {}
     for n in range(1, n_max + 1):
         for lam in enumerate_partitions(n):
@@ -392,14 +384,14 @@ def _bank(n_max: int, per: int, seed: int, coeff_bound: int) -> dict:
 
 def suite11(sample_n: int = 10, per: int = 1000, pair_n: int = 12,
             seed: int = 0, coeff_bound: int = 10, *,
-            witnesses: list) -> SuiteResult:
+            pairs: frozenset) -> SuiteResult:
     """No verified commuting pair is ever marked forbidden.
 
-    witnesses holds the verified pairs of the construction suites
-    (WITNESS_SUITES), collected by running them first."""
+    pairs holds the (host, type) pairs verified by the construction suites
+    (WITNESS_SUITES); the sample bank and the conjugate pairs join them."""
     fails: list[str] = []
     checked = 0
-    pairs = {(lam, Partition(mu)) for lam, mu in witnesses}
+    pairs = set(pairs)
     bank = sample_bank(sample_n, per, seed, coeff_bound)
     for lam, draws in bank.items():
         checked += len(draws)
@@ -433,52 +425,55 @@ def suite12(max_n: int = 14) -> SuiteResult:
                    f"unique minimum for all first parts <= {max_n}")
 
 
-# criterion -> runner(max_n, seed, coeff_bound, witnesses): each suite at its
-# stated scale, capped by max_n; run_all and run_suite both read this table
+# criterion -> runner(max_n, seed, coeff_bound, pairs): each suite at its
+# stated scale, capped by max_n; only suite 11 reads pairs, the union of the
+# WITNESS_SUITES' pairs.  run_all and run_suite both read this table
 SUITES = {
-    1: lambda m, seed, cb, w: suite1(min(m, 10), witnesses=w),
-    2: lambda m, seed, cb, w: suite2(min(m, 16), min(m, 10), seed),
-    3: lambda m, seed, cb, w: suite3(min(m, 14), 3, seed, witnesses=w),
-    4: lambda m, seed, cb, w: suite4(min(m, 14)),
-    5: lambda m, seed, cb, w: suite5(min(m, 16), min(m, 10), 10000, seed, cb, witnesses=w),
-    6: lambda m, seed, cb, w: suite6(min(m, 16)),
-    7: lambda m, seed, cb, w: suite7(min(m, 16)),
-    8: lambda m, seed, cb, w: suite8(),
-    9: lambda m, seed, cb, w: suite9(),
-    10: lambda m, seed, cb, w: suite10(min(m, 12)),
-    11: lambda m, seed, cb, w: suite11(min(m, 10), 1000, min(m, 12), seed, cb, witnesses=w),
-    12: lambda m, seed, cb, w: suite12(min(m, 14)),
+    1: lambda m, seed, cb, p: suite1(min(m, 10)),
+    2: lambda m, seed, cb, p: suite2(min(m, 16), min(m, 10), seed),
+    3: lambda m, seed, cb, p: suite3(min(m, 14), 3, seed),
+    4: lambda m, seed, cb, p: suite4(min(m, 14)),
+    5: lambda m, seed, cb, p: suite5(min(m, 16), min(m, 10), 10000, seed, cb),
+    6: lambda m, seed, cb, p: suite6(min(m, 16)),
+    7: lambda m, seed, cb, p: suite7(min(m, 16)),
+    8: lambda m, seed, cb, p: suite8(),
+    9: lambda m, seed, cb, p: suite9(),
+    10: lambda m, seed, cb, p: suite10(min(m, 12)),
+    11: lambda m, seed, cb, p: suite11(min(m, 10), 1000, min(m, 12), seed, cb, pairs=p),
+    12: lambda m, seed, cb, p: suite12(min(m, 14)),
 }
 
-# the suites whose verified pairs make up suite 11's witnesses
+# the suites whose verified pairs suite 11 checks against the pair filter
 WITNESS_SUITES = (1, 3, 5)
 
 
 def _timed(k: int, max_n: int, seed: int, coeff_bound: int,
-           witnesses: list) -> SuiteResult:
+           pairs: frozenset) -> SuiteResult:
     t0 = time.perf_counter()
-    res = SUITES[k](max_n, seed, coeff_bound, witnesses)
+    res = SUITES[k](max_n, seed, coeff_bound, pairs)
     return replace(res, seconds=time.perf_counter() - t0)
 
 
 def run_suite(k: int, max_n: int = 16, seed: int = 0,
               coeff_bound: int = 10) -> SuiteResult:
     """Suite k at the scale run_all gives it, timed; suite 11 first runs the
-    witness suites, as run_all does before it (not in its time)."""
-    witnesses: list[tuple] = []
+    witness suites for its pairs, as run_all does before it (not in its time)."""
+    pairs = frozenset()
     if k == 11:
-        for j in WITNESS_SUITES:
-            SUITES[j](max_n, seed, coeff_bound, witnesses)
-    return _timed(k, max_n, seed, coeff_bound, witnesses)
+        pairs = pairs.union(*(SUITES[j](max_n, seed, coeff_bound, frozenset()).pairs
+                              for j in WITNESS_SUITES))
+    return _timed(k, max_n, seed, coeff_bound, pairs)
 
 
 def run_all(max_n: int = 16, seed: int = 0, coeff_bound: int = 10,
             progress=None) -> list[SuiteResult]:
-    """All twelve suites at their stated scales, capped by max_n, each timed."""
-    witnesses: list[tuple] = []
+    """All twelve suites at their stated scales, capped by max_n, each timed;
+    suite 11 gets the pairs of the witness suites, which run before it."""
     results: list[SuiteResult] = []
+    pairs = frozenset()
     for k in sorted(SUITES):
-        res = _timed(k, max_n, seed, coeff_bound, witnesses)
+        res = _timed(k, max_n, seed, coeff_bound, pairs)
+        pairs |= res.pairs
         results.append(res)
         if progress is not None:
             progress(res)

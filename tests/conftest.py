@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import settings
 
 from nilcomm.partitions import Partition, enumerate_partitions
@@ -17,19 +16,6 @@ def partitions_up_to(n_max: int):
             _PARTS_CACHE[n] = tuple(enumerate_partitions(n))
         out.extend(_PARTS_CACHE[n])
     return out
-
-
-@pytest.fixture(scope="session")
-def small_bank():
-    # a modest pool of (shape, sampled jordan type) evidence shared by tests
-    from nilcomm import verify
-
-    return verify.sample_bank(n_max=8, per=100, seed=0)
-
-
-@pytest.fixture(scope="session")
-def parts10():
-    return partitions_up_to(10)
 
 
 def pytest_make_parametrize_id(config, val, argname):

@@ -185,7 +185,7 @@ def test_verify_reports_suite_seconds(capsys):
 
 
 def test_verify_single_suite_matches_run_all(capsys):
-    # suite 11 alone collects its witnesses at the same --max-n as run_all
+    # suite 11 alone collects its pairs at the same --max-n as run_all
     want = {r.criterion: r.checked for r in verify.run_all(4)}
     rc, out, _ = run(capsys, "verify", "--suite", "11", "--max-n", "4", "--json")
     assert rc == 0
@@ -216,7 +216,7 @@ def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
     assert rc == 2 and out == "" and err.startswith("error:")
     # a verification that fails
     failed = verify.SuiteResult(9, "forced", False, 0, "forced failure")
-    monkeypatch.setitem(verify.SUITES, 9, lambda m, seed, cb, w: failed)
+    monkeypatch.setitem(verify.SUITES, 9, lambda m, seed, cb, pairs: failed)
     rc, out, err = run(capsys, "verify", "--suite", "9")
     assert rc == 1 and "forced failure" in out
     # a layer's own consistency check fails: an internal error, not bad input
