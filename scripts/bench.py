@@ -26,12 +26,17 @@ Measurements:
   module is compiled from source, as on a checkout that never wrote bytecode;
 - cli.import_s: `import nilcomm.cli`, timed inside such a process;
 - dinverse.dmap_all_{20,30,40}_s: one cold fiber table, cache cleared first;
+- dinverse.dinv_30_s, dinverse.dinv_40_s: the fibers of (21,9) and (25,15),
+  fiber-table cache cleared first (versions that read fibers off the table
+  build it here);
+- dinverse.dmap_s: `dmap` on 200 fixed partitions of 5..60 parts up to 30;
 - commutant.sample_jordan_s: 20 seeded draws on each of five hosts
   (n = 16..20), generator lists already cached;
 - commutant.sample_jordan_small_s: 5 seeded draws on each of the 42
   partitions of 10, the small hosts that carry most of a sample bank's time;
 - twoblock.tb_pow_order_s: orders of 200 fixed nilpotent two-block elements;
 - twoblock.tb_to_matrix_s: dense realizations of the same 200 elements;
+- twoblock.tb_rank_s: ranks of the same 200 elements;
 - twoblock.witnesses_s: `construct_lemma_eq2(m)` and
   `maxrank_partners(m + 1, m - 1)` for m = 2..12, each witness typed densely;
 - exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
@@ -169,6 +174,11 @@ def measurements(root: str, pkg_root: str) -> dict:
                 if x @ jordan != jordan @ x:
                     sys.exit(f"bench: element for {lam} does not commute with J")
                 powers[n] += [x, x @ x, x @ x @ x]
+    dmap_parts = []
+    for _ in range(200):
+        top = rng.randint(1, 30)
+        dmap_parts.append(sorted((rng.randint(1, top) for _ in range(rng.randint(5, 60))),
+                                 reverse=True))
     small_hosts = [tuple(lam) for lam in partitions.enumerate_partitions(10)]
     filter_pairs = [(lam, mu) for n in range(1, 11)
                     for lam in partitions.enumerate_partitions(n)
@@ -185,9 +195,9 @@ def measurements(root: str, pkg_root: str) -> dict:
             sys.exit(f"bench: suite {k} failed: {res.detail}")
         return res.seconds
 
-    def cold_table(n):
+    def cold(fn, arg):
         dinverse._table.cache_clear()
-        return timed(lambda: dinverse.dmap_all(n))
+        return timed(lambda: fn(arg))
 
     cli = ["-m", "nilcomm.cli"]
     out = {
@@ -202,6 +212,11 @@ def measurements(root: str, pkg_root: str) -> dict:
             twoblock.tb_pow_order(x) for x in elements]),
         "twoblock.tb_to_matrix_s": lambda: timed(lambda: [
             twoblock.tb_to_matrix(x) for x in elements]),
+        "twoblock.tb_rank_s": lambda: timed(lambda: [
+            twoblock.tb_rank(x) for x in elements]),
+        "dinverse.dinv_30_s": lambda: cold(dinverse.dinv, (21, 9)),
+        "dinverse.dinv_40_s": lambda: cold(dinverse.dinv, (25, 15)),
+        "dinverse.dmap_s": lambda: timed(lambda: [dinverse.dmap(p) for p in dmap_parts]),
         "twoblock.witnesses_s": lambda: timed(lambda: [
             (twoblock.construct_lemma_eq2(m), twoblock.maxrank_partners(m + 1, m - 1))
             for m in range(2, 13)]),
@@ -211,7 +226,7 @@ def measurements(root: str, pkg_root: str) -> dict:
             constraints.compatible_filter(lam, mu) for lam, mu in filter_pairs]),
     }
     for n in (20, 30, 40):
-        out[f"dinverse.dmap_all_{n}_s"] = lambda n=n: cold_table(n)
+        out[f"dinverse.dmap_all_{n}_s"] = lambda n=n: cold(dinverse.dmap_all, n)
     for n, ms in matrices.items():
         out[f"exactla.rank_{n}_s"] = lambda ms=ms: timed(lambda: [
             exactla.rank(m) for m in ms])

@@ -5,9 +5,12 @@ q1: does the two-part fiber count (r-1)*(mu-r) persist for gaps r >= 5?
 q2: for a stable target, is the bottom of the fiber the parts-shifted
     candidate (add 2 to every part after the first, pad with ones)?
 
+Both read fibers from dinv, whose cost follows the fiber sizes, so the
+default sweep runs to n = 30 in a few seconds.
+
 Usage:
-  python3 scripts/question_evidence.py q1 --max-n 16
-  python3 scripts/question_evidence.py q2 --max-n 14
+  python3 scripts/question_evidence.py q1 [--max-n 30]
+  python3 scripts/question_evidence.py q2 [--max-n 30]
 """
 
 import argparse
@@ -53,7 +56,7 @@ def run_q2(max_n: int) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("question", choices=["q1", "q2"])
-    ap.add_argument("--max-n", type=int, default=14)
+    ap.add_argument("--max-n", type=int, default=30)
     args = ap.parse_args()
     if args.question == "q1":
         return run_q1(args.max_n)

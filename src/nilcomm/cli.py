@@ -11,15 +11,17 @@ Every construct subcommand prints a witness the library has certified
 printed type), typed once.
 
 Exit codes: 0 success, 1 a verification failed (verify, explore), 2 bad
-input or a refused guard, 3 an internal error (a failed consistency check,
-or a witness that fails its certificate, i.e. a bug).  A construct command
-exits 0 or 3, never 1.
+input, 3 an internal error (a failed consistency check, or a witness that
+fails its certificate, i.e. a bug), 141 (128 + SIGPIPE) the reader closed
+standard output early, as in `nilcomm dinv 18,2 | head -1`.  A construct
+command exits 0, 3 or 141, never 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from nilcomm.dinverse import dmap, explore_q1, explore_q2, fiber_json
@@ -42,18 +44,6 @@ def _matrix_rows(m) -> list:
     return [[str(Fraction(x)) for x in row] for row in m.row_data()]
 
 
-def _guard(args, n: int) -> bool:
-    """True when n exceeds the size guard and --force was not given."""
-    if n > args.max_n and not args.force:
-        print(
-            f"refusing to enumerate partitions of {n} > --max-n {args.max_n}; "
-            "pass --force to override",
-            file=sys.stderr,
-        )
-        return True
-    return False
-
-
 def _cmd_dmap(args) -> int:
     lam = parse(args.partition)
     d = dmap(lam)
@@ -66,8 +56,6 @@ def _cmd_dmap(args) -> int:
 
 def _cmd_dinv(args) -> int:
     mu = parse(args.partition)
-    if _guard(args, mu.n):
-        return 2
     out = fiber_json(mu)
     if args.json:
         out["seed"] = None
@@ -215,8 +203,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_explore_q1(args) -> int:
-    if _guard(args, 2 * args.mu - args.r):
-        return 2
     rep = explore_q1(args.mu, args.r)
     if args.json:
         out = rep.to_json_dict()
@@ -233,8 +219,6 @@ def _cmd_explore_q1(args) -> int:
 
 def _cmd_explore_q2(args) -> int:
     mu = parse(args.partition)
-    if _guard(args, mu.n):
-        return 2
     rep = explore_q2(mu)
     if args.json:
         out = rep.to_json_dict()
@@ -273,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--coeff-bound", type=int, default=10)
     common.add_argument("--json", action="store_true")
     common.add_argument("--max-n", type=int, default=40)
-    common.add_argument("--force", action="store_true")
     common.add_argument("--dump-matrix", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -359,7 +342,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # what is left to print, and Python's own flush at exit, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,15 +4,17 @@ D is computed by Oblak's recursion, checked against sampling in tests: the
 first part of D(p) is an explicit maximum over windows of parts
 (dmap_index), the window that attains it is removed, and the rest recurses.
 The number of parts of D(p) is the minimal almost-rectangular cover of p,
-which every result is checked against.  Brute-force fibers go through a
-cached full table over all partitions of n.  Closed-form fast paths cover
-staircase images, two-part images with gap 2..4, and the image (n-1, 1);
-the minimal-rank test and the two open question explorers sit on top.
+which every result is checked against.  Fibers invert the recursion one
+part at a time; brute-force fibers, their oracle, go through a cached full
+table over all partitions of n.  Closed-form fast paths cover staircase
+images, two-part images with gap 2..4, and the image (n-1, 1); the two open
+question explorers sit on top.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 from nilcomm.partitions import (
@@ -23,26 +25,24 @@ from nilcomm.partitions import (
     is_stable,
     min_ar_cover,
     partition_rank,
-    partitions_with_parts,
 )
 
 
 def _index_window(ps: tuple) -> tuple[int, int, int]:
     """(u, i, j): the largest 2i + ps_i + ... + ps_(j-1) over windows with
     ps_i - ps_(j-1) <= 1 and, for i > 0, ps_(i-1) >= 2, and the first window
-    ps_i..ps_(j-1) that attains it (indices from 0)."""
-    t = len(ps)
-    best = (0, 0, 0)
-    for i in range(t):
-        if i > 0 and ps[i - 1] < 2:
-            continue
-        acc = 2 * i
-        for j in range(i, t):
-            if ps[i] - ps[j] > 1:
-                break
-            acc += ps[j]
-            if acc > best[0]:
-                best = (acc, i, j + 1)
+    ps_i..ps_(j-1) that attains it (indices from 0).  Only a run of equal
+    parts can start it (one step back within a run adds ps_(i-1) - 2 >= 0),
+    and it ends with the next run if that run is one lower, else its own."""
+    best, i = (0, 0, 0), 0
+    runs = [(v, len(list(g))) for v, g in groupby(ps)] + [(0, 0)]
+    for (v, c), (w, d) in zip(runs, runs[1:]):
+        u, j = 2 * i + v * c, i + c
+        if w == v - 1:
+            u, j = u + w * d, j + d
+        if u > best[0]:
+            best = (u, i, j)
+        i += c
     return best
 
 
@@ -111,7 +111,8 @@ def dmap_all(n: int) -> DTable:
     return _table(n)
 
 
-# the last 24 sizes asked for: more than any suite, test or benchmark uses
+# the last 24 sizes asked for: only brute-force checks build tables (suites
+# at n <= 16, tests at n <= 22, fiber_census.py), never dinv or the CLI
 @lru_cache(maxsize=24)
 def _table(n: int) -> DTable:
     entries = {lam: dmap(lam) for lam in enumerate_partitions(n)}
@@ -121,9 +122,34 @@ def _table(n: int) -> DTable:
 
 
 def dinv(mu) -> set:
-    """{lam : D(lam) = mu}, by brute force over the full table."""
-    mu = Partition(mu)
-    return dmap_all(mu.n).fiber(mu)
+    """{lam : D(lam) = mu}, inverting D(lam) = (u) joined with D(lam'): the
+    fiber of mu is lifted from that of mu[1:], from the last part up, so its
+    cost follows the fiber sizes, not p(n)."""
+    fiber = {()}
+    for u in reversed(Partition(mu)):
+        fiber = {lam for nu in fiber for lam in _lift(nu, u)}
+    return {Partition(lam) for lam in fiber}
+
+
+def _lift(nu: tuple, u: int):
+    """Each lam with first best window (u, h, h + k) and remainder nu: nu's
+    first h parts raised by 2, almost_rect(m, k) with m = u - 2h, then the
+    rest of nu.  No part 2 precedes a best window (a window of 1s after a run
+    of 2s ties with the window from the 2s, which comes first), so dmap drops
+    no part of lam.  The window's first part ceil(m/k) falls as k grows; it
+    is at most the part before it and at least the part after it plus 2 (a
+    best window takes every later part within 1 of its first)."""
+    for h in range(min(len(nu), (u - 1) // 2) + 1):
+        head, tail, m = tuple(p + 2 for p in nu[:h]), nu[h:], u - 2 * h
+        low, high = (tail[0] + 2 if tail else 1), (head[-1] if head else m)
+        for k in range(1, m + 1):
+            top = -(-m // k)
+            if top < low:
+                break
+            if top <= high:
+                lam = head + almost_rect(m, k) + tail
+                if _index_window(lam) == (u, h, h + k):
+                    yield lam
 
 
 def fiber_json(mu) -> dict:
@@ -192,29 +218,6 @@ def dinv_n11(n: int) -> set:
             out.add(Partition(cand))
     out |= set(_glue((3,), n - 3))
     return out
-
-
-def minimal_rank_check(mu: int, r: int) -> bool:
-    """Is (mu+2, 1^(mu+r-2)) the unique rank-minimal element of the fiber
-    of (mu+r, mu)?
-
-    Rank n - t falls as the part count t grows, so only partitions with
-    t >= mu+r-1 parts can tie or beat the candidate.  Membership in the
-    fiber needs a two-part image, which is decided exactly by the cover
-    and index formulas; no sampling is involved.
-    """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
-    n = 2 * mu + r
-    candidate = Partition((mu + 2,) + (1,) * (mu + r - 2))
-    members = set()
-    for t in range(mu + r - 1, n + 1):
-        for lam in partitions_with_parts(n, t):
-            if min_ar_cover(lam) == 2 and dmap_index(lam) == mu + r:
-                members.add(lam)
-    return members == {candidate}
 
 
 class Q1Report(NamedTuple):

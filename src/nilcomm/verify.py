@@ -18,7 +18,7 @@ from nilcomm import exactla
 from nilcomm._rng import Stream, derive
 from nilcomm.commutant import sample_jordan
 from nilcomm.constraints import FORBIDDEN, compatible_filter
-from nilcomm.dinverse import dinv, dinv_diff2, dinv_two_part, dmap, dmap_all
+from nilcomm.dinverse import dinv_diff2, dinv_two_part, dmap, dmap_all, explore_q2
 from nilcomm.partitions import (
     Partition,
     conjugate,
@@ -290,7 +290,7 @@ def suite6(max_n: int = 16) -> SuiteResult:
             checked += 2
             if len(fast) != mu - 2 * k:
                 fails.append(f"mu={mu} k={k}: size {len(fast)} != {mu - 2 * k}")
-            brute = dinv(target)
+            brute = dmap_all(n).fiber(target)
             if fast != brute:
                 fails.append(
                     f"mu={mu} k={k}: closed form differs from brute force "
@@ -307,14 +307,14 @@ def suite7(max_n: int = 16) -> SuiteResult:
         mu = r + 1
         while 2 * mu - r <= max_n:
             # gap 5 has no explicit set: its brute-force fiber is counted
-            fast = dinv_two_part(mu, r) if r <= 4 else dinv((mu, mu - r))
+            brute = dmap_all(2 * mu - r).fiber((mu, mu - r))
+            fast = dinv_two_part(mu, r) if r <= 4 else brute
             checked += 1
             if len(fast) != (r - 1) * (mu - r):
                 fails.append(
                     f"mu={mu} r={r}: size {len(fast)} != {(r - 1) * (mu - r)}")
             if r <= 4:
                 checked += 1
-                brute = dinv((mu, mu - r))
                 if fast != brute:
                     fails.append(
                         f"mu={mu} r={r}: explicit set differs from brute force "
@@ -331,7 +331,7 @@ def suite8() -> SuiteResult:
         Partition(p) for p in
         [(6, 2), (6, 1, 1), (4, 2, 2), (4, 2, 1, 1), (4, 1, 1, 1, 1), (3, 3, 1, 1)]
     }
-    fiber = dinv((6, 2))
+    fiber = dmap_all(8).fiber((6, 2))
     if fiber != expected:
         fails.append(f"fiber is {sorted(map(tuple, fiber))}")
     minimal = {
@@ -410,16 +410,15 @@ def suite11(sample_n: int = 10, per: int = 1000, pair_n: int = 12,
 
 
 def suite12(max_n: int = 14) -> SuiteResult:
-    """(mu+2, 1^(mu+r-2)) is the unique rank-minimal fiber element."""
-    from nilcomm.dinverse import minimal_rank_check
-
+    """(mu+2, 1^(mu+r-2)) is the unique rank-minimal element of the fiber
+    of (mu+r, mu): explore_q2's candidate for that target."""
     fails: list[str] = []
     checked = 0
     for total in range(3, max_n + 1):
         for r in range(2, total):
             mu = total - r
             checked += 1
-            if not minimal_rank_check(mu, r):
+            if not explore_q2((mu + r, mu)).holds:
                 fails.append(f"mu={mu} r={r}")
     return _result(12, "rank-minimal uniqueness", checked, fails,
                    f"unique minimum for all first parts <= {max_n}")

@@ -182,6 +182,24 @@ def jordan_type_by_nullities(m: ExactMatrix) -> Partition:
     return conjugate([b - a for a, b in zip(nulls, nulls[1:])])
 
 
+def index_window_scan(ps: tuple) -> tuple:
+    """(u, i, j) of dinverse._index_window by scanning every window: for each
+    start i with ps_(i-1) >= 2 (or i = 0), every end j while
+    ps_i - ps_(j-1) <= 1; the first strict maximum of 2i + sum wins."""
+    best = (0, 0, 0)
+    for i in range(len(ps)):
+        if i > 0 and ps[i - 1] < 2:
+            continue
+        acc = 2 * i
+        for j in range(i, len(ps)):
+            if ps[i] - ps[j] > 1:
+                break
+            acc += ps[j]
+            if acc > best[0]:
+                best = (acc, i, j + 1)
+    return best
+
+
 def brute_fiber(mu, table) -> set:
     """Inverse image of mu read off a full D table."""
     return {lam for lam, d in table.entries.items() if d == Partition(mu)}

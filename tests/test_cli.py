@@ -65,21 +65,21 @@ def test_dinv_text_and_json(capsys):
     assert "methods" not in doc and "seed" in doc
 
 
-def test_dinv_guard_and_force(capsys):
-    rc, out, err = run(capsys, "dinv", "40,2")
-    assert rc == 2
-    assert out == ""
-    assert "--force" in err
+def test_dinv_needs_no_size_guard(capsys):
+    # the fiber is built from the recursion, not from all partitions of n
+    rc, out, err = run(capsys, "dinv", "35,25", "--json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["size"] == 9 * 25
     rc, out, err = run(capsys, "dinv", "18,2", "--json")
     assert rc == 0
     want = sorted(dinverse.dmap_all(20).fiber((18, 2)), reverse=True)
     assert json.loads(out)["fiber"] == [list(lam) for lam in want]
-    rc, out, err = run(capsys, "dinv", "6,2", "--max-n", "4")
-    assert rc == 2
-    rc, out, err = run(capsys, "dinv", "6,2", "--max-n", "4", "--force")
-    assert rc == 0
-    rc, out, err = run(capsys, "dinv", "6,2", "--max-n", "8")
-    assert rc == 0
+    # --max-n scales only verify; the other commands accept and ignore it
+    assert run(capsys, "dinv", "6,2", "--max-n", "4") == run(capsys, "dinv", "6,2")
+    with pytest.raises(SystemExit) as exc:
+        main(["dinv", "6,2", "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_sample_is_deterministic(capsys):
@@ -211,6 +211,15 @@ def test_bad_partition_is_exit_2(capsys):
 def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
     rc, out, err = run(capsys, "dmap", "3,1,1")
     assert (rc, err) == (0, "")
+    # the reader closed the pipe: exit 141, printing nothing, whether a
+    # command's print meets it (line buffered) or the final flush does
+    for buffering in (1, -1):
+        r, w = os.pipe()
+        os.close(r)
+        with open(w, "w", buffering=buffering) as closed, monkeypatch.context() as m:
+            m.setattr(sys, "stdout", closed)
+            rc, out, err = run(capsys, "dmap", "3,1,1")
+        assert (rc, err) == (141, ""), buffering
     # bad input
     rc, out, err = run(capsys, "dmap", "3,x")
     assert rc == 2 and out == "" and err.startswith("error:")
@@ -317,6 +326,18 @@ def test_fresh_process_prints_the_same_bytes(capsys, argv):
     rc, out, _ = run(capsys, *argv)
     res = run_fresh("-m", "nilcomm.cli", *argv)
     assert (res.returncode, res.stdout) == (rc, out.encode())
+
+
+def test_fresh_process_exits_141_on_a_closed_pipe():
+    # as `nilcomm dinv 60,40 --json | head -1`: the reader leaves after one
+    # line while most of the 219 kB are still to be written
+    argv = [sys.executable, "-m", "nilcomm.cli", "dinv", "60,40", "--json"]
+    proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=SRC),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def test_fresh_process_bad_partition_is_exit_2():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nilcomm import dinverse
@@ -12,7 +14,6 @@ from nilcomm.dinverse import (
     explore_q2,
     fiber_json,
     lemma1_structure,
-    minimal_rank_check,
 )
 from nilcomm.partitions import (
     Partition,
@@ -22,6 +23,8 @@ from nilcomm.partitions import (
     is_stable,
     partition_rank,
 )
+
+from . import oracles
 
 
 def P(*xs):
@@ -139,15 +142,49 @@ def test_lemma1_structure_contains_fibers():
 
 
 def test_minimal_rank_uniqueness():
-    assert minimal_rank_check(2, 4)
-    assert minimal_rank_check(1, 2)
-    assert minimal_rank_check(4, 3)
+    # (mu+2, 1^(mu+r-2)) is the unique rank-minimal element of the fiber of
+    # (mu+r, mu): (mu, r) = (2, 4), (1, 2), (4, 3)
+    for target in (P(6, 2), P(3, 1), P(7, 4)):
+        rep = explore_q2(target)
+        assert rep.holds and rep.minimal == (rep.conjectured,)
+    assert rep.conjectured == P(6, 1, 1, 1, 1, 1)
     # and the claimed minimum really is in the fiber with minimal rank
     mu, r = 4, 3
     fiber = dinv(P(mu + r, mu))
     best = min(partition_rank(p) for p in fiber)
     winners = {p for p in fiber if partition_rank(p) == best}
     assert winners == {P(mu + 2, *([1] * (mu + r - 2)))}
+
+
+def test_index_window_matches_the_scan():
+    for n in range(1, 26):
+        for lam in enumerate_partitions(n):
+            assert dinverse._index_window(lam) == oracles.index_window_scan(lam)
+    rng = random.Random(2011)
+    for _ in range(2000):
+        top = rng.randint(1, 30)
+        ps = tuple(sorted((rng.randint(1, top) for _ in range(rng.randint(20, 120))),
+                          reverse=True))
+        assert dinverse._index_window(ps) == oracles.index_window_scan(ps)
+
+
+def test_dinv_equals_the_table_on_every_partition():
+    # every mu with n <= 22, the empty fibers of non-images included
+    for n in range(1, 23):
+        table = dmap_all(n)
+        for mu in enumerate_partitions(n):
+            assert dinv(mu) == table.fiber(mu), mu
+
+
+def test_dinv_holds_every_preimage():
+    # lam is in dinv(dmap(lam)) for every lam with n = 23, 24, and nothing
+    # else is: each image's fiber is exactly the partitions mapping to it
+    for n in (23, 24):
+        fibers = {}
+        for lam in enumerate_partitions(n):
+            fibers.setdefault(dmap(lam), set()).add(lam)
+        for mu, fiber in fibers.items():
+            assert dinv(mu) == fiber, mu
 
 
 def test_fiber_json_shape():

@@ -93,16 +93,21 @@ def test_almost_rect_basics():
         almost_rect(3, 0)
 
 
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60))
-def test_almost_rect_is_the_unique_ar_shape(n, t):
-    if t > n:
-        return
-    p = almost_rect(n, t)
-    assert p.n == n and p.t == t
-    assert p[0] - p[-1] <= 1
-    assert is_almost_rectangular(p)
-    # uniqueness among t-part partitions of n
-    assert sum(1 for q in partitions_with_parts(n, t) if is_almost_rectangular(q)) == 1
+def test_almost_rect_is_the_unique_ar_shape():
+    # every t-part partition of n, enumerated, for n <= 25
+    for n in range(1, 26):
+        for t in range(1, n + 1):
+            ar = [q for q in partitions_with_parts(n, t) if is_almost_rectangular(q)]
+            assert ar == [almost_rect(n, t)]
+    # an almost-rectangular t-part partition of n is q^(t-s) (q+1)^s with
+    # 0 <= s < t and qt + s = n; counting those shapes covers n, t <= 60
+    for n in range(1, 61):
+        for t in range(1, n + 1):
+            shapes = [(q, n - q * t) for q in range(1, n // t + 1) if n - q * t < t]
+            assert len(shapes) == 1
+            (q, s), = shapes
+            p = almost_rect(n, t)
+            assert p == (q + 1,) * s + (q,) * (t - s) and is_almost_rectangular(p)
 
 
 def test_dominance_is_a_partial_order():
