@@ -216,7 +216,8 @@ def measurements(root: str, pkg_root: str) -> dict:
             twoblock.tb_rank(x) for x in elements]),
         "dinverse.dinv_30_s": lambda: cold(dinverse.dinv, (21, 9)),
         "dinverse.dinv_40_s": lambda: cold(dinverse.dinv, (25, 15)),
-        "dinverse.dmap_s": lambda: timed(lambda: [dinverse.dmap(p) for p in dmap_parts]),
+        "dinverse.dmap_s": lambda: timed(lambda: [
+            dinverse.dmap(p) for p in dmap_parts]),
         "twoblock.witnesses_s": lambda: timed(lambda: [
             (twoblock.construct_lemma_eq2(m), twoblock.maxrank_partners(m + 1, m - 1))
             for m in range(2, 13)]),
