@@ -25,10 +25,10 @@ Measurements:
   __pycache__ and run with PYTHONDONTWRITEBYTECODE=1, so every nilcomm
   module is compiled from source, as on a checkout that never wrote bytecode;
 - cli.import_s: `import nilcomm.cli`, timed inside such a process;
-- dinverse.dmap_all_{20,30,40}_s: one cold fiber table, cache cleared first;
-- dinverse.dinv_30_s, dinverse.dinv_40_s: the fibers of (21,9) and (25,15),
-  fiber-table cache cleared first (versions that read fibers off the table
-  build it here);
+- dinverse.dmap_all_{20,30,40}_s: one fiber table, built cold;
+- dinverse.dinv_30_s, dinverse.dinv_40_s, dinverse.dinv_60_s: the fibers of
+  (21,9), (25,15) and (35,25), built cold (versions that read fibers off the
+  table build it here);
 - dinverse.dmap_s: `dmap` on 200 fixed partitions of 5..60 parts up to 30;
 - commutant.sample_jordan_s: 20 seeded draws on each of five hosts
   (n = 16..20), generator lists already cached;
@@ -51,9 +51,12 @@ Measurements:
 - verify.suite{1..12}_s: each acceptance suite's own `seconds` from
   `verify.run_suite(k)`, at the scale `run_all` gives it (--max-n 16,
   seed 0); run_suite(11) first runs suites 1, 3 and 5 for their pairs, which
-  are not in its time.  The fiber-table cache, and the sample-bank cache of
-  versions that kept one (`verify._bank`), are cleared before each run, so
-  every suite starts cold.  A suite that fails stops the script.
+  are not in its time.  A suite that fails stops the script.
+
+The fiber and suite measurements start cold: the caches that some versions
+kept, of fiber tables (`dinverse._table`) and of the sample bank
+(`verify._bank`), are cleared before each run.  A run stopped by SIGTERM
+still removes the package copies its workers made.
 
 Inputs are fixed (seeded `random`, never the library's own generator), and
 only names that every benchmarked version of the library has are used.
@@ -66,6 +69,7 @@ import os
 import platform
 import random
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -186,17 +190,20 @@ def measurements(root: str, pkg_root: str) -> dict:
     for lam in SAMPLE_HOSTS + small_hosts:
         commutant.sample_jordan(lam, 0)  # fills the generator cache
 
+    def clear_caches():
+        for module, name in ((dinverse, "_table"), (verify, "_bank")):
+            if hasattr(module, name):
+                getattr(module, name).cache_clear()
+
     def suite(k):
-        dinverse._table.cache_clear()
-        if hasattr(verify, "_bank"):
-            verify._bank.cache_clear()
-        res = verify.run_suite(k, 16, 0, 10)
+        clear_caches()
+        res = verify.run_suite(k, 16, 0)
         if not res.passed:
             sys.exit(f"bench: suite {k} failed: {res.detail}")
         return res.seconds
 
     def cold(fn, arg):
-        dinverse._table.cache_clear()
+        clear_caches()
         return timed(lambda: fn(arg))
 
     cli = ["-m", "nilcomm.cli"]
@@ -216,6 +223,7 @@ def measurements(root: str, pkg_root: str) -> dict:
             twoblock.tb_rank(x) for x in elements]),
         "dinverse.dinv_30_s": lambda: cold(dinverse.dinv, (21, 9)),
         "dinverse.dinv_40_s": lambda: cold(dinverse.dinv, (25, 15)),
+        "dinverse.dinv_60_s": lambda: cold(dinverse.dinv, (35, 25)),
         "dinverse.dmap_s": lambda: timed(lambda: [
             dinverse.dmap(p) for p in dmap_parts]),
         "twoblock.witnesses_s": lambda: timed(lambda: [
@@ -313,7 +321,14 @@ def write(side: Side, runs: dict, repeats: int, partner: Side | None,
     print(f"wrote {path}")
 
 
+def stop(signum, frame):
+    """SIGTERM as SystemExit, so the with and finally blocks still run."""
+    sys.exit(128 + signum)
+
+
 def main() -> int:
+    # in the parent and in each worker, which runs through main too
+    signal.signal(signal.SIGTERM, stop)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label")
     ap.add_argument("--repeats", type=int, default=5)

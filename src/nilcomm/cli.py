@@ -4,7 +4,8 @@ Every subcommand is deterministic given its flags: seeds are explicit,
 sampling is seeded, and JSON output carries the seed it was produced with
 so any reported shape can be re-derived.  The seed is null where none is
 used: dmap, dinv, explore and the fixed constructions (squarezero,
-lemma-eq2, lemma-odd) accept --seed and ignore it.
+lemma-eq2, lemma-odd) accept --seed and ignore it.  Otherwise a command
+takes only the flags it reads: a flag it does not take is a usage error.
 
 Every construct subcommand prints a witness the library has certified
 (`exactla.certify`: it commutes with the host Jordan matrix and has the
@@ -190,10 +191,9 @@ def _cmd_verify(args) -> int:
 
     if args.suite == "all":
         progress = None if args.json else lambda r: print(r.line(), flush=True)
-        results = verify.run_all(args.max_n, args.seed, args.coeff_bound, progress)
+        results = verify.run_all(args.max_n, args.seed, progress)
     else:
-        results = [verify.run_suite(int(args.suite), args.max_n, args.seed,
-                                    args.coeff_bound)]
+        results = [verify.run_suite(int(args.suite), args.max_n, args.seed)]
         if not args.json:
             print(results[0].line())
     if args.json:
@@ -252,12 +252,16 @@ def _suite(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--coeff-bound", type=int, default=10)
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--max-n", type=int, default=40)
-    common.add_argument("--dump-matrix", action="store_true")
+    # each command takes only the flags it reads: parents nest, so each one
+    # adds a flag to the one before it
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--json", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0)
+    dump = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    dump.add_argument("--dump-matrix", action="store_true")
+    drawn = argparse.ArgumentParser(add_help=False, parents=[dump])
+    drawn.add_argument("--coeff-bound", type=int, default=10)
 
     parser = argparse.ArgumentParser(
         prog="nilcomm",
@@ -265,17 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dmap", parents=[common],
+    p = sub.add_parser("dmap", parents=[seeded],
                        help="generic commuting Jordan type of a partition")
     p.add_argument("partition")
     p.set_defaults(func=_cmd_dmap)
 
-    p = sub.add_parser("dinv", parents=[common],
+    p = sub.add_parser("dinv", parents=[seeded],
                        help="inverse image of a partition under the map")
     p.add_argument("partition")
     p.set_defaults(func=_cmd_dinv)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample", parents=[drawn],
                        help="random nilpotent elements commuting with a Jordan matrix")
     p.add_argument("partition")
     p.add_argument("--count", type=_positive_int, default=1)
@@ -284,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("construct", help="verified witness constructions")
     subc = pc.add_subparsers(dest="construction", required=True)
 
-    p = subc.add_parser("squarezero", parents=[common],
+    p = subc.add_parser("squarezero", parents=[dump],
                         help="square-zero partner of prescribed rank")
     p.add_argument("partition")
     p.add_argument("--rank", type=int, required=True)
     p.set_defaults(func=_cmd_construct_squarezero)
 
-    p = subc.add_parser("antidiagonal", parents=[common],
+    p = subc.add_parser("antidiagonal", parents=[drawn],
                         help="two-block antidiagonal element with predicted type")
     p.add_argument("l1", type=int)
     p.add_argument("l2", type=int)
@@ -298,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("l", type=int)
     p.set_defaults(func=_cmd_construct_antidiagonal)
 
-    p = subc.add_parser("lemma-eq2", parents=[common],
+    p = subc.add_parser("lemma-eq2", parents=[dump],
                         help="partner of type (m+1, m-1) for equal blocks (m, m)")
     p.add_argument("lam", type=int)
     p.set_defaults(func=_cmd_construct_lemma_eq2)
 
-    p = subc.add_parser("lemma-odd", parents=[common],
+    p = subc.add_parser("lemma-odd", parents=[dump],
                         help="two-block square-zero element of prescribed rank")
     p.add_argument("l1", type=int)
     p.add_argument("l2", type=int)
@@ -312,25 +316,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("check", help="necessary-condition filters")
     subk = pk.add_subparsers(dest="what", required=True)
-    p = subk.add_parser("pair", parents=[common],
+    p = subk.add_parser("pair", parents=[out],
                         help="can two types commute? forbidden or unknown")
     p.add_argument("lam")
     p.add_argument("mu")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[seeded],
                        help="run the acceptance suites")
     p.add_argument("--suite", default="all", type=_suite)
+    p.add_argument("--max-n", type=int, default=16)
     p.set_defaults(func=_cmd_verify)
 
     pe = sub.add_parser("explore", help="evidence for the open questions")
     sube = pe.add_subparsers(dest="question", required=True)
-    p = sube.add_parser("q1", parents=[common],
+    p = sube.add_parser("q1", parents=[seeded],
                         help="two-part fiber counts beyond gap 5")
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=_cmd_explore_q1)
-    p = sube.add_parser("q2", parents=[common],
+    p = sube.add_parser("q2", parents=[seeded],
                         help="rank-minimal fiber elements of a stable partition")
     p.add_argument("partition")
     p.set_defaults(func=_cmd_explore_q2)

@@ -5,15 +5,14 @@ first part of D(p) is an explicit maximum over windows of parts
 (dmap_index), the window that attains it is removed, and the rest recurses.
 The number of parts of D(p) is the minimal almost-rectangular cover of p,
 which every result is checked against.  Fibers invert the recursion one
-part at a time; brute-force fibers, their oracle, go through a cached full
-table over all partitions of n.  Closed-form fast paths cover staircase
+part at a time; brute-force fibers, their oracle, go through a full table
+over all partitions of n.  Closed-form fast paths cover staircase
 images, two-part images with gap 2..4, and the image (n-1, 1); the two open
 question explorers sit on top.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
@@ -105,16 +104,10 @@ class DTable(NamedTuple):
 
 
 def dmap_all(n: int) -> DTable:
-    """Full image table on the partitions of n.  Cached per n."""
+    """Full image table on the partitions of n, built on each call: only
+    brute-force checks use it (suites, tests, fiber_census.py), never dinv."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _table(n)
-
-
-# the last 24 sizes asked for: only brute-force checks build tables (suites
-# at n <= 16, tests at n <= 22, fiber_census.py), never dinv or the CLI
-@lru_cache(maxsize=24)
-def _table(n: int) -> DTable:
     entries = {lam: dmap(lam) for lam in enumerate_partitions(n)}
     if len(entries) != count_partitions(n):
         raise RuntimeError(f"table at n={n} is incomplete")

@@ -38,6 +38,11 @@ from nilcomm.twoblock import (
     tb_to_matrix,
 )
 
+# the suites draw integer coefficients (suite 3: numerators) in
+# [-COEFF_BOUND, COEFF_BOUND]; the check counts and golden digests were
+# recorded at this value
+COEFF_BOUND = 10
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -125,7 +130,7 @@ def suite2(max_n: int = 16, sample_n: int = 10, seed: int = 0) -> SuiteResult:
                 fails.append(f"lam={tuple(lam)}: recursion gave {tuple(d)}")
             if n <= sample_n:
                 checked += 1
-                if not any(sample_jordan(lam, derive(seed, 2, i)) == (n,)
+                if not any(sample_jordan(lam, derive(seed, 2, i), COEFF_BOUND) == (n,)
                            for i in range(SUITE2_DRAWS)):
                     fails.append(f"lam={tuple(lam)}: no draw of type ({n},) "
                                  f"in {SUITE2_DRAWS}")
@@ -153,8 +158,8 @@ def suite3(max_n: int = 14, draws: int = 3, seed: int = 0) -> SuiteResult:
             for j, l in _admissible(l1, l2):
                 for k in range(draws):
                     rng = Stream(derive(seed, 3, l1, l2, j, l, k))
-                    bc = Fraction(rng.nonzero(10), rng.randint(1, 4))
-                    cc = Fraction(rng.nonzero(10), rng.randint(1, 4))
+                    bc = Fraction(rng.nonzero(COEFF_BOUND), rng.randint(1, 4))
+                    cc = Fraction(rng.nonzero(COEFF_BOUND), rng.randint(1, 4))
                     x, pred, case = antidiagonal(l1, l2, j, l, bc, cc)
                     checked += 1
                     try:
@@ -205,16 +210,15 @@ def suite4(max_n: int = 14) -> SuiteResult:
                    f"all four formulas exact, n <= {max_n}")
 
 
-def two_part_draws(l1: int, l2: int, samples: int, seed: int = 0,
-                   coeff_bound: int = 10):
+def two_part_draws(l1: int, l2: int, samples: int, seed: int = 0):
     """Suite 5's draws on the host (l1, l2): `samples` nilpotent-form elements
-    with integer coefficients in [-coeff_bound, coeff_bound], seeded by
+    with integer coefficients in [-COEFF_BOUND, COEFF_BOUND], seeded by
     derive(seed, 5, l1, l2).  Yields (element, order) for each draw of rank
     n - 2 (`tb_rank`), whose Jordan type is then (order, n - order)."""
     n = l1 + l2
     rng = Stream(derive(seed, 5, l1, l2))
     for _ in range(samples):
-        v = rng.ints(-coeff_bound, coeff_bound, l1 + 3 * l2 - 2)  # a[1:] b c d[1:]
+        v = rng.ints(-COEFF_BOUND, COEFF_BOUND, l1 + 3 * l2 - 2)  # a[1:] b c d[1:]
         o = l1 - 1
         a, d = (0, *v[:o]), (0, *v[o + 2 * l2:])
         bco, cco = v[o:o + l2], v[o + l2:o + 2 * l2]
@@ -234,7 +238,7 @@ def _two_part_types(l1: int, l2: int) -> set:
 
 
 def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
-           seed: int = 0, coeff_bound: int = 10) -> SuiteResult:
+           seed: int = 0) -> SuiteResult:
     """Two-part hosts: the off-by-one partner exists for equal blocks, and
     sampling the full commuting parametrization never produces a two-part
     type outside the allowed set; the pair rule forbids exactly the rest."""
@@ -256,7 +260,7 @@ def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
             allowed = _two_part_types(l1, l2)
             checked += samples
             seen = {(order, n - order)
-                    for _, order in two_part_draws(l1, l2, samples, seed, coeff_bound)}
+                    for _, order in two_part_draws(l1, l2, samples, seed)}
             fails += [f"host ({l1},{l2}): sampled two-part type {q}"
                       for q in sorted(seen - allowed)]
             pairs.update((Partition((l1, l2)), Partition(q)) for q in seen & allowed)
@@ -367,8 +371,7 @@ def suite10(max_n: int = 12) -> SuiteResult:
                    f"both properties hold for n <= {max_n}")
 
 
-def sample_bank(n_max: int = 10, per: int = 1000, seed: int = 0,
-                coeff_bound: int = 10) -> dict:
+def sample_bank(n_max: int = 10, per: int = 1000, seed: int = 0) -> dict:
     """per sampled commuting types for every partition of every n <= n_max,
     keyed by the host partition.  Draw i on host lam is seeded by
     derive(seed, 7, *lam, i)."""
@@ -376,15 +379,14 @@ def sample_bank(n_max: int = 10, per: int = 1000, seed: int = 0,
     for n in range(1, n_max + 1):
         for lam in enumerate_partitions(n):
             bank[lam] = [
-                Partition(sample_jordan(lam, derive(seed, 7, *lam, i), coeff_bound))
+                Partition(sample_jordan(lam, derive(seed, 7, *lam, i), COEFF_BOUND))
                 for i in range(per)
             ]
     return bank
 
 
 def suite11(sample_n: int = 10, per: int = 1000, pair_n: int = 12,
-            seed: int = 0, coeff_bound: int = 10, *,
-            pairs: frozenset) -> SuiteResult:
+            seed: int = 0, *, pairs: frozenset) -> SuiteResult:
     """No verified commuting pair is ever marked forbidden.
 
     pairs holds the (host, type) pairs verified by the construction suites
@@ -392,7 +394,7 @@ def suite11(sample_n: int = 10, per: int = 1000, pair_n: int = 12,
     fails: list[str] = []
     checked = 0
     pairs = set(pairs)
-    bank = sample_bank(sample_n, per, seed, coeff_bound)
+    bank = sample_bank(sample_n, per, seed)
     for lam, draws in bank.items():
         checked += len(draws)
         pairs.update((lam, q) for q in draws)
@@ -424,54 +426,52 @@ def suite12(max_n: int = 14) -> SuiteResult:
                    f"unique minimum for all first parts <= {max_n}")
 
 
-# criterion -> runner(max_n, seed, coeff_bound, pairs): each suite at its
-# stated scale, capped by max_n; only suite 11 reads pairs, the union of the
-# WITNESS_SUITES' pairs.  run_all and run_suite both read this table
+# criterion -> runner(max_n, seed, pairs): each suite at its stated scale,
+# capped by max_n, so no suite grows past n = 16; only suite 11 reads pairs,
+# the union of the WITNESS_SUITES' pairs.  run_all and run_suite both read
+# this table
 SUITES = {
-    1: lambda m, seed, cb, p: suite1(min(m, 10)),
-    2: lambda m, seed, cb, p: suite2(min(m, 16), min(m, 10), seed),
-    3: lambda m, seed, cb, p: suite3(min(m, 14), 3, seed),
-    4: lambda m, seed, cb, p: suite4(min(m, 14)),
-    5: lambda m, seed, cb, p: suite5(min(m, 16), min(m, 10), 10000, seed, cb),
-    6: lambda m, seed, cb, p: suite6(min(m, 16)),
-    7: lambda m, seed, cb, p: suite7(min(m, 16)),
-    8: lambda m, seed, cb, p: suite8(),
-    9: lambda m, seed, cb, p: suite9(),
-    10: lambda m, seed, cb, p: suite10(min(m, 12)),
-    11: lambda m, seed, cb, p: suite11(min(m, 10), 1000, min(m, 12), seed, cb, pairs=p),
-    12: lambda m, seed, cb, p: suite12(min(m, 14)),
+    1: lambda m, seed, p: suite1(min(m, 10)),
+    2: lambda m, seed, p: suite2(min(m, 16), min(m, 10), seed),
+    3: lambda m, seed, p: suite3(min(m, 14), 3, seed),
+    4: lambda m, seed, p: suite4(min(m, 14)),
+    5: lambda m, seed, p: suite5(min(m, 16), min(m, 10), 10000, seed),
+    6: lambda m, seed, p: suite6(min(m, 16)),
+    7: lambda m, seed, p: suite7(min(m, 16)),
+    8: lambda m, seed, p: suite8(),
+    9: lambda m, seed, p: suite9(),
+    10: lambda m, seed, p: suite10(min(m, 12)),
+    11: lambda m, seed, p: suite11(min(m, 10), 1000, min(m, 12), seed, pairs=p),
+    12: lambda m, seed, p: suite12(min(m, 14)),
 }
 
 # the suites whose verified pairs suite 11 checks against the pair filter
 WITNESS_SUITES = (1, 3, 5)
 
 
-def _timed(k: int, max_n: int, seed: int, coeff_bound: int,
-           pairs: frozenset) -> SuiteResult:
+def _timed(k: int, max_n: int, seed: int, pairs: frozenset) -> SuiteResult:
     t0 = time.perf_counter()
-    res = SUITES[k](max_n, seed, coeff_bound, pairs)
+    res = SUITES[k](max_n, seed, pairs)
     return replace(res, seconds=time.perf_counter() - t0)
 
 
-def run_suite(k: int, max_n: int = 16, seed: int = 0,
-              coeff_bound: int = 10) -> SuiteResult:
+def run_suite(k: int, max_n: int = 16, seed: int = 0) -> SuiteResult:
     """Suite k at the scale run_all gives it, timed; suite 11 first runs the
     witness suites for its pairs, as run_all does before it (not in its time)."""
     pairs = frozenset()
     if k == 11:
-        pairs = pairs.union(*(SUITES[j](max_n, seed, coeff_bound, frozenset()).pairs
+        pairs = pairs.union(*(SUITES[j](max_n, seed, frozenset()).pairs
                               for j in WITNESS_SUITES))
-    return _timed(k, max_n, seed, coeff_bound, pairs)
+    return _timed(k, max_n, seed, pairs)
 
 
-def run_all(max_n: int = 16, seed: int = 0, coeff_bound: int = 10,
-            progress=None) -> list[SuiteResult]:
+def run_all(max_n: int = 16, seed: int = 0, progress=None) -> list[SuiteResult]:
     """All twelve suites at their stated scales, capped by max_n, each timed;
     suite 11 gets the pairs of the witness suites, which run before it."""
     results: list[SuiteResult] = []
     pairs = frozenset()
     for k in sorted(SUITES):
-        res = _timed(k, max_n, seed, coeff_bound, pairs)
+        res = _timed(k, max_n, seed, pairs)
         pairs |= res.pairs
         results.append(res)
         if progress is not None:

@@ -9,7 +9,7 @@ import pytest
 
 import nilcomm
 from nilcomm import dinverse, exactla, twoblock, verify
-from nilcomm.cli import main
+from nilcomm.cli import build_parser, main
 
 SRC = str(Path(nilcomm.__file__).resolve().parent.parent)
 
@@ -74,12 +74,12 @@ def test_dinv_needs_no_size_guard(capsys):
     assert rc == 0
     want = sorted(dinverse.dmap_all(20).fiber((18, 2)), reverse=True)
     assert json.loads(out)["fiber"] == [list(lam) for lam in want]
-    # --max-n scales only verify; the other commands accept and ignore it
-    assert run(capsys, "dinv", "6,2", "--max-n", "4") == run(capsys, "dinv", "6,2")
-    with pytest.raises(SystemExit) as exc:
-        main(["dinv", "6,2", "--force"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --force" in capsys.readouterr().err
+    # neither the old guard's --force nor --max-n, which scales only verify
+    for flags in (["--max-n", "4"], ["--force"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["dinv", "6,2", *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_sample_is_deterministic(capsys):
@@ -177,7 +177,7 @@ def test_verify_reports_suite_seconds(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "9", "--json")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["max_n"] == 40
+    assert doc["max_n"] == 16
     (res,) = doc["results"]
     assert isinstance(res["seconds"], float) and res["seconds"] >= 0
     rc, out, _ = run(capsys, "verify", "--suite", "9")
@@ -225,7 +225,7 @@ def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
     assert rc == 2 and out == "" and err.startswith("error:")
     # a verification that fails
     failed = verify.SuiteResult(9, "forced", False, 0, "forced failure")
-    monkeypatch.setitem(verify.SUITES, 9, lambda m, seed, cb, pairs: failed)
+    monkeypatch.setitem(verify.SUITES, 9, lambda m, seed, pairs: failed)
     rc, out, err = run(capsys, "verify", "--suite", "9")
     assert rc == 1 and "forced failure" in out
     # a layer's own consistency check fails: an internal error, not bad input
@@ -277,6 +277,45 @@ def test_verify_fails_a_suite_that_checks_nothing(capsys):
     rc, out, _ = run(capsys, "verify", "--max-n", "4", "--json")
     assert rc == 0
     assert all(r["passed"] and r["checked"] > 0 for r in json.loads(out)["results"])
+
+
+# the five flags every command once took, each with a value to parse
+FLAGS = {"--json": [], "--dump-matrix": [], "--seed": ["7"], "--coeff-bound": ["0"],
+         "--max-n": ["4"]}
+# a command line of each command, and the flags of FLAGS it takes
+TAKES = [
+    (["dmap", "3,1,1"], {"--json", "--seed"}),
+    (["dinv", "6,2"], {"--json", "--seed"}),
+    (["explore", "q1", "--mu", "7", "--r", "5"], {"--json", "--seed"}),
+    (["explore", "q2", "4,2"], {"--json", "--seed"}),
+    (["sample", "3,1"], {"--json", "--seed", "--coeff-bound", "--dump-matrix"}),
+    (["construct", "antidiagonal", "5", "3", "0", "1"],
+     {"--json", "--seed", "--coeff-bound", "--dump-matrix"}),
+    (["construct", "squarezero", "3,3,1", "--rank", "3"],
+     {"--json", "--seed", "--dump-matrix"}),
+    (["construct", "lemma-eq2", "4"], {"--json", "--seed", "--dump-matrix"}),
+    (["construct", "lemma-odd", "5", "3", "4"], {"--json", "--seed", "--dump-matrix"}),
+    (["check", "pair", "6,2", "4,4"], {"--json"}),
+    (["verify"], {"--json", "--seed", "--max-n"}),
+]
+
+
+@pytest.mark.parametrize("argv, flag, taken", [
+    pytest.param(argv, flag, flag in taken, id=" ".join(argv[:2] + [flag]))
+    for argv, taken in TAKES for flag in FLAGS])
+def test_each_command_takes_only_the_flags_it_reads(capsys, argv, flag, taken):
+    # 29 flags in all; a flag a command does not take is a usage error, so
+    # `verify --coeff-bound 0` can no longer pass on all-zero draws
+    flags = [flag, *FLAGS[flag]]
+    if taken:
+        args = build_parser().parse_args(argv + flags)
+        value = getattr(args, flag[2:].replace("-", "_"))
+        assert value == (int(FLAGS[flag][0]) if FLAGS[flag] else True)
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

@@ -38,21 +38,6 @@ def test_table_is_complete_and_consistent():
         assert d == dmap(lam)
 
 
-def test_table_cache_evicts_and_rebuilds():
-    bound = dinverse._table.cache_info().maxsize
-    first = {n: dmap_all(n) for n in range(1, bound + 2)}
-    # n = 1 is the least recently used of bound + 1 sizes, so it was evicted
-    assert dinverse._table.cache_info().currsize == bound
-    rebuilt = dmap_all(1)
-    assert rebuilt is not first[1] and rebuilt == first[1]
-    assert dmap_all(bound + 1) is first[bound + 1]
-    for n in (2, 7, bound + 1):
-        for lam, d in dmap_all(n).entries.items():
-            assert d == dmap(lam)
-        assert dinv(P(n)) == {lam for lam in enumerate_partitions(n)
-                              if dmap(lam) == P(n)}
-
-
 def test_fibers_partition_the_whole_set():
     for n in (6, 8, 10):
         t = dmap_all(n)

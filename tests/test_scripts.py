@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,20 @@ def test_dmap_table_json_lists_every_image():
     assert doc["n"] == 8 and len(doc["entries"]) == 22
     assert {"lambda": [3, 3, 1, 1], "d": [6, 2]} in doc["entries"]
     assert all(set(e) == {"lambda", "d"} for e in doc["entries"])
+
+
+def test_stopped_bench_worker_removes_its_package_copy(tmp_path):
+    # the worker copies the package under TMPDIR and answers on stdin; its
+    # first line lists the measurements once the copy is set up
+    argv = [sys.executable, str(SCRIPTS / "bench.py"), "--worker", str(SRC.parent)]
+    env = dict(os.environ, PYTHONPATH=str(SRC), TMPDIR=str(tmp_path))
+    with subprocess.Popen(argv, env=env, stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert "verify.suite11_s" in json.loads(proc.stdout.readline())
+            assert list(tmp_path.iterdir())
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()
+    assert list(tmp_path.iterdir()) == []
