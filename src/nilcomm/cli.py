@@ -3,9 +3,10 @@
 Every subcommand is deterministic given its flags: seeds are explicit,
 sampling is seeded, and JSON output carries the seed it was produced with
 so any reported shape can be re-derived.  The seed is null where none is
-used: dmap, dinv, explore and the fixed constructions (squarezero,
-lemma-eq2, lemma-odd) accept --seed and ignore it.  Otherwise a command
-takes only the flags it reads: a flag it does not take is a usage error.
+used: in dmap, dinv, explore and the fixed constructions (squarezero,
+lemma-eq2, lemma-odd).  A command takes only the flags it reads, and a flag
+it does not take is a usage error; only dmap and dinv accept and ignore
+--seed, for perfbench, whose CLI workload passes one.
 
 Every construct subcommand prints a witness the library has certified
 (`exactla.certify`: it commutes with the host Jordan matrix and has the
@@ -252,16 +253,12 @@ def _suite(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # each command takes only the flags it reads: parents nest, so each one
-    # adds a flag to the one before it
-    out = argparse.ArgumentParser(add_help=False)
+    # each command takes only the flags it reads: one parent parser per flag
+    out, seed, dump, bound = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     out.add_argument("--json", action="store_true")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
-    seeded.add_argument("--seed", type=int, default=0)
-    dump = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    seed.add_argument("--seed", type=int, default=0)
     dump.add_argument("--dump-matrix", action="store_true")
-    drawn = argparse.ArgumentParser(add_help=False, parents=[dump])
-    drawn.add_argument("--coeff-bound", type=int, default=10)
+    bound.add_argument("--coeff-bound", type=int, default=10)
 
     parser = argparse.ArgumentParser(
         prog="nilcomm",
@@ -269,17 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dmap", parents=[seeded],
+    p = sub.add_parser("dmap", parents=[out, seed],
                        help="generic commuting Jordan type of a partition")
     p.add_argument("partition")
     p.set_defaults(func=_cmd_dmap)
 
-    p = sub.add_parser("dinv", parents=[seeded],
+    p = sub.add_parser("dinv", parents=[out, seed],
                        help="inverse image of a partition under the map")
     p.add_argument("partition")
     p.set_defaults(func=_cmd_dinv)
 
-    p = sub.add_parser("sample", parents=[drawn],
+    p = sub.add_parser("sample", parents=[out, seed, dump, bound],
                        help="random nilpotent elements commuting with a Jordan matrix")
     p.add_argument("partition")
     p.add_argument("--count", type=_positive_int, default=1)
@@ -288,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("construct", help="verified witness constructions")
     subc = pc.add_subparsers(dest="construction", required=True)
 
-    p = subc.add_parser("squarezero", parents=[dump],
+    p = subc.add_parser("squarezero", parents=[out, dump],
                         help="square-zero partner of prescribed rank")
     p.add_argument("partition")
     p.add_argument("--rank", type=int, required=True)
     p.set_defaults(func=_cmd_construct_squarezero)
 
-    p = subc.add_parser("antidiagonal", parents=[drawn],
+    p = subc.add_parser("antidiagonal", parents=[out, seed, dump, bound],
                         help="two-block antidiagonal element with predicted type")
     p.add_argument("l1", type=int)
     p.add_argument("l2", type=int)
@@ -302,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("l", type=int)
     p.set_defaults(func=_cmd_construct_antidiagonal)
 
-    p = subc.add_parser("lemma-eq2", parents=[dump],
+    p = subc.add_parser("lemma-eq2", parents=[out, dump],
                         help="partner of type (m+1, m-1) for equal blocks (m, m)")
     p.add_argument("lam", type=int)
     p.set_defaults(func=_cmd_construct_lemma_eq2)
 
-    p = subc.add_parser("lemma-odd", parents=[dump],
+    p = subc.add_parser("lemma-odd", parents=[out, dump],
                         help="two-block square-zero element of prescribed rank")
     p.add_argument("l1", type=int)
     p.add_argument("l2", type=int)
@@ -322,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("verify", parents=[seeded],
+    p = sub.add_parser("verify", parents=[out, seed],
                        help="run the acceptance suites")
     p.add_argument("--suite", default="all", type=_suite)
     p.add_argument("--max-n", type=int, default=16)
@@ -330,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("explore", help="evidence for the open questions")
     sube = pe.add_subparsers(dest="question", required=True)
-    p = sube.add_parser("q1", parents=[seeded],
+    p = sube.add_parser("q1", parents=[out],
                         help="two-part fiber counts beyond gap 5")
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=_cmd_explore_q1)
-    p = sube.add_parser("q2", parents=[seeded],
+    p = sube.add_parser("q2", parents=[out],
                         help="rank-minimal fiber elements of a stable partition")
     p.add_argument("partition")
     p.set_defaults(func=_cmd_explore_q2)

@@ -188,15 +188,3 @@ def count_partitions(n: int) -> int:
         for m in range(k, n + 1):
             table[m] += table[m - k]
     return table[n]
-
-
-def partitions_with_parts(n: int, t: int) -> Iterator[Partition]:
-    """Partitions of n with exactly t parts, reverse lexicographic."""
-    if t < 1 or t > n:
-        return
-    # exactly t parts of n  <->  partition of n-t into at most t parts, +1 each
-    for tail in _parts_iter(n - t, n - t) if n > t else [()]:
-        if len(tail) <= t:
-            padded = tuple(x + 1 for x in tail) + (1,) * (t - len(tail))
-            yield Partition(padded)
-

@@ -95,32 +95,18 @@ class TwoBlockElement:
         return " ".join(toks) if toks else "0"
 
 
-def tb_unit(l1: int, l2: int, family: str, i: int, coef=1) -> TwoBlockElement:
-    """Single basis element: family in 'M', 'K', 'L', 'N' with coefficient coef."""
-    return _element(l1, l2, [(family, i, coef)])
-
-
-def _element(l1: int, l2: int, terms) -> TwoBlockElement:
-    """Sum of coef times the basis element (family, i) over (family, i, coef) terms."""
+def tb_element(l1: int, l2: int, terms) -> TwoBlockElement:
+    """Sum of coef times the basis element (family, i) over (family, i, coef)
+    terms, family in 'M', 'K', 'L', 'N'; an index outside 0 <= i < l1 (M)
+    or 0 <= i < l2 (K, L, N) raises ValueError."""
     vecs = {"M": [0] * l1, "K": [0] * l2, "L": [0] * l2, "N": [0] * l2}
     for family, i, coef in terms:
         if family not in vecs:
             raise ValueError(f"unknown family {family!r}")
+        if not 0 <= i < len(vecs[family]):
+            raise ValueError(f"{family}_{i} is outside 0..{len(vecs[family]) - 1}")
         vecs[family][i] += coef
     return TwoBlockElement(l1, l2, *map(tuple, vecs.values()))
-
-
-def tb_add(x: TwoBlockElement, y: TwoBlockElement) -> TwoBlockElement:
-    if (x.l1, x.l2) != (y.l1, y.l2):
-        raise ValueError("block size mismatch")
-    return TwoBlockElement(
-        x.l1,
-        x.l2,
-        tuple(p + q for p, q in zip(x.a, y.a)),
-        tuple(p + q for p, q in zip(x.b, y.b)),
-        tuple(p + q for p, q in zip(x.c, y.c)),
-        tuple(p + q for p, q in zip(x.d, y.d)),
-    )
 
 
 def tb_mul(x: TwoBlockElement, y: TwoBlockElement) -> TwoBlockElement:
@@ -316,7 +302,7 @@ def antidiagonal(l1: int, l2: int, j: int, l: int, bcoef, ccoef):
         raise ValueError("coefficients must be nonzero")
     if l1 == l2 and j + l == 0:
         raise ValueError("equal blocks need j + l >= 1 for a nilpotent element")
-    x = tb_add(tb_unit(l1, l2, "K", j, bcoef), tb_unit(l1, l2, "L", l, ccoef))
+    x = tb_element(l1, l2, [("K", j, bcoef), ("L", l, ccoef)])
     n = l1 + l2
     w = l1 - l2 + j + l
     pred = _antidiagonal_type(l1, l2, j, l)
@@ -403,15 +389,25 @@ def _lemma_odd_element(l1: int, l2: int, a: int) -> TwoBlockElement:
         k2 = (l2 - 1) // 2
         terms = [("M", k1, 1), ("K", k2, 1), ("L", k2, -1)]
         terms += [("N", k2 + 1, 1)] * (k2 + 1 < l2)
-    return _element(l1, l2, terms)
+    return tb_element(l1, l2, terms)
+
+
+def _units(parts: list) -> list[tuple]:
+    """`construct_squarezero_partner`'s units as (positions, capacity): the odd
+    parts in pairs, a leftover odd part, then each even part, each unit taking
+    up to half its size in rank."""
+    odd = [i for i, p in enumerate(parts) if p % 2]
+    groups = [tuple(odd[u:u + 2]) for u in range(0, len(odd), 2)]
+    groups += [(i,) for i, p in enumerate(parts) if p % 2 == 0]
+    return [(pos, sum(parts[i] for i in pos) // 2) for pos in groups]
 
 
 def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
     """Square-zero matrix of rank a commuting with the Jordan matrix of mu.
 
-    Parts are paired so that each unit (an odd pair, an even single, or a
-    leftover odd single) can absorb up to half its size in rank; the unit
-    capacities always sum to floor(n/2).  An odd pair gets
+    Parts are grouped into units (`_units`), each absorbing up to half its
+    size in rank; at most one unit has odd size, so the unit capacities
+    always sum to floor(n/2).  An odd pair gets
     `construct_lemma_odd`'s element and a single part p of rank share r the
     power J_p^(p-r), each written straight into the host-sized rows; the
     whole matrix is verified once.
@@ -421,18 +417,9 @@ def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
     if not 0 <= a <= n // 2:
         raise ValueError(f"rank {a} out of range for n={n}")
     parts = list(mu)
-    odd_pos = [i for i, p in enumerate(parts) if p % 2 == 1]
-    even_pos = [i for i, p in enumerate(parts) if p % 2 == 0]
-    units: list[tuple] = []  # (positions, capacity)
-    for u in range(0, len(odd_pos) - 1, 2):
-        i, j = odd_pos[u], odd_pos[u + 1]
-        units.append(((i, j), (parts[i] + parts[j]) // 2))
-    if len(odd_pos) % 2 == 1:
-        i = odd_pos[-1]
-        units.append(((i,), (parts[i] - 1) // 2))
-    for i in even_pos:
-        units.append(((i,), parts[i] // 2))
-    assert sum(cap for _, cap in units) == n // 2
+    units = _units(parts)
+    if sum(cap for _, cap in units) != n // 2:
+        raise RuntimeError(f"unit capacities of {tuple(mu)} do not sum to {n // 2}; bug")
 
     offsets = [0, *accumulate(parts)]
     rows = [[0] * n for _ in range(n)]
@@ -450,7 +437,8 @@ def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
             shift = parts[pos[0]] - take
             for r in range(take):
                 rows[o + r][o + shift + r] = 1
-    assert remaining == 0
+    if remaining:
+        raise RuntimeError(f"rank {remaining} of {a} left unplaced on {tuple(mu)}; bug")
     out = ExactMatrix(rows)
     certify(out, mu, two_column(n, a))
     return out
@@ -460,12 +448,12 @@ def construct_lemma_eq2(lam: int, seed: int = 0) -> ExactMatrix:
     """Element M_1 + N_1 + K_0 = J_(lam,lam) + K_0 of type (lam+1, lam-1),
     which commutes with the equal-block Jordan matrix; verified densely.
 
-    `seed` is ignored: the element is fixed.  The argument stays so that
-    callers which still pass one keep working.
+    `seed` is ignored: the element is fixed.  The argument stays because
+    perfbench's `twoblock_draws` workload still passes one.
     """
     if lam < 2:
         raise ValueError(f"need block size >= 2, got {lam}")
-    out = tb_to_matrix(_element(lam, lam, [("M", 1, 1), ("N", 1, 1), ("K", 0, 1)]))
+    out = tb_to_matrix(tb_element(lam, lam, [("M", 1, 1), ("N", 1, 1), ("K", 0, 1)]))
     certify(out, Partition((lam, lam)), Partition((lam + 1, lam - 1)))
     return out
 
@@ -490,14 +478,14 @@ def maxrank_partners(l1: int, l2: int) -> dict[Partition, ExactMatrix]:
         if (l1, l2) == (1, 1):
             w = ExactMatrix([[0, 1], [0, 0]])
         else:
-            w = tb_to_matrix(_element(l1, l2, [("K", 0, 1), ("L", 1 - gap, 1)]))
+            w = tb_to_matrix(tb_element(l1, l2, [("K", 0, 1), ("L", 1 - gap, 1)]))
         out[Partition((n,))] = w
     else:
         out[host] = build_jordan(host)
     if gap == 2:
         m = l2 + 1
         terms = [("M", 1, m - 1), ("K", 0, -1), ("L", 0, 1)] + [("N", 1, m + 1)] * (m > 2)
-        out[Partition((m, m))] = tb_to_matrix(_element(l1, l2, terms))
+        out[Partition((m, m))] = tb_to_matrix(tb_element(l1, l2, terms))
     for shape, w in out.items():
         certify(w, host, shape)
     return out

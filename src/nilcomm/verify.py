@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 
 from nilcomm import exactla
 from nilcomm._rng import Stream, derive
@@ -86,7 +87,7 @@ def _result(criterion: int, name: str, checked: int, fails: list, detail: str,
                        pairs=frozenset(pairs))
 
 
-def suite1(max_n: int = 10) -> SuiteResult:
+def suite1(max_n: int) -> SuiteResult:
     """Square-zero partners of every rank for every host type."""
     fails: list[str] = []
     checked = 0
@@ -115,7 +116,7 @@ def suite1(max_n: int = 10) -> SuiteResult:
 SUITE2_DRAWS = 64
 
 
-def suite2(max_n: int = 16, sample_n: int = 10, seed: int = 0) -> SuiteResult:
+def suite2(max_n: int, sample_n: int, seed: int) -> SuiteResult:
     """Images of two-column shapes collapse to a single part, the recursion
     and sampling agreeing on the overlap.  (n) tops the dominance order, so
     one sampled draw of type (n) certifies it."""
@@ -146,7 +147,11 @@ def _admissible(l1: int, l2: int):
             yield j, l
 
 
-def suite3(max_n: int = 14, draws: int = 3, seed: int = 0) -> SuiteResult:
+# draws per admissible (l1, l2, j, l) in suite 3
+SUITE3_DRAWS = 3
+
+
+def suite3(max_n: int, seed: int) -> SuiteResult:
     """Predicted antidiagonal types match the dense Jordan type exactly."""
     fails: list[str] = []
     checked = 0
@@ -156,7 +161,7 @@ def suite3(max_n: int = 14, draws: int = 3, seed: int = 0) -> SuiteResult:
         for l2 in range(1, min(l1, max_n - l1) + 1):
             host = Partition((l1, l2))
             for j, l in _admissible(l1, l2):
-                for k in range(draws):
+                for k in range(SUITE3_DRAWS):
                     rng = Stream(derive(seed, 3, l1, l2, j, l, k))
                     bc = Fraction(rng.nonzero(COEFF_BOUND), rng.randint(1, 4))
                     cc = Fraction(rng.nonzero(COEFF_BOUND), rng.randint(1, 4))
@@ -174,7 +179,7 @@ def suite3(max_n: int = 14, draws: int = 3, seed: int = 0) -> SuiteResult:
     return _result(3, "antidiagonal types", checked, fails, ok, pairs)
 
 
-def suite4(max_n: int = 14) -> SuiteResult:
+def suite4(max_n: int) -> SuiteResult:
     """Block ranks of antidiagonal powers follow the four closed formulas."""
     fails: list[str] = []
     checked = 0
@@ -237,8 +242,7 @@ def _two_part_types(l1: int, l2: int) -> set:
     return balanced if not odd and h >= 2 and (l1, l2) in balanced else {(l1, l2)}
 
 
-def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
-           seed: int = 0) -> SuiteResult:
+def suite5(max_n: int, sample_n: int, samples: int, seed: int) -> SuiteResult:
     """Two-part hosts: the off-by-one partner exists for equal blocks, and
     sampling the full commuting parametrization never produces a two-part
     type outside the allowed set; the pair rule forbids exactly the rest."""
@@ -280,10 +284,11 @@ def suite5(max_n: int = 16, sample_n: int = 10, samples: int = 10000,
                    f"no sampled type escapes, partners exist to n = {max_n}", pairs)
 
 
-def suite6(max_n: int = 16) -> SuiteResult:
+def suite6(max_n: int) -> SuiteResult:
     """Staircase fibers from the closed form equal brute force."""
     fails: list[str] = []
     checked = 0
+    table = cache(dmap_all)  # one fiber table per n in this run
     for mu in range(3, max_n + 1):
         for k in range(1, (mu - 1) // 2 + 1):
             n = (k + 1) * (mu - k)
@@ -294,7 +299,7 @@ def suite6(max_n: int = 16) -> SuiteResult:
             checked += 2
             if len(fast) != mu - 2 * k:
                 fails.append(f"mu={mu} k={k}: size {len(fast)} != {mu - 2 * k}")
-            brute = dmap_all(n).fiber(target)
+            brute = table(n).fiber(target)
             if fast != brute:
                 fails.append(
                     f"mu={mu} k={k}: closed form differs from brute force "
@@ -303,15 +308,16 @@ def suite6(max_n: int = 16) -> SuiteResult:
                    f"closed form exact up to n = {max_n}")
 
 
-def suite7(max_n: int = 16) -> SuiteResult:
+def suite7(max_n: int) -> SuiteResult:
     """Two-part fiber sizes (r-1)(mu-r), with the explicit sets for gaps 2..4."""
     fails: list[str] = []
     checked = 0
+    table = cache(dmap_all)  # one fiber table per n in this run
     for r in range(2, 6):
         mu = r + 1
         while 2 * mu - r <= max_n:
             # gap 5 has no explicit set: its brute-force fiber is counted
-            brute = dmap_all(2 * mu - r).fiber((mu, mu - r))
+            brute = table(2 * mu - r).fiber((mu, mu - r))
             fast = dinv_two_part(mu, r) if r <= 4 else brute
             checked += 1
             if len(fast) != (r - 1) * (mu - r):
@@ -355,7 +361,7 @@ def suite9() -> SuiteResult:
     return _result(9, "worked image example", 1, fails, "(3,1,1) maps to (4,1)")
 
 
-def suite10(max_n: int = 12) -> SuiteResult:
+def suite10(max_n: int) -> SuiteResult:
     """Idempotence of the image map, and fixed points = stable partitions."""
     fails: list[str] = []
     checked = 0
@@ -371,7 +377,7 @@ def suite10(max_n: int = 12) -> SuiteResult:
                    f"both properties hold for n <= {max_n}")
 
 
-def sample_bank(n_max: int = 10, per: int = 1000, seed: int = 0) -> dict:
+def sample_bank(n_max: int, per: int, seed: int) -> dict:
     """per sampled commuting types for every partition of every n <= n_max,
     keyed by the host partition.  Draw i on host lam is seeded by
     derive(seed, 7, *lam, i)."""
@@ -385,8 +391,11 @@ def sample_bank(n_max: int = 10, per: int = 1000, seed: int = 0) -> dict:
     return bank
 
 
-def suite11(sample_n: int = 10, per: int = 1000, pair_n: int = 12,
-            seed: int = 0, *, pairs: frozenset) -> SuiteResult:
+# sampled types per host in suite 11's bank
+SUITE11_DRAWS = 1000
+
+
+def suite11(sample_n: int, pair_n: int, seed: int, *, pairs: frozenset) -> SuiteResult:
     """No verified commuting pair is ever marked forbidden.
 
     pairs holds the (host, type) pairs verified by the construction suites
@@ -394,7 +403,7 @@ def suite11(sample_n: int = 10, per: int = 1000, pair_n: int = 12,
     fails: list[str] = []
     checked = 0
     pairs = set(pairs)
-    bank = sample_bank(sample_n, per, seed)
+    bank = sample_bank(sample_n, SUITE11_DRAWS, seed)
     for lam, draws in bank.items():
         checked += len(draws)
         pairs.update((lam, q) for q in draws)
@@ -411,7 +420,7 @@ def suite11(sample_n: int = 10, per: int = 1000, pair_n: int = 12,
                    f"{len(pairs)} distinct verified pairs all pass")
 
 
-def suite12(max_n: int = 14) -> SuiteResult:
+def suite12(max_n: int) -> SuiteResult:
     """(mu+2, 1^(mu+r-2)) is the unique rank-minimal element of the fiber
     of (mu+r, mu): explore_q2's candidate for that target."""
     fails: list[str] = []
@@ -429,11 +438,11 @@ def suite12(max_n: int = 14) -> SuiteResult:
 # criterion -> runner(max_n, seed, pairs): each suite at its stated scale,
 # capped by max_n, so no suite grows past n = 16; only suite 11 reads pairs,
 # the union of the WITNESS_SUITES' pairs.  run_all and run_suite both read
-# this table
+# this table, the only place a suite's scale is written
 SUITES = {
     1: lambda m, seed, p: suite1(min(m, 10)),
     2: lambda m, seed, p: suite2(min(m, 16), min(m, 10), seed),
-    3: lambda m, seed, p: suite3(min(m, 14), 3, seed),
+    3: lambda m, seed, p: suite3(min(m, 14), seed),
     4: lambda m, seed, p: suite4(min(m, 14)),
     5: lambda m, seed, p: suite5(min(m, 16), min(m, 10), 10000, seed),
     6: lambda m, seed, p: suite6(min(m, 16)),
@@ -441,7 +450,7 @@ SUITES = {
     8: lambda m, seed, p: suite8(),
     9: lambda m, seed, p: suite9(),
     10: lambda m, seed, p: suite10(min(m, 12)),
-    11: lambda m, seed, p: suite11(min(m, 10), 1000, min(m, 12), seed, pairs=p),
+    11: lambda m, seed, p: suite11(min(m, 10), min(m, 12), seed, pairs=p),
     12: lambda m, seed, p: suite12(min(m, 14)),
 }
 

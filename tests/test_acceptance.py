@@ -79,6 +79,17 @@ def test_suites_type_each_witness_once(monkeypatch):
     res = verify.suite1(10)
     assert res.passed and res.checked == len(calls) == 663
     calls.clear()
-    res = verify.suite5(16, 10, 100)
+    res = verify.suite5(16, 10, 100, 0)
     # the seven equal-block partners, m = 2..8; the draws are never typed densely
     assert res.passed and len(calls) == 7
+
+
+@pytest.mark.parametrize("k, checked, sizes", [(6, 22, 9), (7, 43, 13)])
+def test_fiber_suites_build_each_table_once(monkeypatch, k, checked, sizes):
+    # suites 6 and 7 ask several fibers of one n: each table is built once
+    built = []
+    table = verify.dmap_all
+    monkeypatch.setattr(verify, "dmap_all", lambda n: built.append(n) or table(n))
+    res = verify.SUITES[k](16, 0, frozenset())
+    assert res.passed and res.checked == checked
+    assert len(built) == len(set(built)) == sizes

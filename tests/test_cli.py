@@ -47,10 +47,12 @@ def test_dmap_json(capsys):
     ["construct", "lemma-odd", "5", "3", "4"],
 ])
 def test_unseeded_commands_print_a_null_seed(capsys, argv):
-    # --seed is accepted and changes no byte: these commands draw nothing
+    # these commands draw nothing; dmap and dinv accept --seed, for perfbench,
+    # and it changes no byte
     rc, out, _ = run(capsys, *argv, "--json")
-    assert run(capsys, *argv, "--json", "--seed", "9") == (rc, out, "")
     assert rc == 0 and json.loads(out)["seed"] is None
+    if argv[0] in ("dmap", "dinv"):
+        assert run(capsys, *argv, "--json", "--seed", "9") == (rc, out, "")
 
 
 def test_dinv_text_and_json(capsys):
@@ -143,12 +145,10 @@ def test_construct_lemmas(capsys):
     doc = json.loads(out)
     assert doc["jordan"] == [2, 2, 2, 2]
     assert doc["square_zero"] is True
-    # the equal-block partner is fixed: --seed changes no byte of it
-    args = ("construct", "lemma-eq2", "5", "--json", "--dump-matrix")
-    rc, out, _ = run(capsys, *args, "--seed", "0")
-    assert (rc, run(capsys, *args, "--seed", "9")) == (0, (0, out, ""))
+    # the equal-block partner is fixed: it prints a null seed
+    rc, out, _ = run(capsys, "construct", "lemma-eq2", "5", "--json", "--dump-matrix")
     doc = json.loads(out)
-    assert doc["jordan"] == [6, 4] and doc["seed"] is None
+    assert rc == 0 and doc["jordan"] == [6, 4] and doc["seed"] is None
 
 
 def test_check_pair(capsys):
@@ -233,10 +233,19 @@ def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
     rc, out, err = run(capsys, "dmap", "3,1,1")
     assert rc == 3 and out == ""
     assert err.startswith("internal error: recursion gave") and "bug" in err
+    # so are square-zero units whose capacities miss n // 2 (a check that
+    # python -O keeps)
+    units = twoblock._units
+    with monkeypatch.context() as m:
+        m.setattr(twoblock, "_units",
+                  lambda parts: [(pos, cap + 1) for pos, cap in units(parts)])
+        rc, out, err = run(capsys, "construct", "squarezero", "3,3,1", "--rank", "3")
+    assert (rc, out) == (3, "")
+    assert err == "internal error: unit capacities of (3, 3, 1) do not sum to 3; bug\n"
     # a witness that is not nilpotent is a bug, whether the construction
     # certifies it (lemma-eq2) or the command does (antidiagonal) ...
-    element = twoblock._element
-    monkeypatch.setattr(twoblock, "_element", lambda l1, l2, terms: element(
+    element = twoblock.tb_element
+    monkeypatch.setattr(twoblock, "tb_element", lambda l1, l2, terms: element(
         l1, l2, [*terms, ("M", 0, 1)]))
     for argv in (["construct", "lemma-eq2", "4"],
                  ["construct", "antidiagonal", "5", "3", "0", "1"]):
@@ -286,15 +295,14 @@ FLAGS = {"--json": [], "--dump-matrix": [], "--seed": ["7"], "--coeff-bound": ["
 TAKES = [
     (["dmap", "3,1,1"], {"--json", "--seed"}),
     (["dinv", "6,2"], {"--json", "--seed"}),
-    (["explore", "q1", "--mu", "7", "--r", "5"], {"--json", "--seed"}),
-    (["explore", "q2", "4,2"], {"--json", "--seed"}),
+    (["explore", "q1", "--mu", "7", "--r", "5"], {"--json"}),
+    (["explore", "q2", "4,2"], {"--json"}),
     (["sample", "3,1"], {"--json", "--seed", "--coeff-bound", "--dump-matrix"}),
     (["construct", "antidiagonal", "5", "3", "0", "1"],
      {"--json", "--seed", "--coeff-bound", "--dump-matrix"}),
-    (["construct", "squarezero", "3,3,1", "--rank", "3"],
-     {"--json", "--seed", "--dump-matrix"}),
-    (["construct", "lemma-eq2", "4"], {"--json", "--seed", "--dump-matrix"}),
-    (["construct", "lemma-odd", "5", "3", "4"], {"--json", "--seed", "--dump-matrix"}),
+    (["construct", "squarezero", "3,3,1", "--rank", "3"], {"--json", "--dump-matrix"}),
+    (["construct", "lemma-eq2", "4"], {"--json", "--dump-matrix"}),
+    (["construct", "lemma-odd", "5", "3", "4"], {"--json", "--dump-matrix"}),
     (["check", "pair", "6,2", "4,4"], {"--json"}),
     (["verify"], {"--json", "--seed", "--max-n"}),
 ]
@@ -304,8 +312,9 @@ TAKES = [
     pytest.param(argv, flag, flag in taken, id=" ".join(argv[:2] + [flag]))
     for argv, taken in TAKES for flag in FLAGS])
 def test_each_command_takes_only_the_flags_it_reads(capsys, argv, flag, taken):
-    # 29 flags in all; a flag a command does not take is a usage error, so
-    # `verify --coeff-bound 0` can no longer pass on all-zero draws
+    # 24 flags in all; a flag a command does not take is a usage error, so
+    # `verify --coeff-bound 0` can no longer pass on all-zero draws, and the
+    # commands that draw nothing take no --seed, apart from dmap and dinv
     flags = [flag, *FLAGS[flag]]
     if taken:
         args = build_parser().parse_args(argv + flags)

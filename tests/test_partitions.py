@@ -15,7 +15,6 @@ from nilcomm.partitions import (
     min_ar_cover,
     parse,
     partition_rank,
-    partitions_with_parts,
     render,
 )
 
@@ -75,14 +74,6 @@ def test_enumeration_reverse_lex_and_count():
         assert all(p.n == n for p in ps)
 
 
-def test_partitions_with_parts_matches_filter():
-    for n in range(1, 11):
-        whole = list(enumerate_partitions(n))
-        for t in range(1, n + 1):
-            sub = list(partitions_with_parts(n, t))
-            assert sub == [p for p in whole if p.t == t]
-
-
 def test_almost_rect_basics():
     assert almost_rect(11, 3) == (4, 4, 3)
     assert almost_rect(12, 4) == (3, 3, 3, 3)
@@ -94,11 +85,14 @@ def test_almost_rect_basics():
 
 
 def test_almost_rect_is_the_unique_ar_shape():
-    # every t-part partition of n, enumerated, for n <= 25
+    # every partition of n, enumerated and grouped by its number of parts t,
+    # for n <= 25
     for n in range(1, 26):
-        for t in range(1, n + 1):
-            ar = [q for q in partitions_with_parts(n, t) if is_almost_rectangular(q)]
-            assert ar == [almost_rect(n, t)]
+        ar = {}
+        for q in enumerate_partitions(n):
+            if is_almost_rectangular(q):
+                ar.setdefault(q.t, []).append(q)
+        assert ar == {t: [almost_rect(n, t)] for t in range(1, n + 1)}
     # an almost-rectangular t-part partition of n is q^(t-s) (q+1)^s with
     # 0 <= s < t and qt + s = n; counting those shapes covers n, t <= 60
     for n in range(1, 61):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import signal
@@ -56,3 +57,12 @@ def test_stopped_bench_worker_removes_its_package_copy(tmp_path):
         finally:
             proc.kill()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_records_the_library_line_count():
+    # the src/ lines column of the trajectory: src/nilcomm/*.py only
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    want = sum(len(p.read_text().splitlines()) for p in (SRC / "nilcomm").glob("*.py"))
+    assert bench.src_lines(str(SRC.parent)) == want > 0

@@ -18,13 +18,12 @@ from nilcomm.twoblock import (
     construct_lemma_odd,
     construct_squarezero_partner,
     maxrank_partners,
-    tb_add,
+    tb_element,
     tb_mul,
     tb_pow_order,
     tb_rank,
     tb_rank_bound,
     tb_to_matrix,
-    tb_unit,
 )
 
 from . import oracles
@@ -32,6 +31,12 @@ from . import oracles
 
 def tb_zero(l1, l2):
     return TwoBlockElement(l1, l2, (0,) * l1, (0,) * l2, (0,) * l2, (0,) * l2)
+
+
+def terms(x):
+    """x as tb_element's (family, index, coefficient) terms."""
+    return [(f, i, v) for f, vec in zip("MKLN", (x.a, x.b, x.c, x.d))
+            for i, v in enumerate(vec)]
 
 
 def random_element(l1, l2, rng, zero_chance=3):
@@ -139,7 +144,7 @@ def test_units_match_dense_positions():
     for l1, l2 in shapes(5):
         for fam, bound in (("M", l1), ("K", l2), ("L", l2), ("N", l2)):
             for i in range(bound):
-                m = tb_to_matrix(tb_unit(l1, l2, fam, i, Fraction(7, 2)))
+                m = tb_to_matrix(tb_element(l1, l2, [(fam, i, Fraction(7, 2))]))
                 entries = {
                     (r, c)
                     for r in range(m.rows)
@@ -156,6 +161,16 @@ def test_units_match_dense_positions():
                     assert entries == {(l1 + r, l1 - l2 + i + r) for r in range(l2 - i)}
                 else:
                     assert entries == {(l1 + r, l1 + r + i) for r in range(l2 - i)}
+
+
+def test_element_refuses_indices_outside_a_family():
+    # a negative index would wrap around: M_-4 on (4, 2) to M_0, K_-1 to K_1
+    for family, i in (("M", -4), ("M", 4), ("K", -1), ("L", 2), ("N", -2)):
+        with pytest.raises(ValueError, match=f"{family}_{i} is outside"):
+            tb_element(4, 2, [(family, i, 1)])
+    with pytest.raises(ValueError, match="unknown family"):
+        tb_element(4, 2, [("P", 0, 1)])
+    assert tb_element(4, 2, [("M", 3, 1), ("K", 1, 2)]).render() == "M[3]=1 K[1]=2"
 
 
 def test_every_element_commutes_with_host():
@@ -200,8 +215,10 @@ def test_add_zero_scale():
         y = random_element(l1, l2, rng)
         sums = [[p + q for p, q in zip(r, s)] for r, s in
                 zip(tb_to_matrix(x).row_data(), tb_to_matrix(y).row_data())]
-        assert tb_to_matrix(tb_add(x, y)) == ExactMatrix(sums)
-        assert tb_add(x, z) == x
+        # tb_element sums its terms, repeated basis elements included
+        assert tb_to_matrix(tb_element(l1, l2, terms(x) + terms(y))) == ExactMatrix(sums)
+        assert tb_element(l1, l2, terms(x)) == x
+        assert tb_element(l1, l2, []) == z
 
 
 def test_pow_order_matches_dense():
@@ -222,19 +239,19 @@ def test_pow_order_matches_dense():
 def test_pow_order_refuses():
     # identity on the top block, a[0] != 0: not in nilpotent form
     with pytest.raises(ValueError, match="nilpotent-form"):
-        tb_pow_order(tb_unit(4, 2, "M", 0))
+        tb_pow_order(tb_element(4, 2, [("M", 0, 1)]))
     # equal blocks with b[0] c[0] != 0
     with pytest.raises(ValueError, match="nilpotent-form"):
-        tb_pow_order(tb_add(tb_unit(3, 3, "K", 0), tb_unit(3, 3, "L", 0)))
+        tb_pow_order(tb_element(3, 3, [("K", 0, 1), ("L", 0, 1)]))
     # M_1 on a block of 5 has order 5: powers 1..4 are nonzero
-    x = tb_unit(5, 2, "M", 1)
+    x = tb_element(5, 2, [("M", 1, 1)])
     assert tb_pow_order(x) == tb_pow_order(x, cap=4) == 5
     with pytest.raises(RuntimeError, match="exceeded cap"):
         tb_pow_order(x, cap=3)
     # the cap holds on each generator orbit: g2's alone (equal blocks with
     # b[0] != 0), and both when c[0] = 0; K_0 + N_1 on (4, 4) has order 5
-    y = tb_add(tb_unit(4, 4, "K", 0), tb_unit(4, 4, "N", 1))
-    z = tb_add(tb_unit(6, 2, "M", 1), tb_unit(6, 2, "L", 1))
+    y = tb_element(4, 4, [("K", 0, 1), ("N", 1, 1)])
+    z = tb_element(6, 2, [("M", 1, 1), ("L", 1, 1)])
     for w in (y, z):
         k = dense_order(w)
         assert tb_pow_order(w) == tb_pow_order(w, cap=k - 1) == k
@@ -380,9 +397,9 @@ def test_rank_bound_dominates_dense_rank():
 
 
 def test_rank_bound_examples():
-    x = tb_add(tb_unit(4, 3, "M", 1, 1), tb_unit(4, 3, "N", 1, 1))
+    x = tb_element(4, 3, [("M", 1, 1), ("N", 1, 1)])
     assert tb_rank_bound(x) == 5 == rank(tb_to_matrix(x))
-    y = tb_add(tb_unit(4, 4, "K", 0, 1), tb_unit(4, 4, "L", 0, 1))
+    y = tb_element(4, 4, [("K", 0, 1), ("L", 0, 1)])
     assert tb_rank_bound(y) == 8
     assert rank(tb_to_matrix(y)) <= 8
     assert tb_rank_bound(tb_zero(5, 2)) == 0
