@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -10,8 +11,10 @@ import pytest
 import nilcomm
 from nilcomm import dinverse, exactla, twoblock, verify
 from nilcomm.cli import build_parser, main
+from nilcomm.partitions import enumerate_partitions
 
 SRC = str(Path(nilcomm.__file__).resolve().parent.parent)
+GOLDEN = Path(__file__).with_name("cli_golden.txt")
 
 
 def run(capsys, *argv):
@@ -407,3 +410,105 @@ def test_fresh_process_bad_partition_is_exit_2():
 def test_deferred_imports_resolve_in_a_fresh_process(argv):
     res = run_fresh("-m", "nilcomm.cli", *argv)
     assert res.returncode == 0, res.stderr
+
+
+def cli_invocations() -> list:
+    """A fixed list of command lines: every command with every flag it takes,
+    partitions with n <= 8 and a few seeds, and failures with exit codes 1
+    and 2; in all about 270, under a second in process."""
+    def csv(p):
+        return ",".join(map(str, p))
+
+    parts = [p for n in range(1, 9) for p in enumerate_partitions(n)]
+    small = [p for p in parts if p.n <= 5]
+    out = []
+    for i, p in enumerate(small):
+        out += [["dmap", csv(p)], ["dinv", csv(p), "--json"],
+                ["sample", csv(p), "--count", "2", "--seed", str(i % 3)]]
+    for p in parts[20::6]:
+        out += [["dmap", csv(p), "--json", "--seed", "5"], ["dinv", csv(p), "--seed", "5"],
+                ["sample", csv(p), "--json", "--dump-matrix", "--coeff-bound", "3",
+                 "--seed", "1"],
+                ["sample", csv(p), "--dump-matrix", "--coeff-bound", "1"]]
+    for i, p in enumerate(small):
+        for r in range(p.n // 2 + 1):
+            flags = [["--json"], ["--dump-matrix"], []][(i + r) % 3]
+            out.append(["construct", "squarezero", csv(p), "--rank", str(r), *flags])
+    for l1 in range(1, 7):
+        for l2 in range(1, min(l1, 8 - l1) + 1):
+            for j in range(l2):
+                for l in range(j, l2):
+                    if l1 > l2 or j + l:
+                        flags = [["--seed", str(j + l)], ["--json", "--coeff-bound", "2"],
+                                 ["--dump-matrix", "--seed", "3", "--coeff-bound", "1"]]
+                        out.append(["construct", "antidiagonal", str(l1), str(l2), str(j),
+                                    str(l), *flags[(l1 + l) % 3]])
+    for m in range(2, 6):
+        out.append(["construct", "lemma-eq2", str(m), *[["--json"], ["--dump-matrix"]][m % 2]])
+    for l1 in range(1, 5):
+        for l2 in range(1, l1 + 1):
+            for a in range((l1 + l2) // 2 + 1):
+                flags = [[], ["--json"], ["--json", "--dump-matrix"]][a % 3]
+                out.append(["construct", "lemma-odd", str(l1), str(l2), str(a), *flags])
+    for lam in small[1:11]:
+        for mu in small[1:11]:
+            if lam.n == mu.n and lam >= mu:
+                out.append(["check", "pair", csv(lam), csv(mu), *(["--json"] * (lam.n % 2))])
+    for k in range(1, 13):
+        if k not in (5, 11):
+            out.append(["verify", "--suite", str(k), "--max-n", "4", "--seed", str(k % 3),
+                        *(["--json"] * (k % 2))])
+    # all twelve, where suites 3, 4, 6, 7 and 12 check nothing, so it fails
+    out += [["verify", "--suite", "3", "--max-n", "6", "--seed", "2"],
+            ["verify", "--max-n", "2", "--json", "--seed", "2"]]
+    for mu, r in ((6, 5), (7, 5), (8, 6), (9, 5)):
+        out.append(["explore", "q1", "--mu", str(mu), "--r", str(r), *(["--json"] * (mu % 2))])
+    for p in ("4,2", "6,2", "8", "5,3"):
+        out += [["explore", "q2", p], ["explore", "q2", p, "--json"]]
+    # a verification that fails, bad input, and flags a command does not take
+    out += [["verify", "--max-n", "0"], ["dmap", "3,x"], ["dinv", "0,1"],
+            ["sample", "3,1", "--coeff-bound", "0"], ["sample", "3,1", "--count", "0"],
+            ["construct", "squarezero", "3,1", "--rank", "5"],
+            ["construct", "antidiagonal", "3", "3", "0", "0"],
+            ["construct", "lemma-eq2", "1"], ["construct", "lemma-odd", "2", "3", "1"],
+            ["check", "pair", "3,1", "3,2"], ["explore", "q1", "--mu", "7", "--r", "4"],
+            ["explore", "q2", "3,3"], ["dmap", "3,1", "--max-n", "4"],
+            ["construct", "lemma-eq2", "4", "--seed", "1"], ["verify", "--suite", "13"]]
+    return out
+
+
+# verify's timing fields: the JSON "seconds" and the text line's "(k checks, t s)"
+TIMING = re.compile(r'(?<="seconds": )[0-9.e-]+|(?<=checks, )[0-9.]+(?= s\))')
+
+
+def golden_line(capsys, argv) -> str:
+    """The SHA-256 of (argv, exit code, stdout, stderr) with the timing fields
+    masked, then the exit code and argv.  Of a usage error's stderr only the
+    last line, the error, is kept: the usage text above it is argparse's."""
+    try:
+        rc, out, err = run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        rc, out, err = exc.code, captured.out, captured.err.splitlines()[-1]
+    record = (argv, rc, TIMING.sub("T", out), err)
+    return f"{hashlib.sha256(repr(record).encode()).hexdigest()[:16]} {rc} {' '.join(argv)}"
+
+
+# SHA-256 of cli_golden.txt, one golden_line per cli_invocations() entry and
+# then one for an internal error; recorded at commit 8c609ce
+CLI_DIGEST = "b7ae4bd596926a716b35075a931594a9267a56d6a3f2c93e2baa15cb15998aaf"
+
+
+def test_cli_output_matches_the_recorded_digest(capsys, monkeypatch):
+    # the byte-for-byte promise: seeded commands print the same bytes and
+    # exit with the same codes until a change says otherwise
+    lines = [golden_line(capsys, argv) for argv in cli_invocations()]
+    monkeypatch.setattr(dinverse, "min_ar_cover", lambda lam: 0)
+    lines.append(golden_line(capsys, ["dmap", "3,1,1"]))  # exit 3
+    text = "".join(line + "\n" for line in lines)
+    if hashlib.sha256(text.encode()).hexdigest() != CLI_DIGEST:
+        want = GOLDEN.read_text().splitlines()
+        first = next((i for i, (a, b) in enumerate(zip(lines, want)) if a != b),
+                     min(len(lines), len(want)))
+        pytest.fail(f"invocation {first} differs: got {lines[first:first + 1]}, "
+                    f"recorded {want[first:first + 1]}")
