@@ -35,6 +35,8 @@ Measurements:
   (n = 16..20), generator lists already cached;
 - commutant.sample_jordan_small_s: 5 seeded draws on each of the 42
   partitions of 10, the small hosts that carry most of a sample bank's time;
+- commutant.sample_nilpotent_commuting_s: one certified sample, in the
+  standard basis, on each of the 42 partitions of 10;
 - twoblock.tb_pow_order_s: orders of 200 fixed nilpotent two-block elements;
 - twoblock.tb_to_matrix_s: dense realizations of the same 200 elements;
 - twoblock.tb_rank_s: ranks of the same 200 elements;
@@ -216,6 +218,8 @@ def measurements(root: str, pkg_root: str) -> dict:
             commutant.sample_jordan(lam, s) for lam in SAMPLE_HOSTS for s in range(20)]),
         "commutant.sample_jordan_small_s": lambda: timed(lambda: [
             commutant.sample_jordan(lam, s) for lam in small_hosts for s in range(5)]),
+        "commutant.sample_nilpotent_commuting_s": lambda: timed(lambda: [
+            commutant.sample_nilpotent_commuting(lam, 0) for lam in small_hosts]),
         "twoblock.tb_pow_order_s": lambda: timed(lambda: [
             twoblock.tb_pow_order(x) for x in elements]),
         "twoblock.tb_to_matrix_s": lambda: timed(lambda: [

@@ -30,34 +30,28 @@ def derive(seed: int, *path: int) -> int:
 
 
 class Stream:
-    """Stateful splitmix64 generator."""
+    """Stateful splitmix64 generator.  `ints` is its one stepping and
+    rejection kernel; randint and nonzero draw through it."""
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
-    def next64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _mix(self._state)
-
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], unbiased via rejection."""
-        span = hi - lo + 1
-        if span <= 0:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        limit = (1 << 64) - ((1 << 64) % span)
-        while True:
-            x = self.next64()
-            if x < limit:
-                return lo + x % span
+        """Uniform integer in [lo, hi]: the first value of `ints`."""
+        return self.ints(lo, hi, 1)[0]
 
     def ints(self, lo: int, hi: int, k: int) -> list:
-        """The k values of k calls to randint(lo, hi), in order, leaving the
-        same state; the splitmix64 step and the rejection test are inlined."""
+        """k uniform integers in [lo, hi], unbiased via rejection: a
+        splitmix64 output z is kept, as lo + z % span, only below the largest
+        multiple of the span that is at most 2^64.  The splitmix64 step is
+        `_mix` inlined."""
         span = hi - lo + 1
         if span <= 0:
             raise ValueError(f"empty range [{lo}, {hi}]")
+        if span > 1 << 64:  # no output would pass the rejection test
+            raise ValueError(f"range [{lo}, {hi}] is wider than 2^64")
         limit = (1 << 64) - ((1 << 64) % span)
         s = self._state
         out = []

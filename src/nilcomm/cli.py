@@ -13,8 +13,8 @@ Every construct subcommand prints a witness the library has certified
 printed type), typed once.
 
 Exit codes: 0 success, 1 a verification failed (verify, explore), 2 bad
-input, 3 an internal error (a failed consistency check, or a witness that
-fails its certificate, i.e. a bug), 141 (128 + SIGPIPE) the reader closed
+input, 3 an internal error (a failed consistency check, a witness that
+fails its certificate, or any other exception: a bug), 141 (128 + SIGPIPE) the reader closed
 standard output early, as in `nilcomm dinv 18,2 | head -1`.  A construct
 command exits 0, 3 or 141, never 1.
 """
@@ -356,9 +356,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # a failed internal check: a bug, not bad input or a failed verification
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # a failed internal check (RuntimeError) or any other exception: a
+        # bug, not bad input or a failed verification
+        what = exc if isinstance(exc, RuntimeError) else f"{type(exc).__name__}: {exc}"
+        print(f"internal error: {what}", file=sys.stderr)
         return 3
 
 

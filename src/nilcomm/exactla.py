@@ -10,11 +10,10 @@ decide Jordan types, so there is no tolerance anywhere.
 
 A Jordan type's rank sequence stops at the first rank drop of one; the ranks
 after it follow once the matrix is known to be nilpotent.  Two certificates
-give that.  The structural one needs no arithmetic: when the graph with an
-edge i -> c for each nonzero A[i][c] is acyclic, a permutation makes A
-strictly upper triangular.  Every sampled centralizer element is drawn
-already in that shape.  Otherwise (a cyclic pattern, which every non-nilpotent matrix and a
-dense conjugate have) one exact zero power decides.
+give that.  A strictly upper triangular nonzero pattern needs no arithmetic,
+and every sampled centralizer element is drawn in that shape.  Any other
+matrix, a non-nilpotent one or a witness in the standard basis, is decided by
+one exact zero power.
 
 The Bareiss elimination is lazy: a row whose pivot-column entry is zero is
 not rewritten, since its Bareiss row at a later step is the stored row times
@@ -257,8 +256,8 @@ def jordan_type(a: ExactMatrix) -> Partition:
     Refuses non-nilpotent input: the rank sequence of powers is strictly
     decreasing until zero for nilpotents, so the first repeat at a nonzero
     value, or a nonzero power where a rank drop of one predicts zero (see
-    `_jordan_type_rows`), is a certificate of failure.  An acyclic nonzero
-    pattern certifies nilpotency without that power.
+    `_jordan_type_rows`), is a certificate of failure.  A strictly upper
+    triangular nonzero pattern certifies nilpotency without that power.
     """
     if a.rows != a.cols:
         raise ValueError("jordan_type needs a square matrix")
@@ -294,15 +293,15 @@ def _jordan_type_rows(rows0):
     drops by exactly one.  Drops never grow (Frobenius rank inequality), so a
     nilpotent A then has ranks r_k - 1, ..., 0 at the next r_k powers.
     Nilpotency is certified by the nonzero pattern when it is strictly upper
-    triangular (an O(n) test, which every sampled draw passes) or else
-    acyclic (`_acyclic`); otherwise A^(k + r_k) = 0 is checked exactly, which
-    certifies both nilpotency and the remaining ranks.  A nonzero
-    A^(k + r_k), or a drop of zero, means A is not nilpotent.  A's nonzero
-    lists are built once, for the pattern and for every product A^k A.
+    triangular (an O(n) test, which every sampled draw passes); otherwise
+    A^(k + r_k) = 0 is checked exactly, which certifies both nilpotency and
+    the remaining ranks.  A nonzero A^(k + r_k), or a drop of zero, means A
+    is not nilpotent.  A's nonzero lists are built once, for the pattern and
+    for every product A^k A.
     """
     n = len(rows0)
     a_nz = _nonzeros(rows0)
-    acyclic = all(not nz or nz[0][0] > i for i, nz in enumerate(a_nz)) or _acyclic(a_nz)
+    triangular = all(not nz or nz[0][0] > i for i, nz in enumerate(a_nz))
     powers = [rows0]  # powers[i] = A^(i + 1)
     ranks = [n]  # ranks[k] = rank of A^k
     while True:
@@ -316,7 +315,7 @@ def _jordan_type_rows(rows0):
             ranks.append(0)
             break
         if ranks[-1] - r == 1:
-            if not acyclic and any(any(row) for row in _power(powers, k + r)):
+            if not triangular and any(any(row) for row in _power(powers, k + r)):
                 raise NotNilpotentError(
                     f"matrix is not nilpotent: power {k + r} is nonzero "
                     f"after a rank drop of one at power {k}"
@@ -331,26 +330,6 @@ def _jordan_type_rows(rows0):
     for size in range(len(drops) - 1, 0, -1):
         parts.extend([size] * (drops[size - 1] - drops[size]))
     return tuple(parts)
-
-
-def _acyclic(nz) -> bool:
-    """Whether the graph with an edge i -> c for each pair (c, _) in nz[i]
-    has no cycle, by Kahn's topological sort.  For a square matrix's
-    `_nonzeros` lists this means a permutation makes it strictly upper
-    triangular, so it is nilpotent."""
-    indegree = [0] * len(nz)
-    for row in nz:
-        for c, _ in row:
-            indegree[c] += 1
-    ready = [i for i, d in enumerate(indegree) if not d]
-    done = 0
-    while ready:
-        done += 1
-        for c, _ in nz[ready.pop()]:
-            indegree[c] -= 1
-            if not indegree[c]:
-                ready.append(c)
-    return done == len(nz)
 
 
 def _power(powers: list, m: int) -> list:

@@ -153,18 +153,18 @@ def _step(l1: int, l2: int, x_nz, u, w) -> tuple:
     return top, bottom
 
 
-def tb_pow_order(x: TwoBlockElement, cap: int | None = None) -> int:
+def tb_pow_order(x: TwoBlockElement) -> int:
     """Smallest k >= 1 with x^k = 0, or raises if x is not nilpotent-form.
 
     x is R-linear and V = R g1 + R g2, so x^k = 0 exactly when x^k g1 = 0
-    and x^k g2 = 0: the order is the longer of the two generator orbits.  When c[0] != 0, c is a unit mod t^l2 and g2 = c^-1 (x g1 - a g1)
-    lies in R g1 + R x g1, so g1's orbit decides alone; likewise g2's when
-    l1 = l2 and b[0] != 0.  A nonzero x^(cap + 1) g raises RuntimeError
-    (cap: n + 1).
+    and x^k g2 = 0: the order is the longer of the two generator orbits.
+    When c[0] != 0, c is a unit mod t^l2 and g2 = c^-1 (x g1 - a g1) lies in
+    R g1 + R x g1, so g1's orbit decides alone; likewise g2's when l1 = l2
+    and b[0] != 0.  A nilpotent x has x^n = 0, so an orbit still nonzero
+    after n + 1 steps raises RuntimeError: a bug.
     """
     if not x.is_nilpotent_form():
         raise ValueError("order is only computed for nilpotent-form elements")
-    cap = cap if cap is not None else x.n + 1
     l1, l2 = x.l1, x.l2
     x_nz = _nonzeros((x.a, x.b, x.c, x.d))
     orbits = [(x.a, x.c), ((0,) * (l1 - l2) + x.b, x.d)]  # x g1, x g2
@@ -176,8 +176,8 @@ def tb_pow_order(x: TwoBlockElement, cap: int | None = None) -> int:
     for u, w in orbits:
         k = 1
         while any(u) or any(w):
-            if k > cap:
-                raise RuntimeError("power order exceeded cap; bug")
+            if k > x.n + 1:
+                raise RuntimeError("power order exceeded n + 1; bug")
             u, w = _step(l1, l2, x_nz, u, w)
             k += 1
         order = max(order, k)

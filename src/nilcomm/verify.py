@@ -215,7 +215,7 @@ def suite4(max_n: int) -> SuiteResult:
                    f"all four formulas exact, n <= {max_n}")
 
 
-def two_part_draws(l1: int, l2: int, samples: int, seed: int = 0):
+def two_part_draws(l1: int, l2: int, samples: int, seed: int):
     """Suite 5's draws on the host (l1, l2): `samples` nilpotent-form elements
     with integer coefficients in [-COEFF_BOUND, COEFF_BOUND], seeded by
     derive(seed, 5, l1, l2).  Yields (element, order) for each draw of rank
@@ -464,7 +464,7 @@ def _timed(k: int, max_n: int, seed: int, pairs: frozenset) -> SuiteResult:
     return replace(res, seconds=time.perf_counter() - t0)
 
 
-def run_suite(k: int, max_n: int = 16, seed: int = 0) -> SuiteResult:
+def run_suite(k: int, max_n: int, seed: int) -> SuiteResult:
     """Suite k at the scale run_all gives it, timed; suite 11 first runs the
     witness suites for its pairs, as run_all does before it (not in its time)."""
     pairs = frozenset()
@@ -474,7 +474,7 @@ def run_suite(k: int, max_n: int = 16, seed: int = 0) -> SuiteResult:
     return _timed(k, max_n, seed, pairs)
 
 
-def run_all(max_n: int = 16, seed: int = 0, progress=None) -> list[SuiteResult]:
+def run_all(max_n: int, seed: int, progress=None) -> list[SuiteResult]:
     """All twelve suites at their stated scales, capped by max_n, each timed;
     suite 11 gets the pairs of the witness suites, which run before it."""
     results: list[SuiteResult] = []

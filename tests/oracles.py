@@ -155,18 +155,6 @@ def naive_product(a, b) -> list:
     return out
 
 
-def has_cycle_by_closure(pattern) -> bool:
-    """Whether the graph with an edge i -> c for each truthy pattern[i][c]
-    has a cycle: Warshall's transitive closure, then a look at its diagonal."""
-    n = len(pattern)
-    reach = [[bool(x) for x in row] for row in pattern]
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                reach[i] = [x or y for x, y in zip(reach[i], reach[k])]
-    return any(reach[i][i] for i in range(n))
-
-
 def jordan_type_by_nullities(m: ExactMatrix) -> Partition:
     """Jordan type from the nullity of every power of m until the zero power,
     by naive products and gauss_rank, with no early stop.  Raises ValueError

@@ -39,7 +39,7 @@ WITNESS_PAIRS = "065e4afc6a0c87ce5185c225bd09a33901233288c7291f710f140ba303e8fa1
 
 @pytest.fixture(scope="session")
 def results():
-    out = verify.run_all()
+    out = verify.run_all(16, 0)
     assert len(out) == 12
     return {r.criterion: r for r in out}
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nilcomm
-from nilcomm import dinverse, exactla, twoblock, verify
+from nilcomm import cli, dinverse, exactla, twoblock, verify
 from nilcomm.cli import build_parser, main
 from nilcomm.partitions import enumerate_partitions
 
@@ -189,7 +189,7 @@ def test_verify_reports_suite_seconds(capsys):
 
 def test_verify_single_suite_matches_run_all(capsys):
     # suite 11 alone collects its pairs at the same --max-n as run_all
-    want = {r.criterion: r.checked for r in verify.run_all(4)}
+    want = {r.criterion: r.checked for r in verify.run_all(4, 0)}
     rc, out, _ = run(capsys, "verify", "--suite", "11", "--max-n", "4", "--json")
     assert rc == 0
     (res,) = json.loads(out)["results"]
@@ -245,6 +245,15 @@ def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
         rc, out, err = run(capsys, "construct", "squarezero", "3,3,1", "--rank", "3")
     assert (rc, out) == (3, "")
     assert err == "internal error: unit capacities of (3, 3, 1) do not sum to 3; bug\n"
+    # any other exception a command raises is a bug too, named by its type,
+    # never a traceback with exit 1, the code of a failed verification
+    def lookup_fails(lam):
+        raise KeyError(tuple(lam))
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "dmap", lookup_fails)
+        rc, out, err = run(capsys, "dmap", "3,1")
+    assert (rc, out, err) == (3, "", "internal error: KeyError: (3, 1)\n")
     # a witness that is not nilpotent is a bug, whether the construction
     # certifies it (lemma-eq2) or the command does (antidiagonal) ...
     element = twoblock.tb_element

@@ -162,7 +162,7 @@ def test_draw_matches_standard_basis_oracle():
             rows = commutant._draw(key, fast, 10)
             want = oracles.draw_rows_standard(key, slow, 10)
             assert [[rows[p][q] for q in pos] for p in pos] == want, (lam, seed)
-            assert fast.next64() == slow.next64(), (lam, seed)
+            assert fast.ints(0, 2**64 - 1, 1) == slow.ints(0, 2**64 - 1, 1), (lam, seed)
             assert sample_jordan(lam, seed) == oracles.jordan_type_by_nullities(
                 ExactMatrix(want)), (lam, seed)
 

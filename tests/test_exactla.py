@@ -6,12 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nilcomm import exactla
+from nilcomm import exactla, twoblock
 from nilcomm.exactla import (
     ExactMatrix,
-    _acyclic,
     _int_rank,
-    _nonzeros,
     NotNilpotentError,
     build_jordan,
     certify,
@@ -21,7 +19,7 @@ from nilcomm.exactla import (
     rank,
     toeplitz_product_rank_check,
 )
-from nilcomm.commutant import _draw, sample_jordan
+from nilcomm.commutant import _draw, sample_jordan, sample_nilpotent_commuting
 from nilcomm._rng import Stream
 from nilcomm.partitions import Partition
 
@@ -386,51 +384,33 @@ def test_sampler_draws_have_acyclic_patterns():
         for seed in range(3):
             rows = _draw(tuple(lam), Stream(seed), 10)
             assert all(not any(row[:r + 1]) for r, row in enumerate(rows)), (lam, seed)
-            assert _acyclic(_nonzeros(rows)), (lam, seed)
 
 
-def test_acyclic_matches_closure_oracle():
-    # random DAGs on a shuffled order, some with a back edge, a self-loop or
-    # a 2-cycle added, and some uniformly random patterns
-    rng = random.Random(5)
-    answers = []
-    for _ in range(1500):
-        n = rng.randint(1, 12)
-        density = rng.choice((0.1, 0.3, 0.6))
-        order = list(range(n))
-        rng.shuffle(order)
-        pattern = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                if rng.random() < density:
-                    pattern[order[a]][order[b]] = rng.choice((-2, 1, 3))
-        extra = rng.choice(("none", "none", "back", "self", "two", "random"))
-        i, j = rng.randrange(n), rng.randrange(n)
-        if extra == "back":
-            pattern[j][i] = 1
-        elif extra == "self":
-            pattern[i][i] = 1
-        elif extra == "two":
-            pattern[i][j] = pattern[j][i] = 1
-        elif extra == "random":
-            pattern = [[rng.random() < density for _ in range(n)] for _ in range(n)]
-        cyclic = oracles.has_cycle_by_closure(pattern)
-        assert _acyclic(_nonzeros(pattern)) == (not cyclic), pattern
-        answers.append(cyclic)
-    assert 300 < sum(answers) < 1200
+@pytest.fixture
+def zero_powers(monkeypatch):
+    """The exponents of the powers `_power` forms, which `_jordan_type_rows`
+    asks for only to check that A^(k + r_k) is zero."""
+    seen = []
+    power = exactla._power
+    monkeypatch.setattr(exactla, "_power",
+                        lambda powers, m: seen.append(m) or power(powers, m))
+    return seen
 
 
-def test_cyclic_nilpotent_conjugates_take_the_zero_power_path(monkeypatch):
+def takes_the_zero_power(m: ExactMatrix, jt) -> bool:
+    """Whether typing m, of Jordan type jt, forms the zero power: exactly
+    when m is not strictly upper triangular and the first rank drop of one
+    leaves a nonzero rank."""
+    ranks = [sum(max(x - k, 0) for x in jt) for k in range(jt[0] + 1)]
+    unit = next(k for k in range(1, len(ranks))
+                if ranks[k] == 0 or ranks[k - 1] - ranks[k] == 1)
+    triangular = all(not any(row[:r + 1]) for r, row in enumerate(m.row_data()))
+    return ranks[unit] > 0 and not triangular
+
+
+def test_cyclic_nilpotent_conjugates_take_the_zero_power_path(zero_powers):
     # J_lam conjugated by a dense unimodular P = L U (unitriangular factors):
     # nilpotent with a cyclic pattern, so only the zero power certifies it
-    zero_powers = []
-
-    def spy(powers, m):
-        zero_powers.append(m)
-        return power(powers, m)
-
-    power = exactla._power
-    monkeypatch.setattr(exactla, "_power", spy)
     rng = random.Random(3)
     hosts = taken = 0
     for lam in partitions_up_to(8):
@@ -448,17 +428,42 @@ def test_cyclic_nilpotent_conjugates_take_the_zero_power_path(monkeypatch):
             [[int(r == c) for c in range(n)] for r in range(n)])
         m = p_inv @ build_jordan(lam) @ p
         m = ExactMatrix([[int(x) for x in row] for row in m.row_data()])
-        assert not _acyclic(_nonzeros(m.row_data())), lam
         want = oracles.jordan_type_by_nullities(m)
         assert want == lam
         zero_powers.clear()
         assert jordan_type(m) == want, lam
-        # the zero power is formed exactly when the first unit rank drop
-        # leaves a nonzero rank
-        ranks = [sum(max(x - k, 0) for x in lam) for k in range(lam[0] + 1)]
-        unit = next(k for k in range(1, len(ranks))
-                    if ranks[k] == 0 or ranks[k - 1] - ranks[k] == 1)
-        expect = ranks[unit] > 0
+        expect = takes_the_zero_power(m, lam)
         assert bool(zero_powers) == expect, lam
         taken += expect
     assert (hosts, taken) == (58, 30)
+
+
+def test_witnesses_off_the_triangle_take_the_zero_power_path(zero_powers):
+    # two-block constructions with a K or L term, and samples mapped back to
+    # the standard basis: a permutation makes many of them strictly upper
+    # triangular, but only the pattern as given skips the zero power
+    witnesses = []
+    for l1 in range(1, 8):
+        for l2 in range(1, min(l1, 10 - l1) + 1):
+            for j in range(l2):
+                for l in range(j, l2):
+                    if l1 > l2 or j + l:
+                        x, _, _ = twoblock.antidiagonal(l1, l2, j, l, 1 + j, -1 - l)
+                        witnesses.append(("two-block", twoblock.tb_to_matrix(x)))
+    for m in range(2, 6):
+        witnesses.append(("two-block", twoblock.construct_lemma_eq2(m)))
+        witnesses += [("two-block", w)
+                      for w in twoblock.maxrank_partners(m + 1, m - 1).values()]
+    for lam in partitions_up_to(7):
+        for seed in range(2):
+            witnesses.append(("sample", sample_nilpotent_commuting(lam, seed).matrix))
+    counts = {}
+    for kind, m in witnesses:
+        want = oracles.jordan_type_by_nullities(m)
+        zero_powers.clear()
+        assert jordan_type(m) == want, m.row_data()
+        expect = takes_the_zero_power(m, want)
+        assert bool(zero_powers) == expect, m.row_data()
+        counts[kind, expect] = counts.get((kind, expect), 0) + 1
+    assert counts == {("two-block", True): 18, ("two-block", False): 89,
+                      ("sample", True): 60, ("sample", False): 28}

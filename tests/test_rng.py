@@ -7,9 +7,9 @@ from nilcomm._rng import Stream, derive
 
 
 def test_next64_is_splitmix64():
-    # the reference splitmix64 sequence for seed 0
-    s = Stream(0)
-    assert [s.next64() for _ in range(4)] == [
+    # the reference splitmix64 sequence for seed 0: with a span of 2^64 no
+    # value is rejected, so ints returns the raw outputs
+    assert Stream(0).ints(0, 2**64 - 1, 4) == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
 
 
@@ -32,10 +32,20 @@ def test_ints_equals_randint_calls():
         for k in (0, 1, 2, 7, 60):
             batch, single = Stream(derive(5, hi - lo, k)), Stream(derive(5, hi - lo, k))
             assert batch.ints(lo, hi, k) == [single.randint(lo, hi) for _ in range(k)]
-            assert batch.next64() == single.next64()
+            assert batch.ints(0, 2**64 - 1, 1) == single.ints(0, 2**64 - 1, 1)
 
 
 def test_ints_refuses_an_empty_range():
     for k in (0, 3):
         with pytest.raises(ValueError, match="empty range"):
             Stream(0).ints(1, 0, k)
+
+
+def test_ints_refuses_a_range_wider_than_2_64():
+    # with a span above 2^64 every output would be rejected, forever; the
+    # CLI's --coeff-bound reaches this through nonzero
+    with pytest.raises(ValueError, match="wider than 2"):
+        Stream(0).ints(0, 1 << 64, 1)
+    assert Stream(0).ints(1, 1 << 64, 1) == [0xE220A8397B1DCDAF + 1]
+    with pytest.raises(ValueError, match="wider than 2"):
+        Stream(0).nonzero(1 << 63)

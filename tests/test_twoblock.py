@@ -236,27 +236,31 @@ def test_pow_order_matches_dense():
             assert tb_pow_order(x) == dense_order(x), x
 
 
-def test_pow_order_refuses():
+def test_pow_order_refuses(monkeypatch):
     # identity on the top block, a[0] != 0: not in nilpotent form
     with pytest.raises(ValueError, match="nilpotent-form"):
         tb_pow_order(tb_element(4, 2, [("M", 0, 1)]))
     # equal blocks with b[0] c[0] != 0
     with pytest.raises(ValueError, match="nilpotent-form"):
         tb_pow_order(tb_element(3, 3, [("K", 0, 1), ("L", 0, 1)]))
-    # M_1 on a block of 5 has order 5: powers 1..4 are nonzero
-    x = tb_element(5, 2, [("M", 1, 1)])
-    assert tb_pow_order(x) == tb_pow_order(x, cap=4) == 5
-    with pytest.raises(RuntimeError, match="exceeded cap"):
-        tb_pow_order(x, cap=3)
-    # the cap holds on each generator orbit: g2's alone (equal blocks with
-    # b[0] != 0), and both when c[0] = 0; K_0 + N_1 on (4, 4) has order 5
-    y = tb_element(4, 4, [("K", 0, 1), ("N", 1, 1)])
-    z = tb_element(6, 2, [("M", 1, 1), ("L", 1, 1)])
-    for w in (y, z):
-        k = dense_order(w)
-        assert tb_pow_order(w) == tb_pow_order(w, cap=k - 1) == k
-        with pytest.raises(RuntimeError, match="exceeded cap"):
-            tb_pow_order(w, cap=k - 2)
+    # a step that never reaches zero trips the guard after n + 1 steps, on
+    # each generator orbit: g1's alone (c[0] != 0), g2's alone (equal blocks
+    # with b[0] != 0), and both when c[0] = 0
+    steps = []
+
+    def never_zero(l1, l2, x_nz, u, w):
+        steps.append(w)
+        assert len(steps) < 100, "no guard"
+        return [1] * l1, [1] * l2
+
+    monkeypatch.setattr(twoblock, "_step", never_zero)
+    for x in (tb_element(4, 2, [("M", 1, 1), ("L", 0, 1)]),
+              tb_element(4, 4, [("K", 0, 1), ("N", 1, 1)]),
+              tb_element(6, 2, [("M", 1, 1), ("L", 1, 1)])):
+        steps.clear()
+        with pytest.raises(RuntimeError, match=r"exceeded n \+ 1; bug"):
+            tb_pow_order(x)
+        assert len(steps) == x.n + 1, x
 
 
 def orbit_case(x):
@@ -382,7 +386,7 @@ def test_suite5_keeps_the_same_draws_and_orders():
     kept = 0
     for l1 in range(1, 10):
         for l2 in range(1, min(l1, 10 - l1) + 1):
-            for x, order in verify.two_part_draws(l1, l2, 1000):
+            for x, order in verify.two_part_draws(l1, l2, 1000, 0):
                 kept += 1
                 h.update(repr((l1, l2, x.a, x.b, x.c, x.d, order)).encode())
     assert (kept, h.hexdigest()) == (15902, SUITE5_KEPT)
