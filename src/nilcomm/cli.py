@@ -14,9 +14,9 @@ printed type), typed once.
 
 Exit codes: 0 success, 1 a verification failed (verify, explore), 2 bad
 input, 3 an internal error (a failed consistency check, a witness that
-fails its certificate, or any other exception: a bug), 141 (128 + SIGPIPE) the reader closed
-standard output early, as in `nilcomm dinv 18,2 | head -1`.  A construct
-command exits 0, 3 or 141, never 1.
+fails its certificate, or any other exception: a bug), 141 (128 + SIGPIPE)
+the reader closed standard output early, as in `nilcomm dinv 18,2 | head -1`.
+A construct command exits 0, 3 or 141, never 1.
 """
 
 from __future__ import annotations

@@ -467,9 +467,9 @@ def cli_invocations() -> list:
         if k not in (5, 11):
             out.append(["verify", "--suite", str(k), "--max-n", "4", "--seed", str(k % 3),
                         *(["--json"] * (k % 2))])
+    out.append(["verify", "--suite", "3", "--max-n", "6", "--seed", "2"])
     # all twelve, where suites 3, 4, 6, 7 and 12 check nothing, so it fails
-    out += [["verify", "--suite", "3", "--max-n", "6", "--seed", "2"],
-            ["verify", "--max-n", "2", "--json", "--seed", "2"]]
+    out.append(["verify", "--max-n", "2", "--json", "--seed", "2"])
     for mu, r in ((6, 5), (7, 5), (8, 6), (9, 5)):
         out.append(["explore", "q1", "--mu", str(mu), "--r", str(r), *(["--json"] * (mu % 2))])
     for p in ("4,2", "6,2", "8", "5,3"):
@@ -504,7 +504,9 @@ def golden_line(capsys, argv) -> str:
 
 
 # SHA-256 of cli_golden.txt, one golden_line per cli_invocations() entry and
-# then one for an internal error; recorded at commit 8c609ce
+# then one for an internal error; recorded at commit 8c609ce.  A change that
+# alters output writes the new lines there, records their digest here and
+# lists the invocations that changed in CHANGES.md
 CLI_DIGEST = "b7ae4bd596926a716b35075a931594a9267a56d6a3f2c93e2baa15cb15998aaf"
 
 

@@ -19,6 +19,12 @@ def test_derived_stream_draws_are_pinned():
     s = Stream(seed)
     assert [s.randint(-10, 10) for _ in range(8)] == [2, 7, 3, -5, 0, -3, -8, 0]
     assert [s.nonzero(100) for _ in range(6)] == [95, -44, 25, -32, -62, -58]
+    # a span of 2^63 + 1, where 7 of the first 19 raw outputs are rejected
+    assert Stream(seed).ints(0, 1 << 63, 12) == [
+        0x30AAAF5AC74BDE19, 0x425C74DD6D870837, 0x27CFBC273D0071CF,
+        0x721ECF4652971CFC, 0x7B551EFADF85055E, 0x3CBF8F61582502EF,
+        0x5CBDC628361F9C60, 0x667D58587E58EBDA, 0x4828BBA077D91844,
+        0x3E5A48927D0884D9, 0x1BEBB186CDB47E54, 0x62F7085C6604FA8E]
 
 
 def test_derive_is_pinned():
