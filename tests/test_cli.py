@@ -423,8 +423,10 @@ def test_deferred_imports_resolve_in_a_fresh_process(argv):
 
 def cli_invocations() -> list:
     """A fixed list of command lines: every command with every flag it takes,
-    partitions with n <= 8 and a few seeds, and failures with exit codes 1
-    and 2; in all about 270, under a second in process."""
+    partitions with n <= 8 and a few seeds, every dmap and dinv with n <= 8,
+    every pair with n <= 6, failures with exit codes 1 and 2, and the ways
+    argparse reads a command line; in all about 600, under a second in
+    process."""
     def csv(p):
         return ",".join(map(str, p))
 
@@ -483,6 +485,21 @@ def cli_invocations() -> list:
             ["check", "pair", "3,1", "3,2"], ["explore", "q1", "--mu", "7", "--r", "4"],
             ["explore", "q2", "3,3"], ["dmap", "3,1", "--max-n", "4"],
             ["construct", "lemma-eq2", "4", "--seed", "1"], ["verify", "--suite", "13"]]
+    # how argparse reads a command line: options before positionals, --flag=value,
+    # an abbreviated flag and an ambiguous one (its error lists the candidates
+    # in the order they were added), a group with no command, a missing
+    # required option and an unknown command (its error lists them in order)
+    out += [["dmap", "--json", "3,1"], ["sample", "3,1", "--seed=2", "--json"],
+            ["sample", "3,1", "--coeff", "3"], ["sample", "3,1", "--co", "3"],
+            ["construct"], ["construct", "squarezero", "3,1"], ["frobnicate"],
+            ["check"], ["explore", "q3"]]
+    for p in parts:
+        if p.n >= 6:
+            out += [["dmap", csv(p)], ["dinv", csv(p), "--json"]]
+    for lam in parts:
+        for mu in parts:
+            if lam.n == mu.n <= 6:
+                out.append(["check", "pair", csv(lam), csv(mu)])
     return out
 
 
@@ -504,10 +521,10 @@ def golden_line(capsys, argv) -> str:
 
 
 # SHA-256 of cli_golden.txt, one golden_line per cli_invocations() entry and
-# then one for an internal error; recorded at commit 8c609ce.  A change that
+# then one for an internal error; recorded on the code of commit 0a11d75.  A change that
 # alters output writes the new lines there, records their digest here and
 # lists the invocations that changed in CHANGES.md
-CLI_DIGEST = "b7ae4bd596926a716b35075a931594a9267a56d6a3f2c93e2baa15cb15998aaf"
+CLI_DIGEST = "ecb8cd01950fbb22a714288c4c57b847d8417f8b07a29599bc63393d8338376f"
 
 
 def test_cli_output_matches_the_recorded_digest(capsys, monkeypatch):
