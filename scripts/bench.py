@@ -26,6 +26,10 @@ Measurements:
   __pycache__ and run with PYTHONDONTWRITEBYTECODE=1, so every nilcomm
   module is compiled from source, as on a checkout that never wrote bytecode;
 - cli.import_s: `import nilcomm.cli`, timed inside such a process;
+- cli.main_s: 101 in-process `cli.main` calls, `dmap` and `dinv --json` on
+  alternate partitions with n <= 8 and `check pair` on every sixth pair with
+  n <= 6, printing to os.devnull; what a caller that runs many command lines
+  in one process, as the CLI tests do, pays per batch;
 - dinverse.dmap_all_{20,30,40}_s: one fiber table, built cold;
 - dinverse.dinv_30_s, dinverse.dinv_40_s, dinverse.dinv_60_s: the fibers of
   (21,9), (25,15) and (35,25), built cold (versions that read fibers off the
@@ -67,6 +71,7 @@ Standard library only.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -162,7 +167,7 @@ def centralizer_element(rng: random.Random, lam: tuple) -> list:
 def measurements(root: str, pkg_root: str) -> dict:
     """Name -> zero-argument function returning seconds."""
     sys.path.insert(0, os.path.join(root, "src"))
-    from nilcomm import (commutant, constraints, dinverse, exactla, partitions,
+    from nilcomm import (cli, commutant, constraints, dinverse, exactla, partitions,
                          twoblock, verify)
 
     if not commutant.__file__.startswith(os.path.join(root, "src")):
@@ -193,6 +198,23 @@ def measurements(root: str, pkg_root: str) -> dict:
     for lam in SAMPLE_HOSTS + small_hosts:
         commutant.sample_jordan(lam, 0)  # fills the generator cache
 
+    def arg(p):
+        return ",".join(map(str, p))
+
+    cli_parts = [p for n in range(1, 9) for p in partitions.enumerate_partitions(n)]
+    cli_pairs = [(lam, mu) for n in range(1, 7)
+                 for lam in partitions.enumerate_partitions(n)
+                 for mu in partitions.enumerate_partitions(n)][::6]
+    cli_argvs = ([["dmap", arg(p)] for p in cli_parts[::2]]
+                 + [["dinv", arg(p), "--json"] for p in cli_parts[1::2]]
+                 + [["check", "pair", arg(lam), arg(mu)] for lam, mu in cli_pairs])
+
+    def cli_main():
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            for argv in cli_argvs:
+                if cli.main(argv) != 0:
+                    sys.exit(f"bench: nilcomm {' '.join(argv)} failed")
+
     def clear_caches():
         for module, name in ((dinverse, "_table"), (verify, "_bank")):
             if hasattr(module, name):
@@ -209,11 +231,14 @@ def measurements(root: str, pkg_root: str) -> dict:
         clear_caches()
         return timed(lambda: fn(arg))
 
-    cli = ["-m", "nilcomm.cli"]
+    cli_module = ["-m", "nilcomm.cli"]
     out = {
-        "cli.dmap_n20_s": lambda: fresh(pkg_root, cli + ["dmap", DMAP_ARG, "--json"])[0],
-        "cli.dinv_n14_s": lambda: fresh(pkg_root, cli + ["dinv", DINV_ARG, "--json"])[0],
+        "cli.dmap_n20_s": lambda: fresh(
+            pkg_root, cli_module + ["dmap", DMAP_ARG, "--json"])[0],
+        "cli.dinv_n14_s": lambda: fresh(
+            pkg_root, cli_module + ["dinv", DINV_ARG, "--json"])[0],
         "cli.import_s": lambda: float(fresh(pkg_root, ["-c", IMPORT_PROBE])[1]),
+        "cli.main_s": lambda: timed(cli_main),
         "commutant.sample_jordan_s": lambda: timed(lambda: [
             commutant.sample_jordan(lam, s) for lam in SAMPLE_HOSTS for s in range(20)]),
         "commutant.sample_jordan_small_s": lambda: timed(lambda: [

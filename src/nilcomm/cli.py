@@ -4,9 +4,10 @@ Every subcommand is deterministic given its flags: seeds are explicit,
 sampling is seeded, and JSON output carries the seed it was produced with
 so any reported shape can be re-derived.  The seed is null where none is
 used: in dmap, dinv, explore and the fixed constructions (squarezero,
-lemma-eq2, lemma-odd).  A command takes only the flags it reads, and a flag
-it does not take is a usage error; only dmap and dinv accept and ignore
---seed, for perfbench, whose CLI workload passes one.
+lemma-eq2, lemma-odd).  A command takes only the flags it reads, declared
+in its row of COMMANDS, and a flag it does not take is a usage error; only
+dmap and dinv accept and ignore --seed, for perfbench, whose CLI workload
+passes one.
 
 Every construct subcommand prints a witness the library has certified
 (`exactla.certify`: it commutes with the host Jordan matrix and has the
@@ -22,6 +23,7 @@ A construct command exits 0, 3 or 141, never 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -252,97 +254,77 @@ def _suite(text: str) -> str:
     return text
 
 
+# the flags that more than one command takes, with their argparse keywords
+FLAGS = {
+    "--json": {"action": "store_true"},
+    "--seed": {"type": int, "default": 0},
+    "--dump-matrix": {"action": "store_true"},
+    "--coeff-bound": {"type": int, "default": 10},
+}
+INT, REQUIRED_INT = {"type": int}, {"type": int, "required": True}
+
+# one row per leaf command, in --help order: (group, name, help, handler, the
+# FLAGS it takes, its own arguments); a command takes no other flag
+COMMANDS = (
+    (None, "dmap", "generic commuting Jordan type of a partition", _cmd_dmap,
+     ("--json", "--seed"), {"partition": {}}),
+    (None, "dinv", "inverse image of a partition under the map", _cmd_dinv,
+     ("--json", "--seed"), {"partition": {}}),
+    (None, "sample", "random nilpotent elements commuting with a Jordan matrix",
+     _cmd_sample, ("--json", "--seed", "--dump-matrix", "--coeff-bound"),
+     {"partition": {}, "--count": {"type": _positive_int, "default": 1}}),
+    ("construct", "squarezero", "square-zero partner of prescribed rank",
+     _cmd_construct_squarezero, ("--json", "--dump-matrix"),
+     {"partition": {}, "--rank": REQUIRED_INT}),
+    ("construct", "antidiagonal", "two-block antidiagonal element with predicted type",
+     _cmd_construct_antidiagonal, ("--json", "--seed", "--dump-matrix", "--coeff-bound"),
+     {"l1": INT, "l2": INT, "j": INT, "l": INT}),
+    ("construct", "lemma-eq2", "partner of type (m+1, m-1) for equal blocks (m, m)",
+     _cmd_construct_lemma_eq2, ("--json", "--dump-matrix"), {"lam": INT}),
+    ("construct", "lemma-odd", "two-block square-zero element of prescribed rank",
+     _cmd_construct_lemma_odd, ("--json", "--dump-matrix"),
+     {"l1": INT, "l2": INT, "a": INT}),
+    ("check", "pair", "can two types commute? forbidden or unknown", _cmd_check,
+     ("--json",), {"lam": {}, "mu": {}}),
+    (None, "verify", "run the acceptance suites", _cmd_verify, ("--json", "--seed"),
+     {"--suite": {"default": "all", "type": _suite}, "--max-n": {"type": int, "default": 16}}),
+    ("explore", "q1", "two-part fiber counts beyond gap 5", _cmd_explore_q1, ("--json",),
+     {"--mu": REQUIRED_INT, "--r": REQUIRED_INT}),
+    ("explore", "q2", "rank-minimal fiber elements of a stable partition",
+     _cmd_explore_q2, ("--json",), {"partition": {}}),
+)
+
+# each command group's dest (the attribute naming its command) and help
+GROUPS = {
+    "construct": ("construction", "verified witness constructions"),
+    "check": ("what", "necessary-condition filters"),
+    "explore": ("question", "evidence for the open questions"),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # each command takes only the flags it reads: one parent parser per flag
-    out, seed, dump, bound = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    out.add_argument("--json", action="store_true")
-    seed.add_argument("--seed", type=int, default=0)
-    dump.add_argument("--dump-matrix", action="store_true")
-    bound.add_argument("--coeff-bound", type=int, default=10)
-
+    """The parser of COMMANDS, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
-        prog="nilcomm",
-        description="Jordan types of commuting nilpotent matrices, exactly.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dmap", parents=[out, seed],
-                       help="generic commuting Jordan type of a partition")
-    p.add_argument("partition")
-    p.set_defaults(func=_cmd_dmap)
-
-    p = sub.add_parser("dinv", parents=[out, seed],
-                       help="inverse image of a partition under the map")
-    p.add_argument("partition")
-    p.set_defaults(func=_cmd_dinv)
-
-    p = sub.add_parser("sample", parents=[out, seed, dump, bound],
-                       help="random nilpotent elements commuting with a Jordan matrix")
-    p.add_argument("partition")
-    p.add_argument("--count", type=_positive_int, default=1)
-    p.set_defaults(func=_cmd_sample)
-
-    pc = sub.add_parser("construct", help="verified witness constructions")
-    subc = pc.add_subparsers(dest="construction", required=True)
-
-    p = subc.add_parser("squarezero", parents=[out, dump],
-                        help="square-zero partner of prescribed rank")
-    p.add_argument("partition")
-    p.add_argument("--rank", type=int, required=True)
-    p.set_defaults(func=_cmd_construct_squarezero)
-
-    p = subc.add_parser("antidiagonal", parents=[out, seed, dump, bound],
-                        help="two-block antidiagonal element with predicted type")
-    p.add_argument("l1", type=int)
-    p.add_argument("l2", type=int)
-    p.add_argument("j", type=int)
-    p.add_argument("l", type=int)
-    p.set_defaults(func=_cmd_construct_antidiagonal)
-
-    p = subc.add_parser("lemma-eq2", parents=[out, dump],
-                        help="partner of type (m+1, m-1) for equal blocks (m, m)")
-    p.add_argument("lam", type=int)
-    p.set_defaults(func=_cmd_construct_lemma_eq2)
-
-    p = subc.add_parser("lemma-odd", parents=[out, dump],
-                        help="two-block square-zero element of prescribed rank")
-    p.add_argument("l1", type=int)
-    p.add_argument("l2", type=int)
-    p.add_argument("a", type=int)
-    p.set_defaults(func=_cmd_construct_lemma_odd)
-
-    pk = sub.add_parser("check", help="necessary-condition filters")
-    subk = pk.add_subparsers(dest="what", required=True)
-    p = subk.add_parser("pair", parents=[out],
-                        help="can two types commute? forbidden or unknown")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("verify", parents=[out, seed],
-                       help="run the acceptance suites")
-    p.add_argument("--suite", default="all", type=_suite)
-    p.add_argument("--max-n", type=int, default=16)
-    p.set_defaults(func=_cmd_verify)
-
-    pe = sub.add_parser("explore", help="evidence for the open questions")
-    sube = pe.add_subparsers(dest="question", required=True)
-    p = sube.add_parser("q1", parents=[out],
-                        help="two-part fiber counts beyond gap 5")
-    p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_explore_q1)
-    p = sube.add_parser("q2", parents=[out],
-                        help="rank-minimal fiber elements of a stable partition")
-    p.add_argument("partition")
-    p.set_defaults(func=_cmd_explore_q2)
-
+        prog="nilcomm", description="Jordan types of commuting nilpotent matrices, exactly.")
+    top = parser.add_subparsers(dest="command", required=True)
+    subparsers = {None: top}
+    for group, name, help_text, func, flags, arguments in COMMANDS:
+        if group not in subparsers:
+            dest, group_help = GROUPS[group]
+            subparsers[group] = top.add_parser(group, help=group_help).add_subparsers(
+                dest=dest, required=True)
+        p = subparsers[group].add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        for argument, keywords in arguments.items():
+            p.add_argument(argument, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         rc = args.func(args)
         sys.stdout.flush()

@@ -352,6 +352,19 @@ def test_usage_errors(capsys):
     assert "partition" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call_and_keeps_no_values(capsys):
+    # the parser is built once per process, so a value one command line sets
+    # must not become the next one's default
+    assert build_parser() is build_parser()
+    for first, then, key, value, default in (
+            (["sample", "3,1", "--seed", "4"], ["sample", "3,1"], "seed", 4, 0),
+            (["verify", "--suite", "9", "--max-n", "3"], ["verify", "--suite", "9"],
+             "max_n", 3, 16)):
+        for argv, want in ((first, value), (then, default)):
+            _, out, _ = run(capsys, *argv, "--json")
+            assert json.loads(out)[key] == want, argv
+
+
 def test_bad_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "13"])
