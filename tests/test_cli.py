@@ -534,9 +534,9 @@ def golden_line(capsys, argv) -> str:
 
 
 # SHA-256 of cli_golden.txt, one golden_line per cli_invocations() entry and
-# then one for an internal error; recorded on the code of commit 0a11d75.  A change that
-# alters output writes the new lines there, records their digest here and
-# lists the invocations that changed in CHANGES.md
+# then one for an internal error; recorded on the code of commit 0a11d75.  A
+# change that alters output writes the new lines there, records their digest
+# here and lists the invocations that changed in CHANGES.md
 CLI_DIGEST = "ecb8cd01950fbb22a714288c4c57b847d8417f8b07a29599bc63393d8338376f"
 
 
