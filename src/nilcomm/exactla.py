@@ -8,12 +8,11 @@ that a witness commutes with its host's Jordan matrix and has the type it
 should.  No floating point enters this module; nullity differences of one
 decide Jordan types, so there is no tolerance anywhere.
 
-A Jordan type's rank sequence stops at the first rank drop of one; the ranks
-after it follow once the matrix is known to be nilpotent.  Two certificates
-give that.  A strictly upper triangular nonzero pattern needs no arithmetic,
-and every sampled centralizer element is drawn in that shape.  Any other
-matrix, a non-nilpotent one or a witness in the standard basis, is decided by
-one exact zero power.
+A Jordan type is read off the rank sequence of the powers.  A sequence that
+reaches 0 certifies nilpotency, and a repeated nonzero rank certifies the
+opposite.  A strictly upper triangular nonzero pattern is nilpotent with no
+arithmetic, so its sequence stops at the first rank drop of one, after which
+the ranks follow; every sampled centralizer element is drawn in that shape.
 
 The Bareiss elimination is lazy: a row whose pivot-column entry is zero is
 not rewritten, since its Bareiss row at a later step is the stored row times
@@ -254,10 +253,8 @@ def jordan_type(a: ExactMatrix) -> Partition:
     """Jordan type of a nilpotent matrix from nullities of its powers.
 
     Refuses non-nilpotent input: the rank sequence of powers is strictly
-    decreasing until zero for nilpotents, so the first repeat at a nonzero
-    value, or a nonzero power where a rank drop of one predicts zero (see
-    `_jordan_type_rows`), is a certificate of failure.  A strictly upper
-    triangular nonzero pattern certifies nilpotency without that power.
+    decreasing until zero for nilpotents, so its first repeat at a nonzero
+    value is a certificate of failure (see `_jordan_type_rows`).
     """
     if a.rows != a.cols:
         raise ValueError("jordan_type needs a square matrix")
@@ -289,60 +286,37 @@ def certify(m: ExactMatrix, host, expect=None, *, seed: int | None = None) -> Pa
 def _jordan_type_rows(rows0):
     """Jordan type from raw integer rows; fast path for samplers.
 
-    Ranks r_k of the powers A^k are taken until the first k at which the rank
-    drops by exactly one.  Drops never grow (Frobenius rank inequality), so a
-    nilpotent A then has ranks r_k - 1, ..., 0 at the next r_k powers.
-    Nilpotency is certified by the nonzero pattern when it is strictly upper
-    triangular (an O(n) test, which every sampled draw passes); otherwise
-    A^(k + r_k) = 0 is checked exactly, which certifies both nilpotency and
-    the remaining ranks.  A nonzero A^(k + r_k), or a drop of zero, means A
-    is not nilpotent.  A's nonzero lists are built once, for the pattern and
-    for every product A^k A.
+    Ranks r_k of the powers A^k are taken until they reach 0, which
+    certifies that A is nilpotent, or repeat a nonzero value, which
+    certifies that it is not.  A strictly upper triangular nonzero pattern
+    (an O(n) test, which every sampled draw passes) is nilpotent already, so
+    there the ranks stop at the first k at which they drop by exactly one:
+    drops never grow (Frobenius rank inequality), so the next r_k powers
+    have ranks r_k - 1, ..., 0.  A's nonzero lists are built once, for the
+    pattern and for every product A^k A.
     """
     n = len(rows0)
     a_nz = _nonzeros(rows0)
     triangular = all(not nz or nz[0][0] > i for i, nz in enumerate(a_nz))
-    powers = [rows0]  # powers[i] = A^(i + 1)
+    power = rows0  # A^k
     ranks = [n]  # ranks[k] = rank of A^k
     while True:
-        k = len(powers)
-        r = _int_rank([list(row) for row in powers[-1]])
+        r = _int_rank([list(row) for row in power])
         if r == ranks[-1]:
             raise NotNilpotentError(
-                f"matrix is not nilpotent: rank stabilizes at {r} from power {k}"
+                f"matrix is not nilpotent: rank stabilizes at {r} from power {len(ranks)}"
             )
-        if r == 0:
-            ranks.append(0)
-            break
-        if ranks[-1] - r == 1:
-            if not triangular and any(any(row) for row in _power(powers, k + r)):
-                raise NotNilpotentError(
-                    f"matrix is not nilpotent: power {k + r} is nonzero "
-                    f"after a rank drop of one at power {k}"
-                )
+        if r == 0 or (triangular and ranks[-1] - r == 1):
             ranks.extend(range(r, -1, -1))
             break
         ranks.append(r)
-        powers.append(_mul(powers[-1], a_nz, n))
+        power = _mul(power, a_nz, n)
     # rank drops are the column lengths of the Jordan type's diagram
     drops = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))] + [0]
     parts: list[int] = []
     for size in range(len(drops) - 1, 0, -1):
         parts.extend([size] * (drops[size - 1] - drops[size]))
     return tuple(parts)
-
-
-def _power(powers: list, m: int) -> list:
-    """A^m from powers[i] = A^(i + 1): one product when m <= 2k, else by squaring."""
-    k = len(powers)
-    n = len(powers[0])
-    if m <= k:
-        return powers[m - 1]
-    if m <= 2 * k:
-        return _mul(powers[k - 1], _nonzeros(powers[m - k - 1]), n)
-    half = _power(powers, m // 2)
-    square = _mul(half, _nonzeros(half), n)
-    return _mul(square, _nonzeros(powers[0]), n) if m % 2 else square
 
 
 def is_ut_toeplitz(m: ExactMatrix) -> bool:

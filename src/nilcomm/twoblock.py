@@ -475,11 +475,8 @@ def maxrank_partners(l1: int, l2: int) -> dict[Partition, ExactMatrix]:
     out: dict[Partition, ExactMatrix] = {}
     gap = l1 - l2
     if gap <= 1:
-        if (l1, l2) == (1, 1):
-            w = ExactMatrix([[0, 1], [0, 0]])
-        else:
-            w = tb_to_matrix(tb_element(l1, l2, [("K", 0, 1), ("L", 1 - gap, 1)]))
-        out[Partition((n,))] = w
+        terms = [("K", 0, 1)] + [("L", 1 - gap, 1)] * (1 - gap < l2)
+        out[Partition((n,))] = tb_to_matrix(tb_element(l1, l2, terms))
     else:
         out[host] = build_jordan(host)
     if gap == 2:

@@ -150,15 +150,14 @@ def test_jordan_type_rejects_non_nilpotent():
         jordan_type(ExactMatrix([[int(r == c) for c in range(4)] for r in range(4)]))
     with pytest.raises(NotNilpotentError):
         jordan_type(ExactMatrix([[0, 1], [1, 0]]))
-    # J_3 + (1), ranks 4, 3: a unit drop at k = 1 with r = 3, so A^4 is
-    # formed by squaring
-    with pytest.raises(NotNilpotentError, match="power 4 is nonzero"):
+    # J_3 + (1), ranks 4, 3, 2, 1, 1: past a unit drop at k = 1, the rank
+    # sequence goes on and repeats
+    with pytest.raises(NotNilpotentError, match="rank stabilizes at 1 from power 4"):
         jordan_type(ExactMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
                                  [0, 0, 0, 1]]))
-    # J_4 + J_2 + (1), ranks 7, 5, 3, 2: a unit drop at k = 3 with r = 2, so
-    # A^5 = A^3 A^2
+    # J_4 + J_2 + (1), ranks 7, 5, 3, 2, 1, 1: a unit drop at k = 3 first
     rows = [list(row) + [0] for row in build_jordan((4, 2)).row_data()]
-    with pytest.raises(NotNilpotentError, match="power 5 is nonzero"):
+    with pytest.raises(NotNilpotentError, match="rank stabilizes at 1 from power 5"):
         jordan_type(ExactMatrix(rows + [[0] * 6 + [1]]))
 
 
@@ -379,40 +378,43 @@ def test_lazy_rank_scales_the_pivot_of_an_unused_pivot_row():
 
 def test_sampler_draws_have_acyclic_patterns():
     # `_draw` writes every draw in the order its docstring proves strictly
-    # upper triangular, so every sampled Jordan type skips the zero power
+    # upper triangular, so every sampled Jordan type stops at its first
+    # rank drop of one
     for lam in partitions_up_to(12):
         for seed in range(3):
             rows = _draw(tuple(lam), Stream(seed), 10)
-            assert all(not any(row[:r + 1]) for r, row in enumerate(rows)), (lam, seed)
+            assert is_triangular(rows), (lam, seed)
 
 
 @pytest.fixture
-def zero_powers(monkeypatch):
-    """The exponents of the powers `_power` forms, which `_jordan_type_rows`
-    asks for only to check that A^(k + r_k) is zero."""
+def rank_calls(monkeypatch):
+    """The sizes of the ranks `_int_rank` takes, one per power of A that
+    `_jordan_type_rows` ranks."""
     seen = []
-    power = exactla._power
-    monkeypatch.setattr(exactla, "_power",
-                        lambda powers, m: seen.append(m) or power(powers, m))
+    int_rank = exactla._int_rank
+    monkeypatch.setattr(exactla, "_int_rank",
+                        lambda rows: seen.append(len(rows)) or int_rank(rows))
     return seen
 
 
-def takes_the_zero_power(m: ExactMatrix, jt) -> bool:
-    """Whether typing m, of Jordan type jt, forms the zero power: exactly
-    when m is not strictly upper triangular and the first rank drop of one
-    leaves a nonzero rank."""
+def unit_drop(jt) -> int:
+    """The first power of a matrix of Jordan type jt whose rank is 0 or one
+    less than the rank before it."""
     ranks = [sum(max(x - k, 0) for x in jt) for k in range(jt[0] + 1)]
-    unit = next(k for k in range(1, len(ranks))
+    return next(k for k in range(1, len(ranks))
                 if ranks[k] == 0 or ranks[k - 1] - ranks[k] == 1)
-    triangular = all(not any(row[:r + 1]) for r, row in enumerate(m.row_data()))
-    return ranks[unit] > 0 and not triangular
 
 
-def test_cyclic_nilpotent_conjugates_take_the_zero_power_path(zero_powers):
+def is_triangular(rows) -> bool:
+    return all(not any(row[:r + 1]) for r, row in enumerate(rows))
+
+
+def test_cyclic_nilpotent_conjugates_rank_down_to_zero(rank_calls):
     # J_lam conjugated by a dense unimodular P = L U (unitriangular factors):
-    # nilpotent with a cyclic pattern, so only the zero power certifies it
+    # nilpotent with a cyclic pattern, so only a rank sequence that reaches 0
+    # certifies it, A, ..., A^lam[0], often past the first unit drop
     rng = random.Random(3)
-    hosts = taken = 0
+    hosts = past = 0
     for lam in partitions_up_to(8):
         if lam[0] == 1:
             continue  # J is zero
@@ -430,18 +432,18 @@ def test_cyclic_nilpotent_conjugates_take_the_zero_power_path(zero_powers):
         m = ExactMatrix([[int(x) for x in row] for row in m.row_data()])
         want = oracles.jordan_type_by_nullities(m)
         assert want == lam
-        zero_powers.clear()
+        rank_calls.clear()
         assert jordan_type(m) == want, lam
-        expect = takes_the_zero_power(m, lam)
-        assert bool(zero_powers) == expect, lam
-        taken += expect
-    assert (hosts, taken) == (58, 30)
+        assert not is_triangular(m.row_data()), lam
+        assert rank_calls == [n] * lam[0], lam
+        past += lam[0] > unit_drop(lam)
+    assert (hosts, past) == (58, 30)
 
 
-def test_witnesses_off_the_triangle_take_the_zero_power_path(zero_powers):
+def test_witnesses_off_the_triangle_rank_down_to_zero(rank_calls):
     # two-block constructions with a K or L term, and samples mapped back to
     # the standard basis: a permutation makes many of them strictly upper
-    # triangular, but only the pattern as given skips the zero power
+    # triangular, but only the pattern as given stops at the first unit drop
     witnesses = []
     for l1 in range(1, 8):
         for l2 in range(1, min(l1, 10 - l1) + 1):
@@ -457,13 +459,16 @@ def test_witnesses_off_the_triangle_take_the_zero_power_path(zero_powers):
     for lam in partitions_up_to(7):
         for seed in range(2):
             witnesses.append(("sample", sample_nilpotent_commuting(lam, seed).matrix))
-    counts = {}
+    counts, past = {}, {}
     for kind, m in witnesses:
         want = oracles.jordan_type_by_nullities(m)
-        zero_powers.clear()
+        rank_calls.clear()
         assert jordan_type(m) == want, m.row_data()
-        expect = takes_the_zero_power(m, want)
-        assert bool(zero_powers) == expect, m.row_data()
-        counts[kind, expect] = counts.get((kind, expect), 0) + 1
-    assert counts == {("two-block", True): 18, ("two-block", False): 89,
-                      ("sample", True): 60, ("sample", False): 28}
+        triangular = is_triangular(m.row_data())
+        taken = unit_drop(want) if triangular else want[0]
+        assert rank_calls == [m.rows] * taken, m.row_data()
+        counts[kind, triangular] = counts.get((kind, triangular), 0) + 1
+        past[kind] = past.get(kind, 0) + (taken > unit_drop(want))
+    assert counts == {("two-block", True): 8, ("two-block", False): 99,
+                      ("sample", True): 26, ("sample", False): 62}
+    assert past == {"two-block": 18, "sample": 60}

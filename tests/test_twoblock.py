@@ -620,7 +620,9 @@ def test_maxrank_partners_cases():
     assert set(got) == {Partition([6, 4]), Partition([5, 5])}
     got = maxrank_partners(7, 3)
     assert set(got) == {Partition([7, 3])}
-    for (l1, l2) in [(5, 4), (6, 4), (7, 3), (3, 3), (4, 2)]:
+    # the smallest host: K_0 alone, as L_1 does not exist for l2 = 1
+    assert maxrank_partners(1, 1) == {Partition([2]): ExactMatrix([[0, 1], [0, 0]])}
+    for (l1, l2) in [(5, 4), (6, 4), (7, 3), (3, 3), (4, 2), (1, 1), (2, 1)]:
         j = build_jordan(Partition([l1, l2]))
         for shape, wit in maxrank_partners(l1, l2).items():
             assert wit @ j == j @ wit
