@@ -34,6 +34,8 @@ Measurements:
 - dinverse.dinv_30_s, dinverse.dinv_40_s, dinverse.dinv_60_s: the fibers of
   (21,9), (25,15) and (35,25), built cold;
 - dinverse.dmap_s: `dmap` on 200 fixed partitions of 5..60 parts up to 30;
+- rng.ints_s: `Stream(s).ints(-10, 10, k)` for s = 0 .. 19 999 and each k
+  in 1, 8, 30 and 120, the seeded stream every sampler draws through;
 - commutant.sample_jordan_s: 20 seeded draws on each of five hosts
   (n = 16..20), generator lists already cached;
 - commutant.sample_jordan_small_s: 5 seeded draws on each of the 42
@@ -163,8 +165,8 @@ def centralizer_element(rng: random.Random, lam: tuple) -> list:
 def measurements(root: str, pkg_root: str) -> dict:
     """Name -> zero-argument function returning seconds."""
     sys.path.insert(0, os.path.join(root, "src"))
-    from nilcomm import (cli, commutant, constraints, dinverse, exactla, partitions,
-                         twoblock, verify)
+    from nilcomm import (_rng, cli, commutant, constraints, dinverse, exactla,
+                         partitions, twoblock, verify)
 
     if not commutant.__file__.startswith(os.path.join(root, "src")):
         sys.exit(f"bench: imported nilcomm from {commutant.__file__}, not {root}")
@@ -225,6 +227,8 @@ def measurements(root: str, pkg_root: str) -> dict:
             pkg_root, cli_module + ["dinv", DINV_ARG, "--json"])[0],
         "cli.import_s": lambda: float(fresh(pkg_root, ["-c", IMPORT_PROBE])[1]),
         "cli.main_s": lambda: timed(cli_main),
+        "rng.ints_s": lambda: timed(lambda: [
+            _rng.Stream(s).ints(-10, 10, k) for k in (1, 8, 30, 120) for s in range(20000)]),
         "commutant.sample_jordan_s": lambda: timed(lambda: [
             commutant.sample_jordan(lam, s) for lam in SAMPLE_HOSTS for s in range(20)]),
         "commutant.sample_jordan_small_s": lambda: timed(lambda: [

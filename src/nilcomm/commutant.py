@@ -42,45 +42,62 @@ def _generators(lam: Partition) -> tuple[Gen, ...]:
     return tuple(gens)
 
 
+@lru_cache(maxsize=None)
+def _pair_table(size: int) -> tuple:
+    """table[r][c] is the pair (r, c), for r, c < size.  `_plan` asks for
+    powers of two, so the plans of all hosts share a few tables' tuples
+    instead of holding one new tuple per cell each."""
+    return tuple(tuple((r, c) for c in range(size)) for r in range(size))
+
+
 # bounded above the hosts any suite, test or benchmark draws from
 @lru_cache(maxsize=2048)
 def _plan(lam: tuple) -> tuple:
     """(pos, cells): pos[v] is the place of basis vector v in `_draw`'s order;
-    cells holds each drawn generator's cells there as flat indices row * n + col.
-    Leading diagonals between equal parts are drawn only for i < j."""
+    cells holds each drawn generator's cells there as (row, col) pairs from
+    `_pair_table`.  Leading diagonals between equal parts are drawn only for
+    i < j."""
     lam = Partition(lam)
     n = lam.n
     keys = [(r - p, p, i) for i, p in enumerate(lam) for r in range(p)]
     pos = [0] * n
     for place, v in enumerate(sorted(range(n), key=keys.__getitem__)):
         pos[v] = place
+    pairs = _pair_table(1 << n.bit_length())
     return tuple(pos), tuple(
-        tuple(pos[r0 + r] * n + pos[c0 + k + r] for r in range(length))
+        tuple(pairs[pos[r0 + r]][pos[c0 + k + r]] for r in range(length))
         for (i, j, k, length, r0, c0) in _generators(lam)
         if k or lam[i] != lam[j] or i < j)
 
 
-def _draw(lam: tuple, stream: Stream, bound: int) -> list:
-    """Rows of a random element, coefficients in [-bound, bound] on the drawn
-    generators, in the nilpotency order: by distance to the block end
+def _draw(lam: tuple, stream: Stream, bound: int) -> tuple:
+    """(rows, nz) of a random element, coefficients in [-bound, bound] on the
+    drawn generators: its dense rows, and each row's (col, coef) nonzero
+    list, written in the same pass (a list's order is the generators').
+
+    The basis is in the nilpotency order: by distance to the block end
     descending, then block size ascending, then block index ascending.  A
     generator moves a vector no closer to the end of the target block than to
     the end of its own, equally close only into a larger block or, between
     equal parts, on a leading diagonal, drawn only for i < j.  So every draw
     is strictly upper triangular, hence nilpotent."""
+    if bound < 1:
+        raise ValueError("coeff_bound must be >= 1")
     n = sum(lam)
     cells = _plan(lam)[1]
-    flat = [0] * (n * n)
+    rows = [[0] * n for _ in range(n)]
+    nz = [[] for _ in range(n)]
     for gen, coef in zip(cells, stream.ints(-bound, bound, len(cells))):
         if coef:
-            for c in gen:
-                flat[c] = coef
-    return [flat[r:r + n] for r in range(0, n * n, n)]
+            for r, c in gen:
+                rows[r][c] = coef
+                nz[r].append((c, coef))
+    return rows, nz
 
 
 def sample_jordan(lam, seed: int, coeff_bound: int = 10) -> tuple:
     """Jordan type of one random nilpotent commuting element, in `_draw`'s order."""
-    return _jordan_type_rows(_draw(tuple(lam), Stream(seed), coeff_bound))
+    return _jordan_type_rows(*_draw(tuple(lam), Stream(seed), coeff_bound))
 
 
 @dataclass(frozen=True)
@@ -108,8 +125,6 @@ def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> Commuta
     failed check signals a bug, not bad luck, and raises with the seed.
     """
     lam = Partition(lam)
-    if coeff_bound < 1:
-        raise ValueError("coeff_bound must be >= 1")
-    rows, pos = _draw(lam, Stream(derive(seed, 1, 0)), coeff_bound), _plan(lam)[0]
+    rows, pos = _draw(lam, Stream(derive(seed, 1, 0)), coeff_bound)[0], _plan(lam)[0]
     m = ExactMatrix([[rows[p][q] for q in pos] for p in pos])  # standard basis
     return CommutantSample(lam, m, certify(m, lam, seed=seed), seed, coeff_bound)

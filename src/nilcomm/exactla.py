@@ -283,21 +283,24 @@ def certify(m: ExactMatrix, host, expect=None, *, seed: int | None = None) -> Pa
     return jt
 
 
-def _jordan_type_rows(rows0):
+def _jordan_type_rows(rows0, a_nz=None):
     """Jordan type from raw integer rows; fast path for samplers.
 
     Ranks r_k of the powers A^k are taken until they reach 0, which
     certifies that A is nilpotent, or repeat a nonzero value, which
     certifies that it is not.  A strictly upper triangular nonzero pattern
-    (an O(n) test, which every sampled draw passes) is nilpotent already, so
-    there the ranks stop at the first k at which they drop by exactly one:
-    drops never grow (Frobenius rank inequality), so the next r_k powers
-    have ranks r_k - 1, ..., 0.  A's nonzero lists are built once, for the
-    pattern and for every product A^k A.
+    (a test on A's nonzero lists, which every sampled draw passes) is
+    nilpotent already, so there the ranks stop at the first k at which they
+    drop by exactly one: drops never grow (Frobenius rank inequality), so the
+    next r_k powers have ranks r_k - 1, ..., 0.  a_nz holds A's (col, value)
+    nonzero lists, one per row in any order within a row, as `commutant._draw`
+    writes them; without it they are built here by `_nonzeros`.  They serve
+    the pattern test and every product A^k A.
     """
     n = len(rows0)
-    a_nz = _nonzeros(rows0)
-    triangular = all(not nz or nz[0][0] > i for i, nz in enumerate(a_nz))
+    if a_nz is None:
+        a_nz = _nonzeros(rows0)
+    triangular = all(not nz or min(nz)[0] > i for i, nz in enumerate(a_nz))
     power = rows0  # A^k
     ranks = [n]  # ranks[k] = rank of A^k
     while True:

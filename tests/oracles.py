@@ -204,6 +204,25 @@ def assert_trusted_matrix(m):
         assert all(type(x) is int for row in m.row_data() for x in row)
 
 
+def stream_ints(state: int, lo: int, hi: int, k: int) -> tuple:
+    """(values, end state) of `Stream(state).ints(lo, hi, k)` for a span of
+    1 to 2^64, one splitmix64 step at a time: a rejected output starts one
+    pass more, over as many steps as values are still missing."""
+    mask, span = (1 << 64) - 1, hi - lo + 1
+    limit = (1 << 64) - ((1 << 64) % span)
+    s = state & mask
+    out = []
+    while len(out) < k:
+        for _ in range(k - len(out)):
+            s = (s + 0x9E3779B97F4A7C15) & mask
+            z = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+            z ^= z >> 31
+            if z < limit:
+                out.append(lo + z % span)
+    return out, s
+
+
 def draw_rows_standard(lam: tuple, stream, bound: int) -> list:
     """A sampled centralizer element in the standard basis, one randint per
     generator in `_generators` order: the leading diagonals between equal

@@ -6,7 +6,14 @@ from nilcomm import commutant, verify
 from nilcomm.commutant import sample_jordan, sample_nilpotent_commuting
 from nilcomm.dinverse import dmap, dmap_index
 from nilcomm._rng import Stream, derive
-from nilcomm.exactla import ExactMatrix, build_jordan, jordan_type, rank
+from nilcomm.exactla import (
+    ExactMatrix,
+    _jordan_type_rows,
+    _nonzeros,
+    build_jordan,
+    jordan_type,
+    rank,
+)
 from nilcomm.partitions import (
     Partition,
     dominance_leq,
@@ -143,7 +150,8 @@ def test_non_nilpotent_draw_raises(monkeypatch):
         if len(calls) > 1:
             return real(lam, stream, bound)
         n = sum(lam)
-        return [[int(r == c) for c in range(n)] for r in range(n)]
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        return rows, _nonzeros(rows)
 
     monkeypatch.setattr(commutant, "_draw", first_draw_identity)
     with pytest.raises(RuntimeError, match="seed 5"):
@@ -159,12 +167,34 @@ def test_draw_matches_standard_basis_oracle():
         pos = commutant._plan(key)[0]
         for seed in range(3):
             fast, slow = Stream(seed), Stream(seed)
-            rows = commutant._draw(key, fast, 10)
+            rows = commutant._draw(key, fast, 10)[0]
             want = oracles.draw_rows_standard(key, slow, 10)
             assert [[rows[p][q] for q in pos] for p in pos] == want, (lam, seed)
             assert fast.ints(0, 2**64 - 1, 1) == slow.ints(0, 2**64 - 1, 1), (lam, seed)
             assert sample_jordan(lam, seed) == oracles.jordan_type_by_nullities(
                 ExactMatrix(want)), (lam, seed)
+
+
+def test_draw_hands_the_kernel_its_nonzero_lists():
+    # the lists `_draw` writes with the rows are `_nonzeros(rows)` up to the
+    # order within a row, every plan cell lies above the diagonal, and the
+    # kernel types a draw the same from either set of lists
+    for lam in partitions_up_to(12):
+        key = tuple(lam)
+        assert all(c > r for gen in commutant._plan(key)[1] for r, c in gen), lam
+        for seed in range(3):
+            rows, nz = commutant._draw(key, Stream(seed), 10)
+            assert [set(row) for row in nz] == [set(row) for row in _nonzeros(rows)]
+            assert all(len(row) == len(set(row)) for row in nz), (lam, seed)
+            assert _jordan_type_rows(rows, nz) == _jordan_type_rows(rows), (lam, seed)
+
+
+@pytest.mark.parametrize("bound", [0, -2])
+def test_samplers_refuse_a_bound_below_one(bound):
+    # a zero bound drew the zero matrix and reported its type as a sample
+    for sampler in (sample_jordan, sample_nilpotent_commuting):
+        with pytest.raises(ValueError, match="^coeff_bound must be >= 1$"):
+            sampler((3, 2, 1), 5, bound)
 
 
 def test_unsorted_hosts_draw_as_their_partition():
