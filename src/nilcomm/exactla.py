@@ -300,7 +300,7 @@ def _jordan_type_rows(rows0, a_nz=None):
     n = len(rows0)
     if a_nz is None:
         a_nz = _nonzeros(rows0)
-    triangular = all(not nz or min(nz)[0] > i for i, nz in enumerate(a_nz))
+    triangular = all(c > i for i, nz in enumerate(a_nz) for c, _ in nz)
     power = rows0  # A^k
     ranks = [n]  # ranks[k] = rank of A^k
     while True:
