@@ -49,21 +49,14 @@ def test_batched_ints_match_the_scalar_loop():
     # spans 1 and 2^64, spans just above 2^63 (about half of all outputs
     # rejected), small and arbitrary ones; k on both sides of one batch
     rng = random.Random(24)
-    cases = 0
-    for k in (0, 1, 63, 64, 65, 200):
-        for span in (1, 2, 21, (1 << 63) + 1, (1 << 63) + 12345, 1 << 64):
-            for _ in range(20):
-                cases += 1
-                seed, lo = rng.getrandbits(64), rng.randint(-2**70, 2**70)
-                stream = Stream(seed)
-                assert (stream.ints(lo, lo + span - 1, k), stream._state) == \
-                    oracles.stream_ints(seed, lo, lo + span - 1, k), (seed, lo, span, k)
-    while cases < 2300:
-        cases += 1
-        seed, lo = rng.getrandbits(64), rng.randint(-100, 100)
-        span = rng.choice([rng.randint(1, 50), rng.randint(1, 1 << 64),
-                           (1 << 63) + rng.randint(1, 1 << 20)])
-        k = rng.choice([rng.randint(0, 3), rng.randint(0, 130)])
+    spans = (1, 2, 21, (1 << 63) + 1, (1 << 63) + 12345, 1 << 64)
+    cases = [(k, span) for k in (0, 1, 63, 64, 65, 200) for span in spans for _ in range(20)]
+    while len(cases) < 2300:
+        cases.append((rng.choice([rng.randint(0, 3), rng.randint(0, 130)]),
+                      rng.choice([rng.randint(1, 50), rng.randint(1, 1 << 64),
+                                  (1 << 63) + rng.randint(1, 1 << 20)])))
+    for k, span in cases:
+        seed, lo = rng.getrandbits(64), rng.randint(-2**70, 2**70)
         stream = Stream(seed)
         assert (stream.ints(lo, lo + span - 1, k), stream._state) == \
             oracles.stream_ints(seed, lo, lo + span - 1, k), (seed, lo, span, k)
