@@ -7,8 +7,8 @@ Usage: python3 scripts/bench.py --label L [--repeats K] [--root DIR]
 Times the checkout at DIR (default: the one holding this script) and writes
 BENCH_L.json at the root of this script's checkout, with the Python
 version, the CPU count, DIR's commit (`git describe --always --dirty`), its
-`src/` line count (the lines of src/nilcomm/*.py) and, per measurement, the
-median and the K raw times in seconds.
+`src/` line count (the lines of src/nilcomm/*.py), those lines per module
+and, per measurement, the median and the K raw times in seconds.
 
 With --against, the checkout at DIR2 (the one to compare with, usually the
 parent commit's) is timed in the same run and written to BENCH_L_base.json.
@@ -274,15 +274,21 @@ def commit(root: str) -> str:
     return res.stdout.strip() if res.returncode == 0 else "unknown"
 
 
-def src_lines(root: str) -> int:
-    """Lines of the library's modules, src/nilcomm/*.py, in root."""
+def src_lines_by_module(root: str) -> dict:
+    """Lines of each of the library's modules, src/nilcomm/*.py, in root, by
+    file name."""
     pkg = os.path.join(root, "src", "nilcomm")
-    total = 0
-    for name in os.listdir(pkg):
+    out = {}
+    for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as f:
-                total += sum(1 for _ in f)
-    return total
+                out[name] = sum(1 for _ in f)
+    return out
+
+
+def src_lines(root: str) -> int:
+    """Lines of the library's modules, src/nilcomm/*.py, in root."""
+    return sum(src_lines_by_module(root).values())
 
 
 def worker(root: str) -> int:
@@ -333,6 +339,7 @@ def write(side: Side, runs: dict, repeats: int, partner: Side | None,
         "label": side.label,
         "commit": commit(side.root),
         "src_lines": src_lines(side.root),
+        "src_lines_by_module": src_lines_by_module(side.root),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "repeats": repeats,

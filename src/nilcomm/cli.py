@@ -1,5 +1,9 @@
 """Command-line front end.
 
+This module alone turns library values into JSON: each command builds its
+whole output dict from the plain values the library returns (a Partition,
+like any tuple, is written as an array), and no other module imports json.
+
 Every subcommand is deterministic given its flags: seeds are explicit,
 sampling is seeded, and JSON output carries the seed it was produced with
 so any reported shape can be re-derived.  The seed is null where none is
@@ -28,7 +32,7 @@ import json
 import os
 import sys
 
-from nilcomm.dinverse import dmap, explore_q1, explore_q2, fiber_json
+from nilcomm.dinverse import dinv, dmap, explore_q1, explore_q2
 from nilcomm.partitions import Partition, parse, two_column
 
 # every other layer (commutant, exactla, _rng, verify, twoblock, constraints)
@@ -52,7 +56,7 @@ def _cmd_dmap(args) -> int:
     lam = parse(args.partition)
     d = dmap(lam)
     if args.json:
-        _emit_json({"lambda": list(lam), "d": list(d), "seed": None})
+        _emit_json({"lambda": lam, "d": d, "seed": None})
     else:
         print(f"D{lam} = {d}")
     return 0
@@ -60,14 +64,13 @@ def _cmd_dmap(args) -> int:
 
 def _cmd_dinv(args) -> int:
     mu = parse(args.partition)
-    out = fiber_json(mu)
+    fiber = sorted(dinv(mu), reverse=True)
     if args.json:
-        out["seed"] = None
-        _emit_json(out)
+        _emit_json({"mu": mu, "fiber": fiber, "size": len(fiber), "seed": None})
     else:
-        print(f"D^-1{mu}: {out['size']} partitions")
-        for parts in out["fiber"]:
-            print(f"  {Partition(parts)}")
+        print(f"D^-1{mu}: {len(fiber)} partitions")
+        for lam in fiber:
+            print(f"  {lam}")
     return 0
 
 
@@ -84,11 +87,12 @@ def _cmd_sample(args) -> int:
     if args.json:
         out = []
         for s in records:
-            d = s.to_json_dict()
+            d = {"lambda": s.lam, "jordan": s.jordan, "seed": s.seed,
+                 "coeff_bound": s.coeff_bound}
             if args.dump_matrix:
                 d["matrix"] = _matrix_rows(s.matrix)
             out.append(d)
-        _emit_json({"lambda": list(lam), "seed": args.seed, "samples": out})
+        _emit_json({"lambda": lam, "seed": args.seed, "samples": out})
     else:
         for i, s in enumerate(records):
             print(f"sample {i}: jordan type {s.jordan}")
@@ -107,11 +111,10 @@ def _transcript(args, host: Partition, m, label: str, jt: Partition,
     if args.json:
         out = {
             "construction": label,
-            "host": list(host),
-            "jordan": list(jt),
+            "host": host,
+            "jordan": jt,
             "commutes": True,
-            **{k: list(v) if isinstance(v, Partition) else v
-               for k, v in extra.items()},
+            **extra,
             "seed": seed,
         }
         if args.dump_matrix:
@@ -181,7 +184,8 @@ def _cmd_check(args) -> int:
     lam, mu = parse(args.lam), parse(args.mu)
     v = compatible_filter(lam, mu)
     if args.json:
-        _emit_json(v.to_json_dict())
+        _emit_json({"lambda": v.lam, "mu": v.mu, "verdict": v.verdict,
+                    "reasons": [r._asdict() for r in v.reasons]})
     else:
         print(f"{lam} vs {mu}: {v.verdict}")
         for r in v.reasons:
@@ -201,18 +205,19 @@ def _cmd_verify(args) -> int:
             print(results[0].line())
     if args.json:
         _emit_json({"seed": args.seed, "max_n": args.max_n,
-                    "results": [r.to_json_dict() for r in results]})
+                    "results": [{k: v for k, v in vars(r).items() if k != "pairs"}
+                                for r in results]})
     return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_explore_q1(args) -> int:
     rep = explore_q1(args.mu, args.r)
+    target = Partition((rep.mu, rep.mu - rep.r))
     if args.json:
-        out = rep.to_json_dict()
-        out["seed"] = None
-        _emit_json(out)
+        _emit_json({"target": target, "n": rep.n, "size": rep.size,
+                    "conjectured": rep.conjectured, "matches": rep.matches,
+                    "fiber": rep.fiber, "seed": None})
     else:
-        target = Partition((rep.mu, rep.mu - rep.r))
         print(f"fiber of {target} (n={rep.n}): size {rep.size}, "
               f"conjectured {rep.conjectured}, matches {rep.matches}")
         for lam in rep.fiber:
@@ -224,9 +229,7 @@ def _cmd_explore_q2(args) -> int:
     mu = parse(args.partition)
     rep = explore_q2(mu)
     if args.json:
-        out = rep.to_json_dict()
-        out["seed"] = None
-        _emit_json(out)
+        _emit_json({**rep._asdict(), "seed": None})
     else:
         print(f"rank-minimal elements of the fiber of {rep.mu}:")
         for lam in rep.minimal:

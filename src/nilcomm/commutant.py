@@ -108,14 +108,6 @@ class CommutantSample:
     seed: int
     coeff_bound: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "jordan": list(self.jordan),
-            "seed": self.seed,
-            "coeff_bound": self.coeff_bound,
-        }
-
 
 def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> CommutantSample:
     """Verified random nilpotent element commuting with the Jordan matrix of lam.

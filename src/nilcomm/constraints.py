@@ -26,9 +26,6 @@ class Reason(NamedTuple):
     rule: str
     detail: str
 
-    def to_json_dict(self) -> dict:
-        return {"rule": self.rule, "detail": self.detail}
-
 
 class PairVerdict(NamedTuple):
     lam: Partition
@@ -38,14 +35,6 @@ class PairVerdict(NamedTuple):
     @property
     def verdict(self) -> str:
         return FORBIDDEN if self.reasons else UNKNOWN
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "mu": list(self.mu),
-            "verdict": self.verdict,
-            "reasons": [r.to_json_dict() for r in self.reasons],
-        }
 
 
 def _ind1(a, b, n):

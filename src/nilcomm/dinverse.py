@@ -146,16 +146,6 @@ def _lift(nu: tuple, u: int):
                     yield lam
 
 
-def fiber_json(mu) -> dict:
-    mu = Partition(mu)
-    fiber = sorted(dinv(mu), reverse=True)
-    return {
-        "mu": list(mu),
-        "fiber": [list(lam) for lam in fiber],
-        "size": len(fiber),
-    }
-
-
 def _glue(head: tuple, m: int) -> list:
     """head extended by each almost-rectangular tail of m, kept when the
     concatenation is a partition whose first and last parts differ by >= 2."""
@@ -225,16 +215,6 @@ class Q1Report(NamedTuple):
     conjectured: int
     matches: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "target": [self.mu, self.mu - self.r],
-            "n": self.n,
-            "size": self.size,
-            "conjectured": self.conjectured,
-            "matches": self.matches,
-            "fiber": [list(lam) for lam in self.fiber],
-        }
-
 
 def explore_q1(mu: int, r: int) -> Q1Report:
     """Does |fiber of (mu, mu-r)| = (r-1)(mu-r) hold beyond gap 4?  Data only."""
@@ -258,27 +238,18 @@ class Q2Report(NamedTuple):
     in_fiber: bool
     holds: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": list(self.mu),
-            "conjectured": list(self.conjectured),
-            "min_rank": self.min_rank,
-            "minimal": [list(lam) for lam in self.minimal],
-            "in_fiber": self.in_fiber,
-            "holds": self.holds,
-        }
-
 
 def explore_q2(mu) -> Q2Report:
     """Is the conjectured partition the unique rank-minimal fiber element
-    of a stable image?  Data only."""
+    of a stable image?  Data only.
+
+    The conjectured partition raises mu's later parts by 2 and appends
+    mu_1 - 2(s - 1) ones, s the number of parts.  Consecutive parts of a
+    stable mu differ by at least 2, so mu_1 >= 1 + 2(s - 1): at least one 1."""
     mu = Partition(mu)
     if not is_stable(mu):
         raise ValueError(f"{tuple(mu)} is not stable")
-    s = mu.t
-    ones = mu[0] - 2 * (s - 1)
-    if ones < 0:
-        raise ValueError(f"{tuple(mu)} leaves a negative tail of ones")
+    ones = mu[0] - 2 * (mu.t - 1)
     conjectured = Partition(tuple(p + 2 for p in mu[1:]) + (1,) * ones)
     fiber = dinv(mu)
     min_rank = min(partition_rank(lam) for lam in fiber)

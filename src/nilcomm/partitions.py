@@ -8,6 +8,7 @@ dominance is the orbit-closure order on nilpotent conjugacy classes.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterator
 
@@ -16,13 +17,14 @@ class Partition(tuple):
     """Nonincreasing tuple of positive integers.
 
     Instances are plain tuples (hashable, comparable with tuple literals);
-    input is sorted into canonical order rather than rejected.
+    input is sorted into canonical order rather than rejected, and a part
+    that is not an int (a float, str or Fraction) raises TypeError.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts):
-        ps = tuple(sorted((int(x) for x in parts), reverse=True))
+        ps = tuple(sorted(map(operator.index, parts), reverse=True))
         if not ps:
             raise ValueError("partition needs at least one part")
         if ps[-1] < 1:

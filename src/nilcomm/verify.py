@@ -65,16 +65,6 @@ class SuiteResult:
         return (f"CRITERION {self.criterion} [{self.name}]: {status} - "
                 f"{self.detail} ({cost})")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "name": self.name,
-            "passed": self.passed,
-            "checked": self.checked,
-            "detail": self.detail,
-            "seconds": self.seconds,
-        }
-
 
 def _result(criterion: int, name: str, checked: int, fails: list, detail: str,
             pairs=()) -> SuiteResult:

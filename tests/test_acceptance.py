@@ -66,8 +66,6 @@ def test_witness_suites_return_their_pairs(results):
     assert len(got) == 896
     assert hashlib.sha256(repr(got).encode()).hexdigest() == WITNESS_PAIRS
     assert not any(r.pairs for k, r in results.items() if k not in verify.WITNESS_SUITES)
-    # the pairs feed suite 11 only; the report leaves them out
-    assert "pairs" not in results[1].to_json_dict()
 
 
 def test_suites_type_each_witness_once(monkeypatch):

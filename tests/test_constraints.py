@@ -32,8 +32,6 @@ def test_verdict_invariants():
     # the verdict is read off the reasons, so it cannot disagree with them
     v = PairVerdict(P(2, 1), P(3), ())
     assert v.verdict == UNKNOWN and compatible_filter(P(2, 1), P(3)) == v
-    d = v.to_json_dict()
-    assert d["verdict"] == "unknown"
     v = PairVerdict(P(4, 2), P(6), (Reason("thm3", "demo"),))
     assert v.verdict == FORBIDDEN
     with pytest.raises(ValueError):
@@ -99,9 +97,6 @@ def test_filter_merges_reasons():
     assert v.verdict == FORBIDDEN
     names = {r.rule for r in v.reasons}
     assert "nilorder" in names and "two_part" in names
-    j = v.to_json_dict()
-    assert j["lambda"] == [6, 2] and j["verdict"] == "forbidden"
-    assert len(j["reasons"]) == len(v.reasons)
 
 
 def test_filter_matches_parent_digest():
@@ -144,8 +139,3 @@ def test_filter_accepts_identical_pairs():
 def test_filter_size_mismatch():
     with pytest.raises(ValueError):
         compatible_filter(P(3, 1), P(3, 2))
-
-
-def test_reason_json():
-    r = Reason("ind1", "demo")
-    assert r.to_json_dict() == {"rule": "ind1", "detail": "demo"}

@@ -12,7 +12,6 @@ from nilcomm.dinverse import (
     dmap_all,
     explore_q1,
     explore_q2,
-    fiber_json,
     lemma1_structure,
 )
 from nilcomm.partitions import (
@@ -172,14 +171,6 @@ def test_dinv_holds_every_preimage():
             assert dinv(mu) == fiber, mu
 
 
-def test_fiber_json_shape():
-    d = fiber_json(P(4, 1))
-    assert d["mu"] == [4, 1]
-    assert d["size"] == len(d["fiber"])
-    assert [4, 1] in d["fiber"]
-    assert set(d) == {"mu", "fiber", "size"}
-
-
 def test_explore_q1_report():
     rep = explore_q1(7, 5)
     assert rep.size == len(rep.fiber)
@@ -209,3 +200,8 @@ def test_explore_q2_report():
     assert rep.holds
     with pytest.raises(ValueError):
         explore_q2(P(3, 2))
+    # every stable mu leaves at least one trailing 1 in the conjectured partition
+    for n in range(1, 17):
+        for mu in filter(is_stable, enumerate_partitions(n)):
+            c = explore_q2(mu).conjectured
+            assert isinstance(c, Partition) and c.n == n and c[-1] == 1, mu

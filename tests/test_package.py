@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +41,17 @@ def test_unknown_attribute_raises():
 def test_commutant_reexports_the_dinverse_map():
     # perfbench/run.py imports dmap_index from commutant
     assert commutant.dmap_index is dinverse.dmap_index
+
+
+def test_only_the_cli_writes_json():
+    # the library returns plain values; cli.py alone shapes them into JSON
+    for path in sorted(Path(nilcomm.__file__).parent.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "json" not in {a.name.split(".")[0] for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "json", path.name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "to_json_dict", path.name

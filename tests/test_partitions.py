@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +35,10 @@ def test_partition_normalizes_and_validates():
         Partition([-1])
     with pytest.raises(ValueError):
         Partition([])
+    # a part that is not an int is refused, not truncated or parsed
+    for parts in ([2.7, 1], [1, 0.5], ["3", "1"], [Fraction(3), 1]):
+        with pytest.raises(TypeError):
+            Partition(parts)
 
 
 @given(parts_lists)

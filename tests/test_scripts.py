@@ -66,3 +66,8 @@ def test_bench_records_the_library_line_count():
     spec.loader.exec_module(bench)
     want = sum(len(p.read_text().splitlines()) for p in (SRC / "nilcomm").glob("*.py"))
     assert bench.src_lines(str(SRC.parent)) == want > 0
+    # and where they are: one count per module, summing to the total
+    by_module = bench.src_lines_by_module(str(SRC.parent))
+    assert set(by_module) == {p.name for p in (SRC / "nilcomm").glob("*.py")}
+    assert sum(by_module.values()) == want
+    assert by_module["cli.py"] == len((SRC / "nilcomm" / "cli.py").read_text().splitlines())
