@@ -1,6 +1,9 @@
 import hashlib
+import json
 
 import pytest
+
+from nilcomm.cli import main
 
 from nilcomm.dinverse import dmap
 from nilcomm.constraints import (
@@ -139,3 +142,13 @@ def test_filter_accepts_identical_pairs():
 def test_filter_size_mismatch():
     with pytest.raises(ValueError):
         compatible_filter(P(3, 1), P(3, 2))
+
+
+def test_reason_json(capsys):
+    # the CLI writes each reason of a verdict as {rule, detail}, in order
+    assert main(["check", "pair", "6,2", "4,4", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda"] == [6, 2] and doc["verdict"] == "forbidden"
+    assert all(set(r) == {"rule", "detail"} for r in doc["reasons"])
+    want = compatible_filter(P(6, 2), P(4, 4)).reasons
+    assert [Reason(**r) for r in doc["reasons"]] == list(want)

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from nilcomm import dinverse
+from nilcomm.cli import main
 from nilcomm.dinverse import (
     dinv,
     dinv_diff2,
@@ -169,6 +171,17 @@ def test_dinv_holds_every_preimage():
             fibers.setdefault(dmap(lam), set()).add(lam)
         for mu, fiber in fibers.items():
             assert dinv(mu) == fiber, mu
+
+
+def test_fiber_json_shape(capsys):
+    # dinv --json writes the fiber of mu, mu among it, with its size and seed
+    assert main(["dinv", "4,1", "--json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["mu"] == [4, 1]
+    assert d["size"] == len(d["fiber"])
+    assert [4, 1] in d["fiber"]
+    assert set(d) == {"mu", "fiber", "size", "seed"}
+    assert sorted(map(tuple, d["fiber"])) == sorted(dinv(P(4, 1)))
 
 
 def test_explore_q1_report():
