@@ -13,9 +13,9 @@ in its row of COMMANDS, and a flag it does not take is a usage error; only
 dmap and dinv accept and ignore --seed, for perfbench, whose CLI workload
 passes one.
 
-Every construct subcommand prints a witness the library has certified
-(`exactla.certify`: it commutes with the host Jordan matrix and has the
-printed type), typed once.
+Every construct subcommand prints an `exactla.Witness`, which
+`exactla.certify` checked to commute with its host's Jordan matrix and typed
+once; the host and type printed are the witness's own, never rebuilt here.
 
 Exit codes: 0 success, 1 a verification failed (verify, explore), 2 bad
 input, 3 an internal error (a failed consistency check, a witness that
@@ -33,7 +33,7 @@ import os
 import sys
 
 from nilcomm.dinverse import dinv, dmap, explore_q1, explore_q2
-from nilcomm.partitions import Partition, parse, two_column
+from nilcomm.partitions import Partition, parse
 
 # every other layer (commutant, exactla, _rng, verify, twoblock, constraints)
 # and fractions are imported inside the subcommands that use them, so a dmap
@@ -79,55 +79,52 @@ def _cmd_sample(args) -> int:
     from nilcomm.commutant import sample_nilpotent_commuting
 
     lam = parse(args.partition)
-    records = []
-    for i in range(args.count):
-        s = sample_nilpotent_commuting(
-            lam, derive(args.seed, 6, i), coeff_bound=args.coeff_bound)
-        records.append(s)
+    seeds = [derive(args.seed, 6, i) for i in range(args.count)]
+    records = [sample_nilpotent_commuting(lam, s, coeff_bound=args.coeff_bound)
+               for s in seeds]
     if args.json:
         out = []
-        for s in records:
-            d = {"lambda": s.lam, "jordan": s.jordan, "seed": s.seed,
-                 "coeff_bound": s.coeff_bound}
+        for s, w in zip(seeds, records):
+            d = {"lambda": w.host, "jordan": w.jordan, "seed": s,
+                 "coeff_bound": args.coeff_bound}
             if args.dump_matrix:
-                d["matrix"] = _matrix_rows(s.matrix)
+                d["matrix"] = _matrix_rows(w)
             out.append(d)
         _emit_json({"lambda": lam, "seed": args.seed, "samples": out})
     else:
-        for i, s in enumerate(records):
-            print(f"sample {i}: jordan type {s.jordan}")
+        for i, w in enumerate(records):
+            print(f"sample {i}: jordan type {w.jordan}")
             if args.dump_matrix:
-                print(s.matrix.dump())
+                print(w.dump())
     return 0
 
 
-def _transcript(args, host: Partition, m, label: str, jt: Partition,
-                extra: dict, seed: int | None = None) -> int:
-    """Print the transcript of a witness already certified to commute with the
-    host Jordan matrix and to have the Jordan type jt; return 0.
+def _transcript(args, w, label: str, extra: dict, seed: int | None = None) -> int:
+    """Print the transcript of the witness w, certified to commute with the
+    Jordan matrix of w.host and to have the Jordan type w.jordan; return 0.
 
     extra holds the additional (name, value) items printed; seed is the JSON
     seed, None for a fixed construction."""
     if args.json:
         out = {
             "construction": label,
-            "host": host,
-            "jordan": jt,
+            "host": w.host,
+            "jordan": w.jordan,
             "commutes": True,
             **extra,
             "seed": seed,
         }
         if args.dump_matrix:
-            out["matrix"] = _matrix_rows(m)
+            out["matrix"] = _matrix_rows(w)
         _emit_json(out)
     else:
-        print(f"{label} for host {host}")
+        print(f"{label} for host {w.host}")
         print("commutes with host Jordan matrix: True")
-        print(f"jordan type: {jt}")
+        print(f"jordan type: {w.jordan}")
         for k, v in extra.items():
             print(f"{k}: {v}")
         if args.dump_matrix:
-            print(m.dump())
+            print(w.dump())
     return 0
 
 
@@ -140,10 +137,8 @@ def _square_zero_fields(jt: Partition) -> dict:
 def _cmd_construct_squarezero(args) -> int:
     from nilcomm.twoblock import construct_squarezero_partner
 
-    mu = parse(args.partition)
-    m = construct_squarezero_partner(mu, args.rank)
-    jt = two_column(mu.n, args.rank)
-    return _transcript(args, mu, m, "square-zero partner", jt, _square_zero_fields(jt))
+    w = construct_squarezero_partner(parse(args.partition), args.rank)
+    return _transcript(args, w, "square-zero partner", _square_zero_fields(w.jordan))
 
 
 def _cmd_construct_antidiagonal(args) -> int:
@@ -155,27 +150,23 @@ def _cmd_construct_antidiagonal(args) -> int:
     bc = rng.nonzero(args.coeff_bound)
     cc = rng.nonzero(args.coeff_bound)
     x, pred, case = antidiagonal(args.l1, args.l2, args.j, args.l, bc, cc)
-    host, m = Partition((args.l1, args.l2)), tb_to_matrix(x)
+    w = certify(tb_to_matrix(x), (args.l1, args.l2), pred)
     extra = {"element": x.render(), "case": case, "predicted": pred}
-    return _transcript(args, host, m, "antidiagonal element", certify(m, host, pred),
-                       extra, args.seed)
+    return _transcript(args, w, "antidiagonal element", extra, args.seed)
 
 
 def _cmd_construct_lemma_eq2(args) -> int:
     from nilcomm.twoblock import construct_lemma_eq2
 
-    m = construct_lemma_eq2(args.lam)
-    return _transcript(args, Partition((args.lam, args.lam)), m, "off-by-one partner",
-                       Partition((args.lam + 1, args.lam - 1)), {})
+    return _transcript(args, construct_lemma_eq2(args.lam), "off-by-one partner", {})
 
 
 def _cmd_construct_lemma_odd(args) -> int:
     from nilcomm.twoblock import construct_lemma_odd
 
-    m = construct_lemma_odd(args.l1, args.l2, args.a)
-    jt = two_column(args.l1 + args.l2, args.a)
-    return _transcript(args, Partition((args.l1, args.l2)), m,
-                       "two-block square-zero element", jt, _square_zero_fields(jt))
+    w = construct_lemma_odd(args.l1, args.l2, args.a)
+    return _transcript(args, w, "two-block square-zero element",
+                       _square_zero_fields(w.jordan))
 
 
 def _cmd_check(args) -> int:

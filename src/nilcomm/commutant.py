@@ -12,14 +12,13 @@ in `dinverse`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from nilcomm._rng import Stream, derive
 # perfbench/run.py imports dmap_index from this module
 from nilcomm.dinverse import dmap_index  # noqa: F401
 from nilcomm.partitions import Partition
-from nilcomm.exactla import ExactMatrix, _jordan_type_rows, certify
+from nilcomm.exactla import ExactMatrix, Witness, _jordan_type_rows, certify
 
 
 # generator descriptor: (block row i, block col j, diagonal offset, length,
@@ -100,17 +99,9 @@ def sample_jordan(lam, seed: int, coeff_bound: int = 10) -> tuple:
     return _jordan_type_rows(*_draw(tuple(lam), Stream(seed), coeff_bound))
 
 
-@dataclass(frozen=True)
-class CommutantSample:
-    lam: Partition
-    matrix: ExactMatrix
-    jordan: Partition
-    seed: int
-    coeff_bound: int
-
-
-def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> CommutantSample:
-    """Verified random nilpotent element commuting with the Jordan matrix of lam.
+def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> Witness:
+    """Verified random nilpotent element commuting with the Jordan matrix of
+    lam, in the standard basis: a Witness on host lam with its type `jordan`.
 
     The draw scheme makes non-nilpotent output impossible, but the contract is
     exact verification, so the sample is certified (`exactla.certify`); a
@@ -118,5 +109,4 @@ def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> Commuta
     """
     lam = Partition(lam)
     rows, pos = _draw(lam, Stream(derive(seed, 1, 0)), coeff_bound)[0], _plan(lam)[0]
-    m = ExactMatrix([[rows[p][q] for q in pos] for p in pos])  # standard basis
-    return CommutantSample(lam, m, certify(m, lam, seed=seed), seed, coeff_bound)
+    return certify(ExactMatrix([[rows[p][q] for q in pos] for p in pos]), lam, seed=seed)

@@ -148,7 +148,8 @@ def _lift(nu: tuple, u: int):
 
 def _glue(head: tuple, m: int) -> list:
     """head extended by each almost-rectangular tail of m, kept when the
-    concatenation is a partition whose first and last parts differ by >= 2."""
+    concatenation is a partition whose first and last parts differ by >= 2.
+    Every closed-form fiber below is a union of these."""
     out = []
     for t in range(1, m + 1):
         tail = tuple(almost_rect(m, t))
@@ -160,6 +161,12 @@ def _glue(head: tuple, m: int) -> list:
     return out
 
 
+def _glue_heads(n: int, heads) -> set:
+    """Union of _glue(P(a, s), n - a) over the (a, s) in heads: the head is
+    the almost-rectangular partition of a into s parts."""
+    return {lam for a, s in heads for lam in _glue(tuple(almost_rect(a, s)), n - a)}
+
+
 def dinv_diff2(mu: int, k: int) -> set:
     """Fiber of the gap-2 staircase (mu, mu-2, ..., mu-2k): freeze the first
     k steps and let the final step spread over every almost-rectangular shape."""
@@ -167,26 +174,25 @@ def dinv_diff2(mu: int, k: int) -> set:
         raise ValueError("k must be >= 1")
     if mu - 2 * k < 1:
         raise ValueError(f"staircase from {mu} cannot take {k} steps")
-    head = tuple(mu - 2 * i for i in range(k))
-    m = mu - 2 * k
-    return {Partition(head + tuple(almost_rect(m, t))) for t in range(1, m + 1)}
+    return set(_glue(tuple(mu - 2 * i for i in range(k)), mu - 2 * k))
 
 
 def dinv_two_part(mu: int, r: int) -> set:
-    """Fiber of (mu, mu-r) for 2 <= r <= 4, from explicit families.  Gaps
-    from 5 on have no closed form here; `explore_q1` tests their counts."""
+    """Fiber of (mu, mu-r) for 2 <= r <= 4: the partitions of n = 2mu - r of
+    `lemma1_structure`'s shape whose head P(a, s), s <= r/2, sums to a = mu
+    or a = mu - r + 2s.  r = 2 gives the heads (mu); r = 3 (mu) and (mu - 1);
+    r = 4 (mu), (mu - 2) and P(mu, 2).
+
+    The rule stops at r = 4 because from r = 5 on it yields non-members:
+    the head P(6, 2) = (3, 3) and the tail (2, 1) give (3, 3, 2, 1), which
+    has the (7, 2) rule's shape but D((3, 3, 2, 1)) = (8, 1).  Those gaps
+    have no closed form here; `explore_q1` tests their counts."""
     if not 2 <= r <= 4:
         raise ValueError("r must be in 2..4")
     if mu - r < 1:
         raise ValueError("mu - r must be >= 1")
-    if r == 2:
-        return set(_glue((mu,), mu - 2))
-    if r == 3:
-        return set(_glue((mu,), mu - 3)) | set(_glue((mu - 1,), mu - 2))
-    out = set(_glue((mu,), mu - 4))
-    out |= set(_glue((mu - 2,), mu - 2))
-    out |= set(_glue(tuple(almost_rect(mu, 2)), mu - 4))
-    return out
+    return _glue_heads(2 * mu - r, ((a, s) for s in range(1, r // 2 + 1)
+                                    for a in (mu, mu - r + 2 * s)))
 
 
 def dinv_n11(n: int) -> set:
@@ -194,14 +200,7 @@ def dinv_n11(n: int) -> set:
     over an almost-rectangular body ending in 1."""
     if n < 4:
         raise ValueError("n must be >= 4")
-    out: set[Partition] = set()
-    for t in range(1, n):
-        body = tuple(almost_rect(n - 1, t))
-        cand = body + (1,)
-        if cand[0] - cand[-1] >= 2:
-            out.add(Partition(cand))
-    out |= set(_glue((3,), n - 3))
-    return out
+    return _glue_heads(n, ((n - 1, t) for t in range(1, n))) | set(_glue((3,), n - 3))
 
 
 class Q1Report(NamedTuple):
@@ -259,20 +258,12 @@ def explore_q2(mu) -> Q2Report:
                     conjectured in fiber, minimal == (conjectured,))
 
 
-def lemma1_structure(mu: int, r: int):
+def lemma1_structure(mu: int, r: int) -> set:
     """Partitions of 2*mu - r built from two almost-rectangular segments,
     the first of at most floor(r/2) parts, with first and last parts at
-    least 2 apart.  Every element of the fiber of (mu, mu-r) has this shape,
-    so the stream prunes brute-force fiber searches."""
+    least 2 apart: `_glue` with every head P(a, s), s <= r/2.  Every element
+    of the fiber of (mu, mu-r) has this shape."""
     if not 2 <= r < mu:
         raise ValueError("need 2 <= r < mu")
-    smax = r // 2
-    for lam in enumerate_partitions(2 * mu - r):
-        ps = tuple(lam)
-        t = len(ps)
-        if ps[0] - ps[-1] < 2:
-            continue
-        for s in range(1, min(smax, t - 1) + 1):
-            if ps[0] - ps[s - 1] <= 1 and ps[s] - ps[-1] <= 1:
-                yield lam
-                break
+    n = 2 * mu - r
+    return _glue_heads(n, ((a, s) for s in range(1, r // 2 + 1) for a in range(s, n)))

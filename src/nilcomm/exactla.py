@@ -5,8 +5,9 @@ of nilpotent matrices from the ranks of successive powers.  There is no
 Fraction elimination, RREF or change of basis: every witness in the library is
 written down in closed form and only typed here, by `certify`: the one check
 that a witness commutes with its host's Jordan matrix and has the type it
-should.  No floating point enters this module; nullity differences of one
-decide Jordan types, so there is no tolerance anywhere.
+should, which returns it as a `Witness` carrying that host and type.  No
+floating point enters this module; nullity differences of one decide Jordan
+types, so there is no tolerance anywhere.
 
 A Jordan type is read off the rank sequence of the powers.  A sequence that
 reaches 0 certifies nilpotency, and a repeated nonzero rank certifies the
@@ -135,7 +136,7 @@ class ExactMatrix:
         return "\n".join(lines)
 
     def __repr__(self):
-        return f"<ExactMatrix {self.rows}x{self.cols}>"
+        return f"<{type(self).__name__} {self.rows}x{self.cols}>"
 
 
 def _nonzeros(rows) -> list:
@@ -261,14 +262,27 @@ def jordan_type(a: ExactMatrix) -> Partition:
     return Partition(_jordan_type_rows(_int_rows(a)))
 
 
-def certify(m: ExactMatrix, host, expect=None, *, seed: int | None = None) -> Partition:
-    """Jordan type of a witness m that commutes with `build_jordan(host)`,
-    checked to equal expect when it is given.
+class Witness(ExactMatrix):
+    """A matrix that `certify` checked to commute with `build_jordan(host)`
+    and to have the Jordan type `jordan`.  Only `certify` makes one, so
+    `Witness(rows)` raises TypeError.  It equals and hashes like the plain
+    matrix of its rows; its products and blocks are plain matrices."""
+
+    __slots__ = ("host", "jordan")
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Witness is made only by exactla.certify")
+
+
+def certify(m: ExactMatrix, host, expect=None, *, seed: int | None = None) -> Witness:
+    """m as a Witness on host: checked to commute with `build_jordan(host)`,
+    with its Jordan type, which must equal expect when it is given.
 
     Every witness and sample is nilpotent and commuting by construction, so
     any failure, a non-nilpotent m included, is a bug: it raises
     RuntimeError naming the host, and the seed when one is given.
     """
+    host = Partition(host)
     where = f"host {tuple(host)}" + ("" if seed is None else f", seed {seed}")
     j = build_jordan(host)
     if m @ j != j @ m:
@@ -280,7 +294,10 @@ def certify(m: ExactMatrix, host, expect=None, *, seed: int | None = None) -> Pa
     if expect is not None and jt != tuple(expect):
         raise RuntimeError(
             f"witness for {where} has type {tuple(jt)}, expected {tuple(expect)}; bug")
-    return jt
+    w = Witness._trusted(m._rows, m._int)  # shares m's rows
+    object.__setattr__(w, "host", host)
+    object.__setattr__(w, "jordan", jt)
+    return w
 
 
 def _jordan_type_rows(rows0, a_nz=None):

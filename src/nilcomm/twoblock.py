@@ -20,8 +20,8 @@ element (a, b, c, d) acts on (u, w) in V as the 2x2 polynomial matrix
 g2 = (0, 1) to (a, c) and (t^g b, d).  Working with coefficient vectors
 instead of dense matrices makes products, orders and ranks of these elements
 nearly free.  Every construction below is a fixed element written down in
-closed form (none draws random numbers), and each witness is still certified
-once on its dense realization (`exactla.certify`).
+closed form (none draws random numbers) and returned as the `exactla.Witness`
+that `exactla.certify` makes of its dense realization, typed once.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from nilcomm.partitions import Partition, almost_rect, conjugate, two_column
-from nilcomm.exactla import ExactMatrix, _checked_int, _nonzeros, build_jordan, certify
+from nilcomm.exactla import ExactMatrix, Witness, _checked_int, _nonzeros, build_jordan, certify
 
 
 @dataclass(frozen=True)
@@ -356,7 +356,7 @@ def antidiagonal_block_rank_formulas(l1: int, l2: int, j: int, l: int, m: int) -
     }
 
 
-def construct_lemma_odd(l1: int, l2: int, a: int) -> ExactMatrix:
+def construct_lemma_odd(l1: int, l2: int, a: int) -> Witness:
     """Square-zero element of rank a commuting with the two-block Jordan matrix.
 
     Valid for 0 <= a <= floor((l1+l2)/2).  Powers of the individual blocks
@@ -368,9 +368,7 @@ def construct_lemma_odd(l1: int, l2: int, a: int) -> ExactMatrix:
     n = l1 + l2
     if not 0 <= a <= n // 2:
         raise ValueError(f"rank {a} out of range for n={n}")
-    out = tb_to_matrix(_lemma_odd_element(l1, l2, a))
-    certify(out, Partition((l1, l2)), two_column(n, a))
-    return out
+    return certify(tb_to_matrix(_lemma_odd_element(l1, l2, a)), (l1, l2), two_column(n, a))
 
 
 def _lemma_odd_element(l1: int, l2: int, a: int) -> TwoBlockElement:
@@ -402,7 +400,7 @@ def _units(parts: list) -> list[tuple]:
     return [(pos, sum(parts[i] for i in pos) // 2) for pos in groups]
 
 
-def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
+def construct_squarezero_partner(mu, a: int) -> Witness:
     """Square-zero matrix of rank a commuting with the Jordan matrix of mu.
 
     Parts are grouped into units (`_units`), each absorbing up to half its
@@ -439,12 +437,10 @@ def construct_squarezero_partner(mu, a: int) -> ExactMatrix:
                 rows[o + r][o + shift + r] = 1
     if remaining:
         raise RuntimeError(f"rank {remaining} of {a} left unplaced on {tuple(mu)}; bug")
-    out = ExactMatrix(rows)
-    certify(out, mu, two_column(n, a))
-    return out
+    return certify(ExactMatrix(rows), mu, two_column(n, a))
 
 
-def construct_lemma_eq2(lam: int, seed: int = 0) -> ExactMatrix:
+def construct_lemma_eq2(lam: int, seed: int = 0) -> Witness:
     """Element M_1 + N_1 + K_0 = J_(lam,lam) + K_0 of type (lam+1, lam-1),
     which commutes with the equal-block Jordan matrix; verified densely.
 
@@ -453,36 +449,30 @@ def construct_lemma_eq2(lam: int, seed: int = 0) -> ExactMatrix:
     """
     if lam < 2:
         raise ValueError(f"need block size >= 2, got {lam}")
-    out = tb_to_matrix(tb_element(lam, lam, [("M", 1, 1), ("N", 1, 1), ("K", 0, 1)]))
-    certify(out, Partition((lam, lam)), Partition((lam + 1, lam - 1)))
-    return out
+    x = tb_element(lam, lam, [("M", 1, 1), ("N", 1, 1), ("K", 0, 1)])
+    return certify(tb_to_matrix(x), (lam, lam), (lam + 1, lam - 1))
 
 
-def maxrank_partners(l1: int, l2: int) -> dict[Partition, ExactMatrix]:
-    """Jordan types of maximal-rank elements commuting with the two-block host.
+def maxrank_partners(l1: int, l2: int) -> tuple[Witness, ...]:
+    """Witnesses of the Jordan types of maximal-rank elements commuting with
+    the two-block host, each type its witness's `jordan`.
 
     Gap <= 1 gives the full-cycle type (n); gap exactly 2 gives the host type
-    and its balanced neighbor; gap >= 3 gives only the host type.  Each type
-    is returned with a verified witness.  The gap-2 neighbor (m, m), with
-    m = l2 + 1, is (m-1) M_1 - K_0 + L_0 + (m+1) N_1 (no N_1 when m = 2):
-    m times J_(m,m) written in a Jordan chain basis of
-    `construct_lemma_eq2(m)`'s element.
+    and then its balanced neighbor; gap >= 3 gives only the host type.  The
+    gap-2 neighbor (m, m), with m = l2 + 1, is (m-1) M_1 - K_0 + L_0 +
+    (m+1) N_1 (no N_1 when m = 2): m times J_(m,m) written in a Jordan chain
+    basis of `construct_lemma_eq2(m)`'s element.
     """
     if not (l1 >= l2 >= 1):
         raise ValueError(f"need l1 >= l2 >= 1, got ({l1}, {l2})")
-    n = l1 + l2
-    host = Partition((l1, l2))
-    out: dict[Partition, ExactMatrix] = {}
-    gap = l1 - l2
+    host, gap = (l1, l2), l1 - l2
     if gap <= 1:
         terms = [("K", 0, 1)] + [("L", 1 - gap, 1)] * (1 - gap < l2)
-        out[Partition((n,))] = tb_to_matrix(tb_element(l1, l2, terms))
+        out = [certify(tb_to_matrix(tb_element(l1, l2, terms)), host, (l1 + l2,))]
     else:
-        out[host] = build_jordan(host)
+        out = [certify(build_jordan(host), host, host)]
     if gap == 2:
         m = l2 + 1
         terms = [("M", 1, m - 1), ("K", 0, -1), ("L", 0, 1)] + [("N", 1, m + 1)] * (m > 2)
-        out[Partition((m, m))] = tb_to_matrix(tb_element(l1, l2, terms))
-    for shape, w in out.items():
-        certify(w, host, shape)
-    return out
+        out.append(certify(tb_to_matrix(tb_element(l1, l2, terms)), host, (m, m)))
+    return tuple(out)

@@ -87,7 +87,7 @@ def suite1(max_n: int) -> SuiteResult:
             for a in range(n // 2 + 1):
                 checked += 1
                 try:
-                    m = construct_squarezero_partner(mu, a)  # of type two_column(n, a)
+                    m = construct_squarezero_partner(mu, a)
                 except Exception as exc:
                     fails.append(f"mu={tuple(mu)} a={a}: {exc}")
                     continue
@@ -97,7 +97,7 @@ def suite1(max_n: int) -> SuiteResult:
                     fails.append(
                         f"mu={tuple(mu)} a={a}: square-zero={sq_zero} rank-ok={rank_ok}")
                     continue
-                pairs.add((mu, two_column(n, a)))
+                pairs.add((m.host, m.jordan))
     return _result(1, "square-zero partners", checked, fails,
                    f"all ranks realized for n <= {max_n}", pairs)
 
@@ -149,7 +149,6 @@ def suite3(max_n: int, seed: int) -> SuiteResult:
     cases = {"a": 0, "b": 0, "c": 0}
     for l1 in range(1, max_n):
         for l2 in range(1, min(l1, max_n - l1) + 1):
-            host = Partition((l1, l2))
             for j, l in _admissible(l1, l2):
                 for k in range(SUITE3_DRAWS):
                     rng = Stream(derive(seed, 3, l1, l2, j, l, k))
@@ -158,12 +157,12 @@ def suite3(max_n: int, seed: int) -> SuiteResult:
                     x, pred, case = antidiagonal(l1, l2, j, l, bc, cc)
                     checked += 1
                     try:
-                        exactla.certify(tb_to_matrix(x), host, pred)
+                        w = exactla.certify(tb_to_matrix(x), (l1, l2), pred)
                     except RuntimeError as exc:
                         fails.append(f"({l1},{l2}) j={j} l={l} case {case}: {exc}")
                         continue
                     cases[case] += 1
-                    pairs.add((host, pred))
+                    pairs.add((w.host, w.jordan))
     ok = (f"cases a/b/c = {cases['a']}/{cases['b']}/{cases['c']}, "
           f"n <= {max_n}")
     return _result(3, "antidiagonal types", checked, fails, ok, pairs)
@@ -242,11 +241,11 @@ def suite5(max_n: int, sample_n: int, samples: int, seed: int) -> SuiteResult:
     for m in range(2, max_n // 2 + 1):
         checked += 1
         try:
-            construct_lemma_eq2(m)  # certifies the type (m + 1, m - 1)
+            w = construct_lemma_eq2(m)
         except Exception as exc:
             fails.append(f"m={m}: {exc}")
             continue
-        pairs.add((Partition((m, m)), Partition((m + 1, m - 1))))
+        pairs.add((w.host, w.jordan))
 
     for l1 in range(1, sample_n):
         for l2 in range(1, min(l1, sample_n - l1) + 1):

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 from nilcomm.commutant import _generators
 from nilcomm.exactla import ExactMatrix, build_jordan, rank
-from nilcomm.partitions import Partition, conjugate
+from nilcomm.partitions import Partition, conjugate, enumerate_partitions
 
 
 def is_ar_block(parts) -> bool:
@@ -191,6 +191,21 @@ def index_window_scan(ps: tuple) -> tuple:
 def brute_fiber(mu, table) -> set:
     """Inverse image of mu read off a full D table."""
     return {lam for lam, d in table.entries.items() if d == Partition(mu)}
+
+
+def lemma1_structure(mu: int, r: int) -> set:
+    """`dinverse.lemma1_structure` by enumerating every partition of
+    2*mu - r and keeping those that split, after s <= r/2 parts, into two
+    almost-rectangular segments, with first and last parts >= 2 apart."""
+    out = set()
+    for lam in enumerate_partitions(2 * mu - r):
+        ps = tuple(lam)
+        if ps[0] - ps[-1] < 2:
+            continue
+        if any(ps[0] - ps[s - 1] <= 1 and ps[s] - ps[-1] <= 1
+               for s in range(1, min(r // 2, len(ps) - 1) + 1)):
+            out.add(lam)
+    return out
 
 
 def assert_trusted_matrix(m):

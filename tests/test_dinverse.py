@@ -113,6 +113,15 @@ def test_dinv_two_part_counts_and_sets():
         dinv_two_part(8, 5)
 
 
+def test_dinv_two_part_is_the_fiber_up_to_60():
+    # one gluing rule for r = 2..4; at r = 5 it would already take in
+    # (3, 3, 2, 1), whose image is (8, 1), not (7, 2)
+    for r in (2, 3, 4):
+        for mu in range(r + 1, (60 + r) // 2 + 1):
+            assert dinv_two_part(mu, r) == dinv((mu, mu - r)), (mu, r)
+    assert P(3, 3, 2, 1) in lemma1_structure(7, 5) and dmap((3, 3, 2, 1)) == (8, 1)
+
+
 def test_dinv_n11_closed_form():
     for n in range(4, 13):
         assert dinv_n11(n) == dinv(P(n - 1, 1))
@@ -125,6 +134,16 @@ def test_lemma1_structure_contains_fibers():
         allowed = set(lemma1_structure(mu, r))
         fiber = dmap_all(2 * mu - r).fiber(P(mu, mu - r))
         assert fiber <= allowed
+
+
+def test_lemma1_structure_matches_enumeration():
+    cases = 0
+    for mu in range(3, 23):
+        for r in range(2, mu):
+            if 2 * mu - r <= 22:
+                assert lemma1_structure(mu, r) == oracles.lemma1_structure(mu, r), (mu, r)
+                cases += 1
+    assert cases == 100
 
 
 def test_minimal_rank_uniqueness():

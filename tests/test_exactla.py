@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from nilcomm import exactla, twoblock
 from nilcomm.exactla import (
     ExactMatrix,
+    Witness,
     _int_rank,
     NotNilpotentError,
     build_jordan,
@@ -164,9 +165,9 @@ def test_jordan_type_rejects_non_nilpotent():
 def test_certify_types_witnesses_and_raises_on_bugs():
     host = Partition((3, 1))
     j = build_jordan(host)
-    assert certify(j @ j, host) == (2, 1, 1)
+    assert certify(j @ j, host).jordan == (2, 1, 1)
     half = ExactMatrix([[Fraction(x, 2) for x in row] for row in j.row_data()])
-    assert certify(half, host, (3, 1)) == (3, 1)
+    assert certify(half, host, (3, 1)).jordan == (3, 1)
     # nilpotent, but E_30 does not commute with J_(3,1)
     e30 = ExactMatrix([[int((r, c) == (3, 0)) for c in range(4)] for r in range(4)])
     with pytest.raises(RuntimeError, match=r"host \(3, 1\) does not commute"):
@@ -177,6 +178,27 @@ def test_certify_types_witnesses_and_raises_on_bugs():
         certify(ident, host, seed=5)
     with pytest.raises(RuntimeError, match=r"has type \(3, 1\), expected \(2, 2\)"):
         certify(j, host, (2, 2))
+
+
+def test_only_certify_makes_a_witness():
+    with pytest.raises(TypeError, match="only by exactla.certify"):
+        Witness([[0, 1], [0, 0]])
+    host = Partition((3, 1))
+    j = build_jordan(host)
+    w = certify(j, (1, 3), (3, 1))
+    assert type(w) is Witness and repr(w) == "<Witness 4x4>"
+    assert (w.host, w.jordan) == (host, (3, 1)) and type(w.host) is Partition
+    assert w.row_data() is j.row_data()  # the certified matrix's rows, shared
+    # equal and hashed as the plain matrix of its rows, either way round
+    plain = ExactMatrix(w.row_data())
+    assert w == plain and plain == w and hash(w) == hash(plain)
+    assert {plain: 1}[w] == 1
+    # certification does not carry through products or blocks
+    for m in (w @ w, w @ j, j @ w, w.block(0, 3, 0, 3)):
+        assert type(m) is ExactMatrix
+    assert w @ w == j @ j
+    with pytest.raises(AttributeError, match="immutable"):
+        w.jordan = Partition((4,))
 
 
 def test_jordan_type_matches_nullity_oracle():
@@ -454,11 +476,10 @@ def test_witnesses_off_the_triangle_rank_down_to_zero(rank_calls):
                         witnesses.append(("two-block", twoblock.tb_to_matrix(x)))
     for m in range(2, 6):
         witnesses.append(("two-block", twoblock.construct_lemma_eq2(m)))
-        witnesses += [("two-block", w)
-                      for w in twoblock.maxrank_partners(m + 1, m - 1).values()]
+        witnesses += [("two-block", w) for w in twoblock.maxrank_partners(m + 1, m - 1)]
     for lam in partitions_up_to(7):
         for seed in range(2):
-            witnesses.append(("sample", sample_nilpotent_commuting(lam, seed).matrix))
+            witnesses.append(("sample", sample_nilpotent_commuting(lam, seed)))
     counts, past = {}, {}
     for kind, m in witnesses:
         want = oracles.jordan_type_by_nullities(m)

@@ -1,11 +1,12 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import nilcomm
-from nilcomm import commutant, dinverse
+from nilcomm import commutant, dinverse, exactla
 
 HOMES = {
     "ExactMatrix": "exactla",
@@ -55,3 +56,13 @@ def test_only_the_cli_writes_json():
                 assert (node.module or "").split(".")[0] != "json", path.name
             elif isinstance(node, ast.FunctionDef):
                 assert node.name != "to_json_dict", path.name
+
+
+def test_only_exactla_makes_a_witness():
+    # certify is the one place a matrix gets a certified type: no other
+    # module calls Witness or its _trusted builder, or makes objects bare
+    assert issubclass(exactla.Witness, exactla.ExactMatrix)
+    maker = re.compile(r"\bWitness\s*\(|Witness\._trusted|object\.__new__")
+    for path in sorted(Path(nilcomm.__file__).parent.glob("*.py")):
+        if path.stem != "exactla":
+            assert not maker.search(path.read_text()), path.name

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from nilcomm import exactla, twoblock, verify
 from nilcomm._rng import Stream, derive
-from nilcomm.exactla import ExactMatrix, build_jordan, jordan_type, rank
-from nilcomm.partitions import Partition, almost_rect, enumerate_partitions
+from nilcomm.commutant import sample_nilpotent_commuting
+from nilcomm.exactla import ExactMatrix, Witness, build_jordan, jordan_type, rank
+from nilcomm.partitions import Partition, almost_rect, enumerate_partitions, two_column
 from nilcomm.twoblock import (
     TwoBlockElement,
     antidiagonal,
@@ -533,8 +534,8 @@ def test_lemma_eq2_types():
 def test_gap2_partner_has_the_balanced_type():
     for m in range(2, 41):
         got = maxrank_partners(m + 1, m - 1)
-        assert set(got) == {Partition([m + 1, m - 1]), Partition([m, m])}, m
-        w = got[Partition([m, m])]
+        assert [g.jordan for g in got] == [Partition([m + 1, m - 1]), Partition([m, m])], m
+        w = got[1]
         j = build_jordan(Partition([m + 1, m - 1]))
         assert w @ j == j @ w
         assert jordan_type(w) == (m, m), m
@@ -544,32 +545,49 @@ def test_gap2_partner_has_the_balanced_type():
 
 def test_witnesses_are_typed_once(monkeypatch):
     # hosts with one and two odd pairs, every rank: the pairs' elements are
-    # written into the host matrix unverified, and the whole is typed once
-    calls = []
+    # written into the host matrix unverified, and the whole is typed once.
+    # Each construction returns the Witness that certify made: its host, and
+    # as its type the one type the kernel computed
+    calls, typed = [], []
 
     def counting(m):
         calls.append(m)
-        return jordan_type(m)
+        typed.append(jordan_type(m))
+        return typed[-1]
+
+    def certified(w, host, jt):
+        return (type(w) is Witness and w.host == host and w.jordan == jt
+                and w.jordan is typed[calls.index(w)])
 
     monkeypatch.setattr(exactla, "jordan_type", counting)
     for mu in [(3, 1), (5, 3, 2, 1), (7, 5, 3, 3, 1), (4, 3, 3, 2, 1)]:
         p = Partition(mu)
         for a in range(p.n // 2 + 1):
-            calls.clear()
+            del calls[:], typed[:]
             m = construct_squarezero_partner(p, a)
             assert calls == [m], (mu, a)
+            assert certified(m, p, two_column(p.n, a)), (mu, a)
     for l1, l2, a in [(5, 3, 4), (5, 3, 2), (4, 4, 4), (6, 2, 3), (3, 3, 0)]:
-        calls.clear()
+        del calls[:], typed[:]
         m = construct_lemma_odd(l1, l2, a)
         assert calls == [m], (l1, l2, a)
+        assert certified(m, (l1, l2), two_column(l1 + l2, a)), (l1, l2, a)
     for m in range(2, 6):
-        calls.clear()
+        del calls[:], typed[:]
         w = construct_lemma_eq2(m)
         assert calls == [w], m
+        assert certified(w, (m, m), (m + 1, m - 1)), m
     for l1, l2 in [(5, 4), (6, 4), (7, 3), (3, 1)]:
-        calls.clear()
+        del calls[:], typed[:]
         got = maxrank_partners(l1, l2)
-        assert calls == list(got.values()), (l1, l2)
+        assert calls == list(got), (l1, l2)
+        assert all(certified(w, (l1, l2), w.jordan) for w in got), (l1, l2)
+    for lam in [(3, 1), (4, 2, 2), (5, 3, 1)]:
+        for seed in range(3):
+            del calls[:], typed[:]
+            s = sample_nilpotent_commuting(lam, seed)
+            assert calls == [s], (lam, seed)
+            assert certified(s, lam, typed[0]), (lam, seed)
 
 
 # SHA-256 of the square-zero and lemma-odd witnesses below, recorded at
@@ -605,8 +623,8 @@ def test_witnesses_match_golden_digest():
         for m in range(2, 9):
             yield construct_lemma_eq2(m)
         for l1, l2 in [(5, 4), (6, 4), (7, 3)]:
-            for shape, w in maxrank_partners(l1, l2).items():
-                yield shape
+            for w in maxrank_partners(l1, l2):
+                yield w.jordan
                 yield w
 
     assert (witness_digest(squarezero()), witness_digest(two_block())) == (
@@ -615,16 +633,18 @@ def test_witnesses_match_golden_digest():
 
 def test_maxrank_partners_cases():
     got = maxrank_partners(5, 4)
-    assert set(got) == {Partition([9])}
+    assert {w.jordan for w in got} == {Partition([9])}
     got = maxrank_partners(6, 4)
-    assert set(got) == {Partition([6, 4]), Partition([5, 5])}
+    assert {w.jordan for w in got} == {Partition([6, 4]), Partition([5, 5])}
     got = maxrank_partners(7, 3)
-    assert set(got) == {Partition([7, 3])}
+    assert {w.jordan for w in got} == {Partition([7, 3])}
     # the smallest host: K_0 alone, as L_1 does not exist for l2 = 1
-    assert maxrank_partners(1, 1) == {Partition([2]): ExactMatrix([[0, 1], [0, 0]])}
+    (w,) = maxrank_partners(1, 1)
+    assert (w.jordan, w) == (Partition([2]), ExactMatrix([[0, 1], [0, 0]]))
     for (l1, l2) in [(5, 4), (6, 4), (7, 3), (3, 3), (4, 2), (1, 1), (2, 1)]:
         j = build_jordan(Partition([l1, l2]))
-        for shape, wit in maxrank_partners(l1, l2).items():
+        for wit in maxrank_partners(l1, l2):
+            shape = wit.jordan
             assert wit @ j == j @ wit
             assert jordan_type(wit) == shape
             # maximal rank: n-1 when the gap is small enough to merge, n-2 otherwise
