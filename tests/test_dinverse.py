@@ -111,11 +111,8 @@ def test_dinv_two_part_counts_and_sets():
     # gap 5 has no explicit family; explore_q1 covers it
     with pytest.raises(ValueError, match="2..4"):
         dinv_two_part(8, 5)
-
-
-def test_dinv_two_part_is_the_fiber_up_to_60():
-    # one gluing rule for r = 2..4; at r = 5 it would already take in
-    # (3, 3, 2, 1), whose image is (8, 1), not (7, 2)
+    # one gluing rule for r = 2..4, up to n = 60; at r = 5 it would already
+    # take in (3, 3, 2, 1), whose image is (8, 1), not (7, 2)
     for r in (2, 3, 4):
         for mu in range(r + 1, (60 + r) // 2 + 1):
             assert dinv_two_part(mu, r) == dinv((mu, mu - r)), (mu, r)
@@ -134,9 +131,7 @@ def test_lemma1_structure_contains_fibers():
         allowed = set(lemma1_structure(mu, r))
         fiber = dmap_all(2 * mu - r).fiber(P(mu, mu - r))
         assert fiber <= allowed
-
-
-def test_lemma1_structure_matches_enumeration():
+    # the gluing rule against enumerating every partition, n <= 22
     cases = 0
     for mu in range(3, 23):
         for r in range(2, mu):
