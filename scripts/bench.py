@@ -45,6 +45,9 @@ Measurements:
 - twoblock.tb_pow_order_s: orders of 200 fixed nilpotent two-block elements;
 - twoblock.tb_to_matrix_s: dense realizations of the same 200 elements;
 - twoblock.tb_rank_s: ranks of the same 200 elements;
+- twoblock.antidiagonal_s: `antidiagonal(l1, l2, j, l, 1, 1)` on the 1 200
+  admissible inputs with n <= 20 (l1 >= l2 > l >= j >= 0, and j + l >= 1
+  when l1 = l2);
 - twoblock.witnesses_s: `construct_lemma_eq2(m)` and
   `maxrank_partners(m + 1, m - 1)` for m = 2..12, each witness typed densely;
 - exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
@@ -189,6 +192,9 @@ def measurements(root: str, pkg_root: str) -> dict:
         top = rng.randint(1, 30)
         dmap_parts.append(sorted((rng.randint(1, top) for _ in range(rng.randint(5, 60))),
                                  reverse=True))
+    antidiagonal_args = [(n - l2, l2, j, l) for n in range(2, 21)
+                         for l2 in range(1, n // 2 + 1) for l in range(l2)
+                         for j in range(l + 1) if n > 2 * l2 or j + l]
     small_hosts = [tuple(lam) for lam in partitions.enumerate_partitions(10)]
     filter_pairs = [(lam, mu) for n in range(1, 11)
                     for lam in partitions.enumerate_partitions(n)
@@ -246,6 +252,8 @@ def measurements(root: str, pkg_root: str) -> dict:
         "dinverse.dinv_60_s": lambda: timed(lambda: dinverse.dinv((35, 25))),
         "dinverse.dmap_s": lambda: timed(lambda: [
             dinverse.dmap(p) for p in dmap_parts]),
+        "twoblock.antidiagonal_s": lambda: timed(lambda: [
+            twoblock.antidiagonal(*args, 1, 1) for args in antidiagonal_args]),
         "twoblock.witnesses_s": lambda: timed(lambda: [
             (twoblock.construct_lemma_eq2(m), twoblock.maxrank_partners(m + 1, m - 1))
             for m in range(2, 13)]),

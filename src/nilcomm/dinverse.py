@@ -52,7 +52,7 @@ def dmap_index(lam) -> int:
     Maximum of 2(i-1) + lam_i + ... + lam_(i+r) over windows with
     lam_i - lam_(i+r) <= 1, requiring lam_(i-1) >= 2 when i > 1.
     """
-    return _index_window(tuple(lam))[0]
+    return _index_window(Partition(lam))[0]
 
 
 def dmap(lam) -> Partition:

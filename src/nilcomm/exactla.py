@@ -95,6 +95,10 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which checks again
+        return ExactMatrix, (self._rows,)
+
     def __getitem__(self, rc):
         r, c = rc
         return self._rows[r][c]
@@ -272,6 +276,10 @@ class Witness(ExactMatrix):
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a Witness is made only by exactla.certify")
+
+    def __reduce__(self):
+        # a loaded witness is certified again
+        return certify, (ExactMatrix(self._rows), self.host, self.jordan)
 
 
 def certify(m: ExactMatrix, host, expect=None, *, seed: int | None = None) -> Witness:

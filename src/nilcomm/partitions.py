@@ -18,12 +18,15 @@ class Partition(tuple):
 
     Instances are plain tuples (hashable, comparable with tuple literals);
     input is sorted into canonical order rather than rejected, and a part
-    that is not an int (a float, str or Fraction) raises TypeError.
+    that is not an int (a float, str or Fraction) raises TypeError.  A
+    Partition passed in is returned as it is.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts):
+        if type(parts) is cls:
+            return parts
         ps = tuple(sorted(map(operator.index, parts), reverse=True))
         if not ps:
             raise ValueError("partition needs at least one part")
@@ -79,7 +82,7 @@ def render(p) -> str:
     """Canonical text form: exponent notation once a part repeats 3+ times."""
     out: list[str] = []
     i = 0
-    ps = tuple(p)
+    ps = Partition(p)
     while i < len(ps):
         j = i
         while j < len(ps) and ps[j] == ps[i]:
@@ -95,7 +98,7 @@ def render(p) -> str:
 
 def conjugate(p) -> Partition:
     """Column lengths of the Ferrers diagram."""
-    ps = tuple(p)
+    ps = Partition(p)
     return Partition(sum(1 for x in ps if x >= i) for i in range(1, ps[0] + 1))
 
 
@@ -104,7 +107,7 @@ def dominance_leq(p, q) -> bool:
 
     Missing parts count as zero.  Only defined for equal totals.
     """
-    ps, qs = tuple(p), tuple(q)
+    ps, qs = Partition(p), Partition(q)
     if sum(ps) != sum(qs):
         raise ValueError(f"dominance needs equal totals: {sum(ps)} vs {sum(qs)}")
     a = b = 0
@@ -126,11 +129,13 @@ def almost_rect(n: int, t: int) -> Partition:
 
 def two_column(n: int, a: int) -> Partition:
     """(2^a, 1^(n-2a)): the Jordan type of a square-zero n x n matrix of rank a."""
+    if not 0 <= a <= n // 2:
+        raise ValueError(f"need 0 <= a <= n // 2, got a={a}, n={n}")
     return Partition([2] * a + [1] * (n - 2 * a))
 
 
 def is_almost_rectangular(p) -> bool:
-    ps = tuple(p)
+    ps = Partition(p)
     return ps[0] - ps[-1] <= 1
 
 
@@ -141,7 +146,7 @@ def min_ar_cover(p) -> int:
     drops below the group's first part minus 1.  Tests check this against a
     brute-force splitting search.
     """
-    ps = tuple(p)
+    ps = Partition(p)
     groups = 1
     head = ps[0]
     for x in ps[1:]:
@@ -153,13 +158,13 @@ def min_ar_cover(p) -> int:
 
 def partition_rank(p) -> int:
     """Total minus number of parts (the rank n - t)."""
-    ps = tuple(p)
+    ps = Partition(p)
     return sum(ps) - len(ps)
 
 
 def is_stable(p) -> bool:
     """True iff consecutive parts differ by at least 2 (one part counts)."""
-    ps = tuple(p)
+    ps = Partition(p)
     return all(ps[i] - ps[i + 1] >= 2 for i in range(len(ps) - 1))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from nilcomm.partitions import Partition, almost_rect, conjugate, two_column
+from nilcomm.partitions import Partition, almost_rect, two_column
 from nilcomm.exactla import ExactMatrix, Witness, _checked_int, _nonzeros, build_jordan, certify
 
 
@@ -260,39 +260,25 @@ def tb_rank_bound(x: TwoBlockElement) -> int:
     return max(x.n - alpha - delta, 2 * x.l2 - beta - gamma)
 
 
-def _antidiagonal_type(l1: int, l2: int, j: int, l: int) -> Partition:
-    """Jordan type of K_j + L_l from the closed power-rank recurrences.
-
-    The rank of each power is the sum of its block ranks (odd powers sit on
-    the block antidiagonal, even powers on the block diagonal, so the blocks
-    never share rows or columns).  The type is the conjugate of the rank
-    drops.
-    """
-    ranks = [l1 + l2]
-    m = 1
-    while ranks[-1] > 0:
-        f = antidiagonal_block_rank_formulas(l1, l2, j, l, m)
-        ranks.append(f["11"] + f["12"] + f["21"] + f["22"])
-        m += 1
-    return conjugate(Partition([ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]))
-
-
 def antidiagonal(l1: int, l2: int, j: int, l: int, bcoef, ccoef):
     """Element bcoef*K_j + ccoef*L_l with its predicted Jordan type.
 
     Returns (element, predicted type, case) where case is 'a', 'b' or 'c'.
-    The type comes from the power-rank recurrences and always lands in one
-    of three shape families.  With w = l1 - l2 + j + l, the label records
-    which family, decided by where multiples of w fall (each window admits
-    at most one k):
+    The type is the closed form of one of three shape families.  With
+    w = l1 - l2 + j + l, the family is decided by where multiples of w fall
+    (each window admits at most one k):
 
       a: some k with l2 <= k w < l1
          -> ((2k+1)^(l1-kw), (2k)^(w+l2-l1), (2k-1)^(kw-l2))
-      b: some k with l2 - l <= k w < l2 - j and the type is not P(n, w)
+      b: some k with l2 - l <= k w < l2 - j and the b shape is not P(n, w)
          -> ((2k+2)^(l2-kw-j), (2k+1)^(w+j-l), (2k)^(kw+l-l2))
       c: otherwise P(n, w), the almost-rectangular type.
 
-    Zero exponents are dropped.
+    Zero exponents are dropped, and none is negative inside its window: in
+    a, l1 - kw > 0, w + l2 - l1 = j + l >= 0 and kw - l2 >= 0; in b,
+    l2 - kw - j > 0, w + j - l = l1 - l2 + 2j >= 0 and kw + l - l2 >= 0.
+    The tests derive the same type from the block ranks of every power
+    (`antidiagonal_block_rank_formulas`) for each input with n <= 40.
     """
     if not (l1 >= l2 >= 1):
         raise ValueError(f"need l1 >= l2 >= 1, got ({l1}, {l2})")
@@ -303,33 +289,19 @@ def antidiagonal(l1: int, l2: int, j: int, l: int, bcoef, ccoef):
     if l1 == l2 and j + l == 0:
         raise ValueError("equal blocks need j + l >= 1 for a nilpotent element")
     x = tb_element(l1, l2, [("K", j, bcoef), ("L", l, ccoef)])
-    n = l1 + l2
     w = l1 - l2 + j + l
-    pred = _antidiagonal_type(l1, l2, j, l)
-
-    def runs(*pairs) -> Partition:
-        parts: list[int] = []
-        for val, exp in pairs:
-            if exp < 0:
-                raise RuntimeError("negative exponent; bug in case selection")
-            parts.extend([val] * exp)
-        return Partition(parts)
-
-    ka = -(-l2 // w)  # smallest k with k w >= l2
-    kb = -(-(l2 - l) // w)
-    shape = None
-    if ka * w < l1:
-        case = "a"
-        shape = runs((2 * ka + 1, l1 - ka * w), (2 * ka, w + l2 - l1), (2 * ka - 1, ka * w - l2))
-    elif kb * w < l2 - j and pred != almost_rect(n, w):
-        case = "b"
-        shape = runs((2 * kb + 2, l2 - kb * w - j), (2 * kb + 1, w + j - l), (2 * kb, kb * w + l - l2))
-    else:
-        case = "c"
-        shape = almost_rect(n, w)
-    if shape != pred:
-        raise RuntimeError(f"case {case} shape {tuple(shape)} disagrees with rank recurrences {tuple(pred)}")
-    return x, pred, case
+    k = -(-l2 // w)  # smallest k with k w >= l2
+    if k * w < l1:
+        return x, Partition([2 * k + 1] * (l1 - k * w) + [2 * k] * (w + l2 - l1)
+                            + [2 * k - 1] * (k * w - l2)), "a"
+    k = -(-(l2 - l) // w)  # smallest k with k w >= l2 - l
+    pred = almost_rect(l1 + l2, w)
+    if k * w < l2 - j:
+        shape = Partition([2 * k + 2] * (l2 - k * w - j) + [2 * k + 1] * (w + j - l)
+                          + [2 * k] * (k * w + l - l2))
+        if shape != pred:
+            return x, shape, "b"
+    return x, pred, "c"
 
 
 def antidiagonal_block_rank_formulas(l1: int, l2: int, j: int, l: int, m: int) -> dict:

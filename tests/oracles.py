@@ -6,6 +6,7 @@ from functools import lru_cache
 from nilcomm.commutant import _generators
 from nilcomm.exactla import ExactMatrix, build_jordan, rank
 from nilcomm.partitions import Partition, conjugate, enumerate_partitions
+from nilcomm.twoblock import antidiagonal_block_rank_formulas
 
 
 def is_ar_block(parts) -> bool:
@@ -168,6 +169,20 @@ def jordan_type_by_nullities(m: ExactMatrix) -> Partition:
         nulls.append(n - gauss_rank(ExactMatrix(acc)))
         acc = naive_product(acc, m.row_data())
     return conjugate([b - a for a, b in zip(nulls, nulls[1:])])
+
+
+def antidiagonal_type_by_ranks(l1: int, l2: int, j: int, l: int) -> Partition:
+    """Jordan type of K_j + L_l from the rank of every power until the zero
+    power, each the sum of its four block ranks from
+    `antidiagonal_block_rank_formulas` (odd powers sit on the block
+    antidiagonal, even powers on the block diagonal, so the blocks never
+    share rows or columns).  The type is the conjugate of the rank drops."""
+    ranks = [l1 + l2]
+    m = 1
+    while ranks[-1] > 0:
+        ranks.append(sum(antidiagonal_block_rank_formulas(l1, l2, j, l, m).values()))
+        m += 1
+    return conjugate([a - b for a, b in zip(ranks, ranks[1:])])
 
 
 def index_window_scan(ps: tuple) -> tuple:

@@ -119,6 +119,15 @@ def test_dmap_index_matches_first_part():
         assert dmap_index(p) == dmap(p)[0]
 
 
+def test_dmap_index_reads_its_argument_as_a_partition():
+    # (1, 3) is (3, 1): index 3, not the 5 of the window (1, 3) read as given
+    assert dmap_index([1, 3]) == dmap([1, 3])[0] == 3
+    for p in partitions_up_to(8):
+        assert dmap_index(p[::-1]) == dmap_index(p)
+    with pytest.raises(ValueError):
+        dmap_index((0, 3))
+
+
 def test_dmap_part_count_is_cover_size():
     for p in partitions_up_to(10):
         assert dmap(p).t == min_ar_cover(p)

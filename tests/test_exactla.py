@@ -1,5 +1,7 @@
+import copy
 import enum
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -199,6 +201,35 @@ def test_only_certify_makes_a_witness():
     assert w @ w == j @ j
     with pytest.raises(AttributeError, match="immutable"):
         w.jordan = Partition((4,))
+
+
+ROUND_TRIPS = (lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy)
+
+
+def test_matrices_and_witnesses_survive_pickle_and_copy():
+    m = ExactMatrix([[0, Fraction(1, 2)], [0, 0]])
+    for trip in ROUND_TRIPS:
+        got = trip(m)
+        assert type(got) is ExactMatrix and got.row_data() == m.row_data()
+        assert (got.rows, got.cols, got._int) == (2, 2, False)
+        for w in (certify(m, (2,)), twoblock.construct_lemma_eq2(3)):
+            got = trip(w)
+            assert type(got) is Witness and got.row_data() == w.row_data()
+            assert (got.host, got.jordan, got._int) == (w.host, w.jordan, w._int)
+            assert type(got.host) is type(got.jordan) is Partition
+
+
+def test_a_loaded_witness_is_certified_again():
+    w = twoblock.construct_lemma_eq2(3)
+    make, (rows, host, jordan) = w.__reduce__()
+    assert make(rows, host, jordan) == w
+    altered = [list(row) for row in rows.row_data()]
+    for r in range(3):  # drop K_0: J_(3,3) commutes, but has type (3, 3)
+        altered[r][3 + r] = 0
+    with pytest.raises(RuntimeError, match=r"has type \(3, 3\), expected \(4, 2\)"):
+        make(ExactMatrix(altered), host, jordan)
+    with pytest.raises(RuntimeError, match="does not commute"):
+        make(ExactMatrix(rows.row_data()[::-1]), host, jordan)
 
 
 def test_jordan_type_matches_nullity_oracle():

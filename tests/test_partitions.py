@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from nilcomm.partitions import (
     parse,
     partition_rank,
     render,
+    two_column,
 )
 
 from .conftest import partitions_up_to
@@ -79,6 +81,42 @@ def test_enumeration_reverse_lex_and_count():
         assert all(p.n == n for p in ps)
 
 
+ONE_ARGUMENT_HELPERS = (render, conjugate, is_almost_rectangular, min_ar_cover,
+                        partition_rank, is_stable)
+
+
+def test_helpers_read_their_argument_as_a_partition():
+    # a reversed or shuffled copy of every partition with n <= 8 gives each
+    # helper's answer on the partition itself
+    rng = random.Random(8)
+    for p in partitions_up_to(8):
+        same_n = list(enumerate_partitions(p.n))
+        for q in (p[::-1], tuple(rng.sample(p, len(p)))):
+            for f in ONE_ARGUMENT_HELPERS:
+                assert f(q) == f(p), (f.__name__, q)
+            for r in same_n:
+                assert dominance_leq(q, r) == dominance_leq(p, r), (q, r)
+                assert dominance_leq(r, q) == dominance_leq(r, p), (r, q)
+    assert render((1, 3, 1)) == "3,1,1" and conjugate((1, 3)) == (2, 1, 1)
+    assert not dominance_leq((1, 3), (2, 2))
+
+
+def test_helpers_refuse_what_partition_refuses():
+    for bad in ((0, 3), (3, -1), (), (2.5, 1)):
+        with pytest.raises((ValueError, TypeError)) as refused:
+            Partition(bad)
+        for f in ONE_ARGUMENT_HELPERS:
+            with pytest.raises(refused.type):
+                f(bad)
+        with pytest.raises(refused.type):
+            dominance_leq(bad, (3,))
+
+
+def test_partition_of_a_partition_is_itself():
+    p = Partition([3, 1])
+    assert Partition(p) is p
+
+
 def test_almost_rect_basics():
     assert almost_rect(11, 3) == (4, 4, 3)
     assert almost_rect(12, 4) == (3, 3, 3, 3)
@@ -87,6 +125,10 @@ def test_almost_rect_basics():
         almost_rect(3, 4)
     with pytest.raises(ValueError):
         almost_rect(3, 0)
+    assert two_column(5, 2) == (2, 2, 1)
+    for a in (2, -1):  # (2, 2) would be a partition of 4, and -1 gives (1^5)
+        with pytest.raises(ValueError):
+            two_column(3, a)
 
 
 def test_almost_rect_is_the_unique_ar_shape():

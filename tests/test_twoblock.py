@@ -452,6 +452,25 @@ def test_antidiagonal_prediction_is_dense_type():
                     assert case in "abc"
 
 
+def test_antidiagonal_type_matches_the_rank_recurrence():
+    # every admissible (l1, l2, j, l) with n <= 40: the closed form of each
+    # family against the type the block ranks of every power give; the case
+    # counts are those of the library that checked the two on every call
+    cases = {"a": 0, "b": 0, "c": 0}
+    for n in range(2, 41):
+        for l2 in range(1, n // 2 + 1):
+            l1 = n - l2
+            for l in range(l2):
+                for j in range(l + 1):
+                    if l1 == l2 and j + l == 0:
+                        continue
+                    _, pred, case = antidiagonal(l1, l2, j, l, 1, 1)
+                    expect = oracles.antidiagonal_type_by_ranks(l1, l2, j, l)
+                    assert pred == expect, (l1, l2, j, l, case)
+                    cases[case] += 1
+    assert cases == {"a": 6144, "b": 1054, "c": 8952}  # 16 150 inputs
+
+
 def test_block_rank_formulas_against_dense():
     rng = Stream(derive(11, 7))
     for l1, l2, j, l in [(5, 3, 0, 1), (6, 5, 0, 2), (7, 5, 0, 2), (4, 4, 1, 2), (6, 2, 0, 0)]:
