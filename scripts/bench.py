@@ -62,7 +62,13 @@ Measurements:
 - verify.suite{1..12}_s: each acceptance suite's own `seconds` from
   `verify.run_suite(k)`, at the scale `run_all` gives it (--max-n 16,
   seed 0); run_suite(11) first runs suites 1, 3 and 5 for their pairs, which
-  are not in its time.  A suite that fails stops the script.
+  are not in its time.  A suite that fails stops the script;
+- tier1_s: wall time of the Tier-1 command, `python -m pytest -q
+  --continue-on-collection-errors -p no:cacheprovider`, in a fresh
+  interpreter with cwd at the checkout and PYTHONPATH set to its src/ alone,
+  so that with --against neither side imports the other's package.  A
+  Tier-1 that fails stops the script.  It adds about 40 s per side and
+  repeat, 10 x 40 s to a default 5-repeat paired run.
 
 A run stopped by SIGTERM still removes the package copies its workers made.
 
@@ -108,6 +114,20 @@ def fresh(pkg_root: str, argv: list) -> tuple:
     if res.returncode != 0:
         sys.exit(f"bench: {argv} exited {res.returncode}: {res.stderr.decode()}")
     return wall, res.stdout
+
+
+def tier1(root: str) -> float:
+    """Wall seconds of root's Tier-1 tests, run in a new interpreter."""
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+            "-p", "no:cacheprovider"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    t0 = perf_counter()
+    res = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=1800)
+    wall = perf_counter() - t0
+    if res.returncode != 0:
+        tail = res.stdout.decode().strip().splitlines()[-1:]
+        sys.exit(f"bench: Tier-1 of {root} exited {res.returncode}: {tail}")
+    return wall
 
 
 def timed(fn) -> float:
@@ -272,6 +292,7 @@ def measurements(root: str, pkg_root: str) -> dict:
             exactla.rank(m) for m in ms])
     for k in range(1, 13):
         out[f"verify.suite{k}_s"] = lambda k=k: suite(k)
+    out["tier1_s"] = lambda: tier1(root)
     return out
 
 

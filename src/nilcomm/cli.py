@@ -1,8 +1,11 @@
 """Command-line front end.
 
-This module alone turns library values into JSON: each command builds its
-whole output dict from the plain values the library returns (a Partition,
-like any tuple, is written as an array), and no other module imports json.
+Each command returns its answer and prints nothing: a JSON document built
+from the plain values the library returns (a Partition, like any tuple, is
+an array), its text lines, lazy where they grow with the answer, and for
+verify and explore whether the verification held.  `main` alone writes one
+of them and sets the exit code, and no other module imports json; only
+`verify` of all suites prints in text mode, each suite's line as it ends.
 
 Every subcommand is deterministic given its flags: seeds are explicit,
 sampling is seeded, and JSON output carries the seed it was produced with
@@ -13,9 +16,9 @@ in its row of COMMANDS, and a flag it does not take is a usage error; only
 dmap and dinv accept and ignore --seed, for perfbench, whose CLI workload
 passes one.
 
-Every construct subcommand prints an `exactla.Witness`, which
+Every construct subcommand answers with an `exactla.Witness`, which
 `exactla.certify` checked to commute with its host's Jordan matrix and typed
-once; the host and type printed are the witness's own, never rebuilt here.
+once; the host and type written are the witness's own, never rebuilt here.
 
 Exit codes: 0 success, 1 a verification failed (verify, explore), 2 bad
 input, 3 an internal error (a failed consistency check, a witness that
@@ -31,6 +34,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from nilcomm.dinverse import dinv, dmap, explore_q1, explore_q2
 from nilcomm.partitions import Partition, parse
@@ -42,90 +46,63 @@ from nilcomm.partitions import Partition, parse
 # globals
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 def _matrix_rows(m) -> list:
     from fractions import Fraction
 
     return [[str(Fraction(x)) for x in row] for row in m.row_data()]
 
 
-def _cmd_dmap(args) -> int:
+def _cmd_dmap(args) -> tuple:
     lam = parse(args.partition)
     d = dmap(lam)
-    if args.json:
-        _emit_json({"lambda": lam, "d": d, "seed": None})
-    else:
-        print(f"D{lam} = {d}")
-    return 0
+    return {"lambda": lam, "d": d, "seed": None}, [f"D{lam} = {d}"]
 
 
-def _cmd_dinv(args) -> int:
+def _cmd_dinv(args) -> tuple:
     mu = parse(args.partition)
     fiber = sorted(dinv(mu), reverse=True)
-    if args.json:
-        _emit_json({"mu": mu, "fiber": fiber, "size": len(fiber), "seed": None})
-    else:
-        print(f"D^-1{mu}: {len(fiber)} partitions")
-        for lam in fiber:
-            print(f"  {lam}")
-    return 0
+    lines = chain([f"D^-1{mu}: {len(fiber)} partitions"], (f"  {lam}" for lam in fiber))
+    return {"mu": mu, "fiber": fiber, "size": len(fiber), "seed": None}, lines
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple:
     from nilcomm._rng import derive
     from nilcomm.commutant import sample_nilpotent_commuting
 
     lam = parse(args.partition)
     seeds = [derive(args.seed, 6, i) for i in range(args.count)]
-    records = [sample_nilpotent_commuting(lam, s, coeff_bound=args.coeff_bound)
-               for s in seeds]
-    if args.json:
-        out = []
-        for s, w in zip(seeds, records):
-            d = {"lambda": w.host, "jordan": w.jordan, "seed": s,
-                 "coeff_bound": args.coeff_bound}
-            if args.dump_matrix:
-                d["matrix"] = _matrix_rows(w)
-            out.append(d)
-        _emit_json({"lambda": lam, "seed": args.seed, "samples": out})
-    else:
-        for i, w in enumerate(records):
-            print(f"sample {i}: jordan type {w.jordan}")
-            if args.dump_matrix:
-                print(w.dump())
-    return 0
-
-
-def _transcript(args, w, label: str, extra: dict, seed: int | None = None) -> int:
-    """Print the transcript of the witness w, certified to commute with the
-    Jordan matrix of w.host and to have the Jordan type w.jordan; return 0.
-
-    extra holds the additional (name, value) items printed; seed is the JSON
-    seed, None for a fixed construction."""
-    if args.json:
-        out = {
-            "construction": label,
-            "host": w.host,
-            "jordan": w.jordan,
-            "commutes": True,
-            **extra,
-            "seed": seed,
-        }
+    samples, lines = [], []
+    for i, s in enumerate(seeds):
+        w = sample_nilpotent_commuting(lam, s, coeff_bound=args.coeff_bound)
+        samples.append({"lambda": w.host, "jordan": w.jordan, "seed": s,
+                        "coeff_bound": args.coeff_bound})
+        lines.append(f"sample {i}: jordan type {w.jordan}")
         if args.dump_matrix:
-            out["matrix"] = _matrix_rows(w)
-        _emit_json(out)
-    else:
-        print(f"{label} for host {w.host}")
-        print("commutes with host Jordan matrix: True")
-        print(f"jordan type: {w.jordan}")
-        for k, v in extra.items():
-            print(f"{k}: {v}")
-        if args.dump_matrix:
-            print(w.dump())
-    return 0
+            samples[-1]["matrix"] = _matrix_rows(w)
+            lines.append(w.dump())
+    return {"lambda": lam, "seed": args.seed, "samples": samples}, lines
+
+
+def _transcript(args, w, label: str, extra: dict, seed: int | None = None) -> tuple:
+    """The document and lines of the witness w, certified for w.host and
+    w.jordan, with the additional (name, value) items of extra; seed is the
+    JSON seed, None for a fixed construction."""
+    doc = {
+        "construction": label,
+        "host": w.host,
+        "jordan": w.jordan,
+        "commutes": True,
+        **extra,
+        "seed": seed,
+    }
+    lines = [f"{label} for host {w.host}",
+             "commutes with host Jordan matrix: True",
+             f"jordan type: {w.jordan}",
+             *(f"{k}: {v}" for k, v in extra.items())]
+    if args.dump_matrix:
+        doc["matrix"] = _matrix_rows(w)
+        lines.append(w.dump())
+    return doc, lines
 
 
 def _square_zero_fields(jt: Partition) -> dict:
@@ -134,14 +111,14 @@ def _square_zero_fields(jt: Partition) -> dict:
     return {"rank": jt.n - jt.t, "square_zero": jt[0] <= 2}
 
 
-def _cmd_construct_squarezero(args) -> int:
+def _cmd_construct_squarezero(args) -> tuple:
     from nilcomm.twoblock import construct_squarezero_partner
 
     w = construct_squarezero_partner(parse(args.partition), args.rank)
     return _transcript(args, w, "square-zero partner", _square_zero_fields(w.jordan))
 
 
-def _cmd_construct_antidiagonal(args) -> int:
+def _cmd_construct_antidiagonal(args) -> tuple:
     from nilcomm._rng import Stream, derive
     from nilcomm.exactla import certify
     from nilcomm.twoblock import antidiagonal, tb_to_matrix
@@ -155,13 +132,13 @@ def _cmd_construct_antidiagonal(args) -> int:
     return _transcript(args, w, "antidiagonal element", extra, args.seed)
 
 
-def _cmd_construct_lemma_eq2(args) -> int:
+def _cmd_construct_lemma_eq2(args) -> tuple:
     from nilcomm.twoblock import construct_lemma_eq2
 
     return _transcript(args, construct_lemma_eq2(args.lam), "off-by-one partner", {})
 
 
-def _cmd_construct_lemma_odd(args) -> int:
+def _cmd_construct_lemma_odd(args) -> tuple:
     from nilcomm.twoblock import construct_lemma_odd
 
     w = construct_lemma_odd(args.l1, args.l2, args.a)
@@ -169,65 +146,53 @@ def _cmd_construct_lemma_odd(args) -> int:
                        _square_zero_fields(w.jordan))
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     from nilcomm.constraints import compatible_filter
 
     lam, mu = parse(args.lam), parse(args.mu)
     v = compatible_filter(lam, mu)
-    if args.json:
-        _emit_json({"lambda": v.lam, "mu": v.mu, "verdict": v.verdict,
-                    "reasons": [r._asdict() for r in v.reasons]})
-    else:
-        print(f"{lam} vs {mu}: {v.verdict}")
-        for r in v.reasons:
-            print(f"  {r.rule}: {r.detail}")
-    return 0
+    doc = {"lambda": v.lam, "mu": v.mu, "verdict": v.verdict,
+           "reasons": [r._asdict() for r in v.reasons]}
+    return doc, [f"{lam} vs {mu}: {v.verdict}",
+                 *(f"  {r.rule}: {r.detail}" for r in v.reasons)]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     from nilcomm import verify
 
     if args.suite == "all":
         progress = None if args.json else lambda r: print(r.line(), flush=True)
         results = verify.run_all(args.max_n, args.seed, progress)
+        lines = []
     else:
         results = [verify.run_suite(int(args.suite), args.max_n, args.seed)]
-        if not args.json:
-            print(results[0].line())
-    if args.json:
-        _emit_json({"seed": args.seed, "max_n": args.max_n,
-                    "results": [{k: v for k, v in vars(r).items() if k != "pairs"}
-                                for r in results]})
-    return 0 if all(r.passed for r in results) else 1
+        lines = [results[0].line()]
+    doc = {"seed": args.seed, "max_n": args.max_n,
+           "results": [{k: v for k, v in vars(r).items() if k != "pairs"}
+                       for r in results]}
+    return doc, lines, all(r.passed for r in results)
 
 
-def _cmd_explore_q1(args) -> int:
+def _cmd_explore_q1(args) -> tuple:
     rep = explore_q1(args.mu, args.r)
     target = Partition((rep.mu, rep.mu - rep.r))
-    if args.json:
-        _emit_json({"target": target, "n": rep.n, "size": rep.size,
-                    "conjectured": rep.conjectured, "matches": rep.matches,
-                    "fiber": rep.fiber, "seed": None})
-    else:
-        print(f"fiber of {target} (n={rep.n}): size {rep.size}, "
-              f"conjectured {rep.conjectured}, matches {rep.matches}")
-        for lam in rep.fiber:
-            print(f"  {lam}")
-    return 0 if rep.matches else 1
+    doc = {"target": target, "n": rep.n, "size": rep.size,
+           "conjectured": rep.conjectured, "matches": rep.matches,
+           "fiber": rep.fiber, "seed": None}
+    lines = chain([f"fiber of {target} (n={rep.n}): size {rep.size}, "
+                   f"conjectured {rep.conjectured}, matches {rep.matches}"],
+                  (f"  {lam}" for lam in rep.fiber))
+    return doc, lines, rep.matches
 
 
-def _cmd_explore_q2(args) -> int:
+def _cmd_explore_q2(args) -> tuple:
     mu = parse(args.partition)
     rep = explore_q2(mu)
-    if args.json:
-        _emit_json({**rep._asdict(), "seed": None})
-    else:
-        print(f"rank-minimal elements of the fiber of {rep.mu}:")
-        for lam in rep.minimal:
-            print(f"  {lam}")
-        print(f"conjectured {rep.conjectured}: in fiber {rep.in_fiber}, "
-              f"unique minimum {rep.holds}")
-    return 0 if rep.holds else 1
+    lines = chain([f"rank-minimal elements of the fiber of {rep.mu}:"],
+                  (f"  {lam}" for lam in rep.minimal),
+                  [f"conjectured {rep.conjectured}: in fiber {rep.in_fiber}, "
+                   f"unique minimum {rep.holds}"])
+    return {**rep._asdict(), "seed": None}, lines, rep.holds
 
 
 def _positive_int(text: str) -> int:
@@ -320,9 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rc = args.func(args)
+        doc, lines, *held = args.func(args)
+        if args.json:
+            print(json.dumps(doc, indent=2))
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()
-        return rc
+        return 0 if all(held) else 1
     except BrokenPipeError:
         # what is left to print, and Python's own flush at exit, go to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)

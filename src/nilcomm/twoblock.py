@@ -26,7 +26,7 @@ that `exactla.certify` makes of its dense realization, typed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -41,7 +41,8 @@ class TwoBlockElement:
     a[i] multiplies M_i (i < l1); b[i], c[i], d[i] multiply K_i, L_i, N_i
     (i < l2).  a[0] and d[0] scale the two block identities, so an element
     is in nilpotent form only when both vanish (and, for equal blocks,
-    when b[0]*c[0] = 0 as well).
+    when b[0]*c[0] = 0 as well).  Coefficients must be int or Fraction;
+    `_int` is True when all are exactly int, as for `ExactMatrix._int`.
     """
 
     l1: int
@@ -50,6 +51,7 @@ class TwoBlockElement:
     b: tuple
     c: tuple
     d: tuple
+    _int: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.l1 >= self.l2 >= 1):
@@ -61,6 +63,7 @@ class TwoBlockElement:
         if not type(self.a) is type(self.b) is type(self.c) is type(self.d) is tuple:
             for name in ("a", "b", "c", "d"):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "_int", _checked_int((self.a, self.b, self.c, self.d)))
 
     @property
     def n(self) -> int:
@@ -187,10 +190,9 @@ def tb_pow_order(x: TwoBlockElement) -> int:
 def tb_to_matrix(x: TwoBlockElement) -> ExactMatrix:
     """Dense realization; commutes with the two-block Jordan matrix exactly.
 
-    Entry types are checked once, on the n coefficients, not the n^2 entries.
+    Entry types were checked by x's constructor, on n coefficients, not n^2 entries.
     """
-    is_int = _checked_int((x.a, x.b, x.c, x.d))
-    return ExactMatrix._trusted(_dense_rows(x), is_int)
+    return ExactMatrix._trusted(_dense_rows(x), x._int)
 
 
 def _dense_rows(x: TwoBlockElement) -> tuple:

@@ -340,6 +340,40 @@ def test_each_command_takes_only_the_flags_it_reads(capsys, argv, flag, taken):
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
+# the arguments of a command line for each row of cli.COMMANDS, in its order
+ANSWERED = [["3,1,1"], ["6,2"], ["3,1", "--dump-matrix"],
+            ["3,3,1", "--rank", "3", "--dump-matrix"], ["5", "3", "0", "1"], ["4"],
+            ["5", "3", "4"], ["6,2", "4,4"], ["--suite", "9"], ["--mu", "7", "--r", "5"],
+            ["4,2"]]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("row, arguments", [
+    pytest.param(row, arguments, id=" ".join(filter(None, row[:2])))
+    for row, arguments in zip(cli.COMMANDS, ANSWERED, strict=True)])
+def test_each_command_returns_its_answer_and_prints_nothing(capsys, row, arguments,
+                                                            json_flag):
+    # a handler returns its JSON document and its text lines, plus whether the
+    # verification held for verify and explore; main alone writes one of them
+    group, name, _, handler, _, _ = row
+    argv = [*filter(None, (group, name)), *arguments, *json_flag]
+    args = build_parser().parse_args(argv)
+    assert args.func is handler
+    doc, lines, *held = handler(args)
+    assert capsys.readouterr() == ("", "")
+    assert type(doc) is dict
+    assert [type(h) for h in held] == [bool] * (group == "explore" or name == "verify")
+    if name in ("dinv", "q1", "q2"):
+        # lines that grow with the answer are rendered only when written
+        assert iter(lines) is lines
+    lines = list(lines)
+    assert lines and all(type(line) is str for line in lines)
+    rc, out, err = run(capsys, *argv)
+    want = (json.dumps(doc, indent=2) + "\n" if json_flag
+            else "".join(f"{line}\n" for line in lines))
+    assert (rc, TIMING.sub("T", out), err) == (0 if all(held) else 1, TIMING.sub("T", want), "")
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -335,10 +335,19 @@ def test_int_flag_of_realizations_and_products():
 
 
 def test_bool_and_float_coefficients_raise():
+    # the constructor checks, so tb_rank and tb_pow_order never see a float
     for bad in (True, False, 0.5, 0.0):
-        x = TwoBlockElement(3, 2, (0, bad, 1), (1, 2), (3, 4), (0, 1))
         with pytest.raises(TypeError, match="entries must be int or Fraction"):
-            tb_to_matrix(x)
+            TwoBlockElement(3, 2, (0, bad, 1), (1, 2), (3, 4), (0, 1))
+    for bad in (0.5, 0.0):  # tb_element sums its terms into ints: 0 + True == 1
+        with pytest.raises(TypeError, match="entries must be int or Fraction"):
+            tb_element(3, 2, [("M", 2, 1), ("K", 0, bad)])
+    # 0.1 + 0.2 != 0.3, so with floats this element would have rank 2
+    with pytest.raises(TypeError, match="got float"):
+        TwoBlockElement(2, 2, (0, 1), (0, 1), (0, 0.3), (0, 0.1 + 0.2))
+    x = TwoBlockElement(2, 2, (0, 1), (0, 1), (0, Fraction(3, 10)), (0, Fraction(3, 10)))
+    assert tb_rank(x) == rank(tb_to_matrix(x)) == 1
+    assert not x._int and TwoBlockElement(2, 2, (0, 1), (0, 1), (0, 3), (0, 3))._int
 
 
 def test_list_coefficients_become_tuples():
