@@ -42,7 +42,9 @@ Measurements:
   partitions of 10, the small hosts that carry most of a sample bank's time;
 - commutant.sample_nilpotent_commuting_s: one certified sample, in the
   standard basis, on each of the 42 partitions of 10;
-- twoblock.tb_pow_order_s: orders of 200 fixed nilpotent two-block elements;
+- twoblock.element_s: constructions (`TwoBlockElement`, entry check
+  included) of 200 fixed nilpotent two-block elements;
+- twoblock.tb_pow_order_s: orders of the same 200 elements;
 - twoblock.tb_to_matrix_s: dense realizations of the same 200 elements;
 - twoblock.tb_rank_s: ranks of the same 200 elements;
 - twoblock.antidiagonal_s: `antidiagonal(l1, l2, j, l, 1, 1)` on the 1 200
@@ -194,7 +196,8 @@ def measurements(root: str, pkg_root: str) -> dict:
     if not commutant.__file__.startswith(os.path.join(root, "src")):
         sys.exit(f"bench: imported nilcomm from {commutant.__file__}, not {root}")
     rng = random.Random(2011)
-    elements = [twoblock.TwoBlockElement(*v) for v in two_block_draws(rng)]
+    draws = two_block_draws(rng)
+    elements = [twoblock.TwoBlockElement(*v) for v in draws]
     matrices = {n: [exactla.ExactMatrix(m) for m in rank_matrices(rng, n)]
                 for n in (10, 16, 24)}
     powers = {}
@@ -261,6 +264,8 @@ def measurements(root: str, pkg_root: str) -> dict:
             commutant.sample_jordan(lam, s) for lam in small_hosts for s in range(5)]),
         "commutant.sample_nilpotent_commuting_s": lambda: timed(lambda: [
             commutant.sample_nilpotent_commuting(lam, 0) for lam in small_hosts]),
+        "twoblock.element_s": lambda: timed(lambda: [
+            twoblock.TwoBlockElement(*v) for v in draws]),
         "twoblock.tb_pow_order_s": lambda: timed(lambda: [
             twoblock.tb_pow_order(x) for x in elements]),
         "twoblock.tb_to_matrix_s": lambda: timed(lambda: [

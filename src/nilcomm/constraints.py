@@ -76,7 +76,13 @@ def _thm3(a, b, n):
     almost-rectangular host with a block of size >= 3 forbids (n-1, 1).
 
     This also covers the full cycle (n) pairing only with almost-rectangular
-    types: every type with n <= 3 is almost rectangular."""
+    types: every type with n <= 3 is almost rectangular.
+
+    With suite 1 it proves the paper's main theorem: for n >= 4, N_B meets
+    every nilpotent orbit iff B^2 = 0.  Suite 1 certifies a square-zero
+    partner of every rank on every host, and a host with a part >= 3 forbids
+    (n), or (n-1, 1) when it is almost rectangular.  At n = 3, J, J^2 and 0
+    put the host (3) in all three orbits."""
     if n < 4:
         return
     if b == (n,) and not is_almost_rectangular(a):

@@ -25,6 +25,7 @@ stored entry is still a minor of the input, so every division is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -35,24 +36,15 @@ class NotNilpotentError(ValueError):
     """Raised when a Jordan type is requested for a non-nilpotent matrix."""
 
 
-def _check_entry(x):
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"entries must be int or Fraction, got {type(x).__name__}")
-    return x
-
-
 def _checked_int(seqs: Sequence[Sequence]) -> bool:
     """Raise TypeError unless every entry of the sequences is an int or a
-    Fraction; return whether every entry's type is exactly int.  Entries are
-    checked by the set of their types, one by one only when that set goes
-    beyond {int, Fraction} (bool, float, subclasses)."""
-    types = set()
-    for seq in seqs:
-        types.update(map(type, seq))
-    if not types <= {int, Fraction}:
-        for seq in seqs:
-            for x in seq:
-                _check_entry(x)
+    Fraction, subclasses included and bool never; return whether every
+    entry's type is exactly int.  The check reads only the set of entry
+    types, built in one pass."""
+    types = set(map(type, chain.from_iterable(seqs)))
+    for t in types - {int, Fraction}:
+        if t is bool or not issubclass(t, (int, Fraction)):
+            raise TypeError(f"entries must be int or Fraction, got {t.__name__}")
     return types == {int}
 
 
@@ -190,7 +182,8 @@ def _int_rank(rows: list) -> int:
     `* p_(s-1) // p_level`: its pivot entry at once, the rest of the row only
     when a row below has a nonzero in the pivot column.  Every quotient is a
     minor of the input, so every division is exact and entries grow no more
-    than in eager Bareiss.
+    than in eager Bareiss.  One update loop serves every row: a pivot of 1,
+    such as p_0, divides exactly too.
     """
     nr = len(rows)
     if nr == 0:
@@ -226,12 +219,8 @@ def _int_rank(rows: list) -> int:
                     prow = [x * up // down for x in prow]
                     lag = pr
                 d = pivots[level[r]]
-                if d == 1:
-                    for c in range(pc + 1, nc):
-                        row[c] = p * row[c] - coef * prow[c]
-                else:
-                    for c in range(pc + 1, nc):
-                        row[c] = (p * row[c] - coef * prow[c]) // d
+                for c in range(pc + 1, nc):
+                    row[c] = (p * row[c] - coef * prow[c]) // d
                 row[pc] = 0
                 level[r] = pr + 1
         pivots.append(p)

@@ -101,7 +101,10 @@ class TwoBlockElement:
 def tb_element(l1: int, l2: int, terms) -> TwoBlockElement:
     """Sum of coef times the basis element (family, i) over (family, i, coef)
     terms, family in 'M', 'K', 'L', 'N'; an index outside 0 <= i < l1 (M)
-    or 0 <= i < l2 (K, L, N) raises ValueError."""
+    or 0 <= i < l2 (K, L, N) raises ValueError.  Each coef is checked first,
+    as the constructor checks it: a sum would turn a bool into an int."""
+    terms = tuple(terms)
+    _checked_int([[coef for _, _, coef in terms]])
     vecs = {"M": [0] * l1, "K": [0] * l2, "L": [0] * l2, "N": [0] * l2}
     for family, i, coef in terms:
         if family not in vecs:

@@ -9,6 +9,8 @@ import hashlib
 import pytest
 
 from nilcomm import exactla, verify
+from nilcomm.constraints import compatible_filter
+from nilcomm.partitions import enumerate_partitions, is_almost_rectangular
 
 # criterion -> (test name, check count at run_all's scale).  The counts are
 # gates: suite 1 makes one check per (shape, rank) cell, the sum of
@@ -91,3 +93,26 @@ def test_fiber_suites_build_each_table_once(monkeypatch, k, checked, sizes):
     res = verify.SUITES[k](16, 0, frozenset())
     assert res.passed and res.checked == checked
     assert len(built) == len(set(built)) == sizes
+
+
+def test_main_theorem_square_zero_hosts_alone_meet_every_orbit(results):
+    # the paper's main theorem: for n >= 4, N_B meets every nilpotent orbit
+    # iff B^2 = 0
+    pairs = results[1].pairs
+    for n in range(4, 11):
+        types = list(enumerate_partitions(n))
+        for lam in types:
+            if lam[0] <= 2:
+                # if: suite 1 certified a partner of type lam on every host mu,
+                # and commuting is symmetric
+                assert all((mu, lam) in pairs for mu in types), lam
+            else:
+                # only if: thm3 forbids one partner of every other host
+                partner = (n - 1, 1) if is_almost_rectangular(lam) else (n,)
+                reasons = compatible_filter(lam, partner).reasons
+                assert "thm3" in [r.rule for r in reasons], (lam, partner)
+    # n = 3 is the exception: J, J^2 and 0 put the host (3) in all three orbits
+    j = exactla.build_jordan((3,))
+    zero = exactla.ExactMatrix([[0] * 3] * 3)
+    assert [exactla.certify(m, (3,)).jordan for m in (j, j @ j, zero)] == list(
+        enumerate_partitions(3))

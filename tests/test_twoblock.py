@@ -350,6 +350,30 @@ def test_bool_and_float_coefficients_raise():
     assert not x._int and TwoBlockElement(2, 2, (0, 1), (0, 1), (0, 3), (0, 3))._int
 
 
+def test_three_entry_paths_accept_and_refuse_the_same_entries():
+    # ExactMatrix, TwoBlockElement and tb_element all call exactla._checked_int
+    def paths(v):
+        return (lambda: ExactMatrix([[0, v, 0, 0]] + [[0] * 4] * 3),
+                lambda: TwoBlockElement(2, 2, (0, v), (0, 0), (0, 0), (0, 0)),
+                lambda: tb_element(2, 2, [("M", 1, v)]))
+
+    for bad, name in ((True, "bool"), (0.5, "float"), ("1", "str"), (None, "NoneType")):
+        for make in paths(bad):
+            with pytest.raises(TypeError, match=f"^entries must be int or Fraction, got {name}$"):
+                make()
+
+    class Count(int):
+        pass
+
+    class Rational(Fraction):
+        pass
+
+    for good in (Count(2), Rational(2, 3)):
+        m, x, y = (make() for make in paths(good))
+        assert x == y and tb_to_matrix(x) == tb_to_matrix(y) == m
+        assert rank(m) == tb_rank(x) == tb_rank(y) == 1
+
+
 def test_list_coefficients_become_tuples():
     x = TwoBlockElement(3, 2, [0, 1, 2], [3, 4], [5, 6], [0, 7])
     y = TwoBlockElement(3, 2, (0, 1, 2), (3, 4), (5, 6), (0, 7))
