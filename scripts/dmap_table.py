@@ -8,7 +8,8 @@ import argparse
 import json
 import sys
 
-from nilcomm.dinverse import dmap_all
+from nilcomm.dinverse import dmap
+from nilcomm.partitions import enumerate_partitions
 
 
 def main() -> int:
@@ -19,24 +20,24 @@ def main() -> int:
     if args.n < 1:
         ap.error("n must be positive")
 
-    table = dmap_all(args.n)
+    table = {lam: dmap(lam) for lam in enumerate_partitions(args.n)}
     if args.json:
         doc = {
             "n": args.n,
             "entries": [
                 {"lambda": list(lam), "d": list(d)}
-                for lam, d in table.entries.items()
+                for lam, d in table.items()
             ],
         }
         json.dump(doc, sys.stdout, indent=2)
         print()
         return 0
 
-    width = max(len(str(lam)) for lam in table.entries)
-    for lam, d in table.entries.items():
+    width = max(len(str(lam)) for lam in table)
+    for lam, d in table.items():
         mark = "*" if d == lam else " "
         print(f"{str(lam):<{width}} {mark} -> {d}")
-    print(f"\n{len(table.entries)} partitions (* = fixed point)")
+    print(f"\n{len(table)} partitions (* = fixed point)")
     return 0
 
 

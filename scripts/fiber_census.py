@@ -9,7 +9,7 @@ import argparse
 from collections import Counter
 
 from nilcomm.dinverse import dmap_all
-from nilcomm.partitions import partition_rank
+from nilcomm.partitions import count_partitions, partition_rank
 
 
 def main() -> int:
@@ -18,10 +18,9 @@ def main() -> int:
     args = ap.parse_args()
 
     for n in range(1, args.max_n + 1):
-        table = dmap_all(n)
-        fibers = table.fibers()
+        fibers = dmap_all(n)
         sizes = Counter(len(v) for v in fibers.values())
-        print(f"n={n}: {len(table.entries)} partitions, {len(fibers)} stable images")
+        print(f"n={n}: {count_partitions(n)} partitions, {len(fibers)} stable images")
         for mu in sorted(fibers, reverse=True):
             fiber = fibers[mu]
             ranks = sorted(partition_rank(p) for p in fiber)

@@ -5,11 +5,11 @@ first part of D(p) is an explicit maximum over windows of parts
 (dmap_index), the window that attains it is removed, and the rest recurses.
 The number of parts of D(p) is the minimal almost-rectangular cover of p,
 which every result is checked against.  Fibers invert the recursion one
-part at a time; brute-force fibers, their oracle, go through a full table
-over all partitions of n.  The closed-form fibers of staircase images,
-two-part images with gap 2..4 and the image (n-1, 1) are checked against
-that table (suites 6 and 7, and the tests), and `dinv` uses none of them;
-the two open question explorers sit on top.
+part at a time.  Brute-force fibers, their oracle, come from `dmap_all`,
+which maps every partition of n; the closed-form fibers of staircase
+images, two-part images with gap 2..4 and the image (n-1, 1) are checked
+against them (suites 6 and 7, and the tests), and `dinv` uses none of
+them; the two open question explorers sit on top.
 """
 
 from __future__ import annotations
@@ -84,35 +84,17 @@ def dmap(lam) -> Partition:
     return d
 
 
-class DTable(NamedTuple):
-    """Image of every partition of n."""
-
-    n: int
-    entries: dict  # Partition -> D(Partition)
-
-    def image(self, lam) -> Partition:
-        return self.entries[Partition(lam)]
-
-    def fiber(self, mu) -> set:
-        mu = Partition(mu)
-        return {lam for lam, d in self.entries.items() if d == mu}
-
-    def fibers(self) -> dict:
-        out: dict[Partition, set] = {}
-        for lam, d in self.entries.items():
-            out.setdefault(d, set()).add(lam)
-        return out
-
-
-def dmap_all(n: int) -> DTable:
-    """Full image table on the partitions of n, built on each call: only
-    brute-force checks use it (suites, tests, fiber_census.py), never dinv."""
+def dmap_all(n: int) -> dict:
+    """{D(lam): {lam, ...}}, every image of a partition of n with its fiber,
+    built on each call: only brute-force checks use it, never dinv."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    entries = {lam: dmap(lam) for lam in enumerate_partitions(n)}
-    if len(entries) != count_partitions(n):
+    fibers: dict[Partition, set] = {}
+    for lam in enumerate_partitions(n):
+        fibers.setdefault(dmap(lam), set()).add(lam)
+    if sum(map(len, fibers.values())) != count_partitions(n):
         raise RuntimeError(f"table at n={n} is incomplete")
-    return DTable(n, entries)
+    return fibers
 
 
 def dinv(mu) -> set:

@@ -40,11 +40,14 @@ def _checked_int(seqs: Sequence[Sequence]) -> bool:
     """Raise TypeError unless every entry of the sequences is an int or a
     Fraction, subclasses included and bool never; return whether every
     entry's type is exactly int.  The check reads only the set of entry
-    types, built in one pass."""
+    types, built in one pass; if that set holds a refused type, the entries
+    are walked again in order to name the first refused one."""
     types = set(map(type, chain.from_iterable(seqs)))
     for t in types - {int, Fraction}:
         if t is bool or not issubclass(t, (int, Fraction)):
-            raise TypeError(f"entries must be int or Fraction, got {t.__name__}")
+            bad = next(x for x in chain.from_iterable(seqs)
+                       if type(x) is bool or not isinstance(x, (int, Fraction)))
+            raise TypeError(f"entries must be int or Fraction, got {type(bad).__name__}")
     return types == {int}
 
 

@@ -203,11 +203,6 @@ def index_window_scan(ps: tuple) -> tuple:
     return best
 
 
-def brute_fiber(mu, table) -> set:
-    """Inverse image of mu read off a full D table."""
-    return {lam for lam, d in table.entries.items() if d == Partition(mu)}
-
-
 def lemma1_structure(mu: int, r: int) -> set:
     """`dinverse.lemma1_structure` by enumerating every partition of
     2*mu - r and keeping those that split, after s <= r/2 parts, into two

@@ -84,9 +84,10 @@ def test_suites_type_each_witness_once(monkeypatch):
     assert res.passed and len(calls) == 7
 
 
-@pytest.mark.parametrize("k, checked, sizes", [(6, 22, 9), (7, 43, 13)])
+@pytest.mark.parametrize("k, checked, sizes", [(6, 22, 9), (7, 43, 13), (10, 542, 0)])
 def test_fiber_suites_build_each_table_once(monkeypatch, k, checked, sizes):
-    # suites 6 and 7 ask several fibers of one n: each table is built once
+    # suites 6 and 7 ask several fibers of one n: each table is built once;
+    # suite 10 maps each partition on its own and builds none
     built = []
     table = verify.dmap_all
     monkeypatch.setattr(verify, "dmap_all", lambda n: built.append(n) or table(n))

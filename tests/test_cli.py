@@ -76,7 +76,7 @@ def test_dinv_needs_no_size_guard(capsys):
     assert json.loads(out)["size"] == 9 * 25
     rc, out, err = run(capsys, "dinv", "18,2", "--json")
     assert rc == 0
-    want = sorted(dinverse.dmap_all(20).fiber((18, 2)), reverse=True)
+    want = sorted(dinverse.dmap_all(20)[(18, 2)], reverse=True)
     assert json.loads(out)["fiber"] == [list(lam) for lam in want]
     # neither the old guard's --force nor --max-n, which scales only verify
     for flags in (["--max-n", "4"], ["--force"]):

@@ -34,31 +34,27 @@ def P(*xs):
 
 def test_table_is_complete_and_consistent():
     t = dmap_all(9)
-    assert len(t.entries) == count_partitions(9)
-    for lam, d in t.entries.items():
-        assert d == dmap(lam)
+    assert sum(map(len, t.values())) == count_partitions(9)
+    for mu, fiber in t.items():
+        assert all(dmap(lam) == mu for lam in fiber)
 
 
 def test_fibers_partition_the_whole_set():
     for n in (6, 8, 10):
         t = dmap_all(n)
-        images = set(t.entries.values())
         union = set()
-        for mu in images:
-            f = t.fiber(mu)
+        for mu, f in t.items():
             assert not (union & f)
             union |= f
-        assert union == set(enumerate_partitions(n))
-        for mu in images:
             assert is_stable(mu)
-            assert mu in t.fiber(mu)
+            assert mu in f
+        assert union == set(enumerate_partitions(n))
 
 
 def test_dinv_matches_table_fibers():
     for n in (7, 9):
-        t = dmap_all(n)
-        for mu in set(t.entries.values()):
-            assert dinv(mu) == t.fiber(mu)
+        for mu, fiber in dmap_all(n).items():
+            assert dinv(mu) == fiber
     # non-stable image has an empty fiber
     assert dinv(P(3, 2)) == set()
 
@@ -88,7 +84,7 @@ def test_dinv_diff2_examples_and_brute():
         target = P(*head)
         n = target.n
         table = dmap_all(n)
-        assert dinv_diff2(mu, k) == table.fiber(target)
+        assert dinv_diff2(mu, k) == table[target]
         assert len(dinv_diff2(mu, k)) == mu - 2 * k
     with pytest.raises(ValueError):
         dinv_diff2(4, 0)
@@ -103,7 +99,7 @@ def test_dinv_two_part_counts_and_sets():
                 continue
             got = dinv_two_part(mu, r)
             assert len(got) == (r - 1) * (mu - r)
-            assert got == dmap_all(2 * mu - r).fiber(P(mu, mu - r))
+            assert got == dmap_all(2 * mu - r)[P(mu, mu - r)]
     with pytest.raises(ValueError):
         dinv_two_part(5, 1)
     with pytest.raises(ValueError):
@@ -129,7 +125,7 @@ def test_dinv_n11_closed_form():
 def test_lemma1_structure_contains_fibers():
     for mu, r in [(5, 2), (6, 3), (7, 4), (7, 5), (8, 2)]:
         allowed = set(lemma1_structure(mu, r))
-        fiber = dmap_all(2 * mu - r).fiber(P(mu, mu - r))
+        fiber = dmap_all(2 * mu - r)[P(mu, mu - r)]
         assert fiber <= allowed
     # the gluing rule against enumerating every partition, n <= 22
     cases = 0
@@ -171,7 +167,7 @@ def test_index_window_matches_the_scan():
 def test_dinv_equals_the_table_on_every_partition():
     # every mu with n <= 22, the empty fibers of non-images included
     for n in range(1, 23):
-        fibers = dmap_all(n).fibers()
+        fibers = dmap_all(n)
         for mu in enumerate_partitions(n):
             assert dinv(mu) == fibers.get(mu, set()), mu
 
@@ -180,10 +176,7 @@ def test_dinv_holds_every_preimage():
     # lam is in dinv(dmap(lam)) for every lam with n = 23, 24, and nothing
     # else is: each image's fiber is exactly the partitions mapping to it
     for n in (23, 24):
-        fibers = {}
-        for lam in enumerate_partitions(n):
-            fibers.setdefault(dmap(lam), set()).add(lam)
-        for mu, fiber in fibers.items():
+        for mu, fiber in dmap_all(n).items():
             assert dinv(mu) == fiber, mu
 
 
@@ -215,7 +208,7 @@ def test_explore_q1_gap5_fibers():
     for mu in (6, 7, 8):
         rep = explore_q1(mu, 5)
         assert rep.size == rep.conjectured == 4 * (mu - 5) and rep.matches
-        assert set(rep.fiber) == dmap_all(2 * mu - 5).fiber(P(mu, mu - 5))
+        assert set(rep.fiber) == dmap_all(2 * mu - 5)[P(mu, mu - 5)]
 
 
 def test_explore_q2_report():

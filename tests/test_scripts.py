@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -40,6 +41,22 @@ def test_dmap_table_json_lists_every_image():
     assert doc["n"] == 8 and len(doc["entries"]) == 22
     assert {"lambda": [3, 3, 1, 1], "d": [6, 2]} in doc["entries"]
     assert all(set(e) == {"lambda", "d"} for e in doc["entries"])
+
+
+@pytest.mark.parametrize("name, args, digest", [
+    ("dmap_table.py", ["8"],
+     "d4b5b12cb2d4c78d8ff2dc2a714674006cf0f7aafbddc4a03fab611086114598"),
+    ("dmap_table.py", ["8", "--json"],
+     "f33fa739b162c2dbb4ebaf5b331a92edb680ceaf07bfb7bb5bec2f2603a0e644"),
+    ("fiber_census.py", ["--max-n", "8"],
+     "ea9a3894bf2b684c11b8b97627cedd39adf9adae79a1d93e107990839907c4e0"),
+])
+def test_table_script_output_is_pinned(name, args, digest):
+    # the image table and the fiber census, byte for byte: the shape of
+    # dmap_all's result is not theirs to show
+    res = run_script(name, *args)
+    assert res.returncode == 0, res.stderr.decode()
+    assert hashlib.sha256(res.stdout).hexdigest() == digest
 
 
 def test_stopped_bench_worker_removes_its_package_copy(tmp_path):

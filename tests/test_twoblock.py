@@ -339,7 +339,7 @@ def test_bool_and_float_coefficients_raise():
     for bad in (True, False, 0.5, 0.0):
         with pytest.raises(TypeError, match="entries must be int or Fraction"):
             TwoBlockElement(3, 2, (0, bad, 1), (1, 2), (3, 4), (0, 1))
-    for bad in (0.5, 0.0):  # tb_element sums its terms into ints: 0 + True == 1
+    for bad in (0.5, 0.0):  # tb_element checks each coefficient before it sums
         with pytest.raises(TypeError, match="entries must be int or Fraction"):
             tb_element(3, 2, [("M", 2, 1), ("K", 0, bad)])
     # 0.1 + 0.2 != 0.3, so with floats this element would have rank 2
@@ -360,6 +360,14 @@ def test_three_entry_paths_accept_and_refuse_the_same_entries():
     for bad, name in ((True, "bool"), (0.5, "float"), ("1", "str"), (None, "NoneType")):
         for make in paths(bad):
             with pytest.raises(TypeError, match=f"^entries must be int or Fraction, got {name}$"):
+                make()
+
+    # of two refused entries, the first one in reading order is named
+    for first, second, name in (("1", 0.5, "str"), (0.5, "1", "float")):
+        for make in (lambda: ExactMatrix([[0, first, second, 0]] + [[0] * 4] * 3),
+                     lambda: TwoBlockElement(2, 2, (first, second), (0, 0), (0, 0), (0, 0)),
+                     lambda: tb_element(2, 2, [("M", 0, first), ("M", 1, second)])):
+            with pytest.raises(TypeError, match=f"got {name}$"):
                 make()
 
     class Count(int):
