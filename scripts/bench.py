@@ -36,6 +36,11 @@ Measurements:
 - dinverse.dmap_s: `dmap` on 200 fixed partitions of 5..60 parts up to 30;
 - rng.ints_s: `Stream(s).ints(-10, 10, k)` for s = 0 .. 19 999 and each k
   in 1, 8, 30 and 120, the seeded stream every sampler draws through;
+- commutant.plan_s: the draw plans (`commutant._plan`) of the 271
+  partitions with n <= 12, built after clearing the plan cache, as a sample
+  bank's warm-up builds them; the cost of certifying each host's draw shape
+  once.  The plans the other measurements use are cached again afterwards,
+  outside the timing;
 - commutant.sample_jordan_s: 20 seeded draws on each of five hosts
   (n = 16..20), generator lists already cached;
 - commutant.sample_jordan_small_s: 5 seeded draws on each of the 42
@@ -219,6 +224,8 @@ def measurements(root: str, pkg_root: str) -> dict:
                          for l2 in range(1, n // 2 + 1) for l in range(l2)
                          for j in range(l + 1) if n > 2 * l2 or j + l]
     small_hosts = [tuple(lam) for lam in partitions.enumerate_partitions(10)]
+    plan_hosts = [tuple(lam) for n in range(1, 13)
+                  for lam in partitions.enumerate_partitions(n)]
     filter_pairs = [(lam, mu) for n in range(1, 11)
                     for lam in partitions.enumerate_partitions(n)
                     for mu in partitions.enumerate_partitions(n)]
@@ -242,6 +249,13 @@ def measurements(root: str, pkg_root: str) -> dict:
                 if cli.main(argv) != 0:
                     sys.exit(f"bench: nilcomm {' '.join(argv)} failed")
 
+    def plans():
+        commutant._plan.cache_clear()
+        t = timed(lambda: [commutant._plan(lam) for lam in plan_hosts])
+        for lam in SAMPLE_HOSTS:
+            commutant._plan(lam)
+        return t
+
     def suite(k):
         res = verify.run_suite(k, 16, 0)
         if not res.passed:
@@ -258,6 +272,7 @@ def measurements(root: str, pkg_root: str) -> dict:
         "cli.main_s": lambda: timed(cli_main),
         "rng.ints_s": lambda: timed(lambda: [
             _rng.Stream(s).ints(-10, 10, k) for k in (1, 8, 30, 120) for s in range(20000)]),
+        "commutant.plan_s": plans,
         "commutant.sample_jordan_s": lambda: timed(lambda: [
             commutant.sample_jordan(lam, s) for lam in SAMPLE_HOSTS for s in range(20)]),
         "commutant.sample_jordan_small_s": lambda: timed(lambda: [

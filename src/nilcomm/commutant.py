@@ -55,7 +55,11 @@ def _plan(lam: tuple) -> tuple:
     """(pos, cells): pos[v] is the place of basis vector v in `_draw`'s order;
     cells holds each drawn generator's cells there as (row, col) pairs from
     `_pair_table`.  Leading diagonals between equal parts are drawn only for
-    i < j."""
+    i < j.
+
+    Every cell is checked once, when the host's plan is built, to lie above
+    the diagonal (RuntimeError naming the host otherwise), so a cached plan
+    certifies that every draw from it is strictly upper triangular."""
     lam = Partition(lam)
     n = lam.n
     keys = [(r - p, p, i) for i, p in enumerate(lam) for r in range(p)]
@@ -63,10 +67,14 @@ def _plan(lam: tuple) -> tuple:
     for place, v in enumerate(sorted(range(n), key=keys.__getitem__)):
         pos[v] = place
     pairs = _pair_table(1 << n.bit_length())
-    return tuple(pos), tuple(
+    cells = tuple(
         tuple(pairs[pos[r0 + r]][pos[c0 + k + r]] for r in range(length))
         for (i, j, k, length, r0, c0) in _generators(lam)
         if k or lam[i] != lam[j] or i < j)
+    if not all(r < c for gen in cells for r, c in gen):
+        raise RuntimeError(
+            f"plan for host {tuple(lam)} has a cell on or below the diagonal; bug")
+    return tuple(pos), cells
 
 
 def _draw(lam: tuple, stream: Stream, bound: int) -> tuple:
@@ -79,7 +87,8 @@ def _draw(lam: tuple, stream: Stream, bound: int) -> tuple:
     generator moves a vector no closer to the end of the target block than to
     the end of its own, equally close only into a larger block or, between
     equal parts, on a leading diagonal, drawn only for i < j.  So every draw
-    is strictly upper triangular, hence nilpotent."""
+    is strictly upper triangular, hence nilpotent; `_plan` checks this once
+    per host, on the cells, which are the only places written here."""
     if bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     n = sum(lam)
@@ -95,7 +104,8 @@ def _draw(lam: tuple, stream: Stream, bound: int) -> tuple:
 
 
 def sample_jordan(lam, seed: int, coeff_bound: int = 10) -> tuple:
-    """Jordan type of one random nilpotent commuting element, in `_draw`'s order."""
+    """Jordan type of one random nilpotent commuting element, in `_draw`'s
+    order; its plan certified the draw's shape, so the kernel may consume it."""
     return _jordan_type_rows(*_draw(tuple(lam), Stream(seed), coeff_bound))
 
 

@@ -11,9 +11,12 @@ types, so there is no tolerance anywhere.
 
 A Jordan type is read off the rank sequence of the powers.  A sequence that
 reaches 0 certifies nilpotency, and a repeated nonzero rank certifies the
-opposite.  A strictly upper triangular nonzero pattern is nilpotent with no
+opposite.  A strictly upper triangular matrix is nilpotent with no
 arithmetic, so its sequence stops at the first rank drop of one, after which
-the ranks follow; every sampled centralizer element is drawn in that shape.
+the ranks follow.  Every sampled centralizer element is drawn in that shape,
+which `commutant._plan` certifies once per host; a sampled draw hands its
+nonzero lists and rows over to `_jordan_type_rows`, which skips the pattern
+test and consumes the rows.  Every other matrix is tested on every call.
 
 The Bareiss elimination is lazy: a row whose pivot-column entry is zero is
 not rewritten, since its Bareiss row at a later step is the stored row times
@@ -116,9 +119,8 @@ class ExactMatrix:
                 f"{other.rows}x{other.cols}"
             )
         # products and sums of int and Fraction entries are int or Fraction
-        return ExactMatrix._trusted(
-            tuple(map(tuple, _mul(self._rows, _nonzeros(other._rows), other.cols))),
-            self._int and other._int)
+        prod = _mul(map(enumerate, self._rows), _nonzeros(other._rows), other.cols)
+        return ExactMatrix._trusted(tuple(map(tuple, prod)), self._int and other._int)
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._rows for x in r)
@@ -144,13 +146,14 @@ def _nonzeros(rows) -> list:
 
 
 def _mul(a, b_nz, w: int) -> list:
-    """Product of a row sequence and a w-column matrix given by its
-    `_nonzeros` lists, as lists: each nonzero a[i][j] times the nonzero
-    entries of row j."""
+    """Product of A and a w-column matrix given by its `_nonzeros` lists, as
+    lists.  A's rows are (j, a[i][j]) pairs, zeros allowed: dense rows under
+    `map(enumerate, rows)`, or A's own `_nonzeros` lists.  Each nonzero
+    a[i][j] times the nonzero entries of row j."""
     out = []
     for ra in a:
         acc = [0] * w
-        for j, x in enumerate(ra):
+        for j, x in ra:
             if x:
                 for c, v in b_nz[j]:
                     acc[c] += x * v
@@ -305,23 +308,30 @@ def _jordan_type_rows(rows0, a_nz=None):
 
     Ranks r_k of the powers A^k are taken until they reach 0, which
     certifies that A is nilpotent, or repeat a nonzero value, which
-    certifies that it is not.  A strictly upper triangular nonzero pattern
-    (a test on A's nonzero lists, which every sampled draw passes) is
-    nilpotent already, so there the ranks stop at the first k at which they
-    drop by exactly one: drops never grow (Frobenius rank inequality), so the
-    next r_k powers have ranks r_k - 1, ..., 0.  a_nz holds A's (col, value)
-    nonzero lists, one per row in any order within a row, as `commutant._draw`
-    writes them; without it they are built here by `_nonzeros`.  They serve
-    the pattern test and every product A^k A.
+    certifies that it is not.  A strictly upper triangular A is nilpotent
+    already, so there the ranks stop at the first k at which they drop by
+    exactly one: drops never grow (Frobenius rank inequality), so the next
+    r_k powers have ranks r_k - 1, ..., 0.
+
+    a_nz holds A's (col, value) nonzero lists, one per row in any order
+    within a row.  A caller that hands them over vouches that A is strictly
+    upper triangular, as `commutant.sample_jordan` does for draws whose
+    cells `commutant._plan` certified, and gives up rows0: A is ranked in
+    place.  Without a_nz the lists are built here by `_nonzeros`, the
+    pattern is tested on them, and rows0 is left as it is.  A^2 is built
+    from the lists alone, and each later power as A^(k-1) A.
     """
     n = len(rows0)
     if a_nz is None:
         a_nz = _nonzeros(rows0)
-    triangular = all(c > i for i, nz in enumerate(a_nz) for c, _ in nz)
-    power = rows0  # A^k
+        triangular = all(c > i for i, nz in enumerate(a_nz) for c, _ in nz)
+        rows0 = [list(row) for row in rows0]
+    else:
+        triangular = True
     ranks = [n]  # ranks[k] = rank of A^k
+    r = _int_rank(rows0)
+    power = None  # A^k from k = 2 on
     while True:
-        r = _int_rank([list(row) for row in power])
         if r == ranks[-1]:
             raise NotNilpotentError(
                 f"matrix is not nilpotent: rank stabilizes at {r} from power {len(ranks)}"
@@ -330,7 +340,8 @@ def _jordan_type_rows(rows0, a_nz=None):
             ranks.extend(range(r, -1, -1))
             break
         ranks.append(r)
-        power = _mul(power, a_nz, n)
+        power = _mul(a_nz if power is None else map(enumerate, power), a_nz, n)
+        r = _int_rank([list(row) for row in power])
     # rank drops are the column lengths of the Jordan type's diagram
     drops = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))] + [0]
     parts: list[int] = []

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from nilcomm import commutant, verify
+from nilcomm import cli, commutant, verify
 from nilcomm.commutant import sample_jordan, sample_nilpotent_commuting
 from nilcomm.dinverse import dmap, dmap_index
 from nilcomm._rng import Stream, derive
@@ -187,7 +187,8 @@ def test_draw_matches_standard_basis_oracle():
 def test_draw_hands_the_kernel_its_nonzero_lists():
     # the lists `_draw` writes with the rows are `_nonzeros(rows)` up to the
     # order within a row, every plan cell lies above the diagonal, and the
-    # kernel types a draw the same from either set of lists
+    # kernel types a draw the same from either set of lists (handed the
+    # lists, it consumes the rows, so that call gets a copy)
     for lam in partitions_up_to(12):
         key = tuple(lam)
         assert all(c > r for gen in commutant._plan(key)[1] for r, c in gen), lam
@@ -195,7 +196,34 @@ def test_draw_hands_the_kernel_its_nonzero_lists():
             rows, nz = commutant._draw(key, Stream(seed), 10)
             assert [set(row) for row in nz] == [set(row) for row in _nonzeros(rows)]
             assert all(len(row) == len(set(row)) for row in nz), (lam, seed)
-            assert _jordan_type_rows(rows, nz) == _jordan_type_rows(rows), (lam, seed)
+            assert _jordan_type_rows([list(row) for row in rows], nz) == \
+                _jordan_type_rows(rows), (lam, seed)
+
+
+@pytest.fixture
+def fresh_plans():
+    """`_plan`'s cache, empty before and after the test."""
+    commutant._plan.cache_clear()
+    yield
+    commutant._plan.cache_clear()
+
+
+def test_plan_refuses_a_cell_on_or_below_the_diagonal(monkeypatch, capsys, fresh_plans):
+    # the plan certifies every draw's shape once, so a generator that lands
+    # below the diagonal (here one from the (1) block into the (2) block's
+    # first vector, the wrong way round) is a bug, reported when the plan
+    # is built: by the samplers as RuntimeError, by the CLI as exit 3
+    real = commutant._generators
+    monkeypatch.setattr(commutant, "_generators",
+                        lambda lam: real(lam) + ((1, 0, 0, 1, 2, 0),))
+    with pytest.raises(RuntimeError, match=r"^plan for host \(2, 1\) .*; bug$"):
+        commutant._plan((2, 1))
+    with pytest.raises(RuntimeError, match=r"host \(2, 1\)"):
+        sample_jordan((2, 1), 0)
+    rc = cli.main(["sample", "2,1"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err.startswith("internal error: plan for host (2, 1) ") and "bug" in err
 
 
 @pytest.mark.parametrize("bound", [0, -2])

@@ -13,6 +13,7 @@ from nilcomm.exactla import (
     ExactMatrix,
     Witness,
     _int_rank,
+    _jordan_type_rows,
     NotNilpotentError,
     build_jordan,
     certify,
@@ -437,6 +438,20 @@ def test_sampler_draws_have_acyclic_patterns():
         for seed in range(3):
             rows = _draw(tuple(lam), Stream(seed), 10)[0]
             assert is_triangular(rows), (lam, seed)
+
+
+def test_uncertified_rows_are_tested_for_the_pattern_and_kept():
+    # a 3 x 3 matrix whose first rank drop is 1, 3 -> 2, but which is not
+    # strictly upper triangular: handed no lists, the kernel tests the
+    # pattern and ranks on to the repeat, 2 -> 1 -> 1, where the shortcut
+    # would have typed it as (3); and it leaves the rows it was given as
+    # they were
+    rows = [[0, 1, 0], [0, 0, 1], [0, 0, 1]]
+    with pytest.raises(NotNilpotentError, match="rank stabilizes at 1 from power 3"):
+        _jordan_type_rows(rows)
+    assert rows == [[0, 1, 0], [0, 0, 1], [0, 0, 1]]
+    j = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    assert _jordan_type_rows(j) == (3,) and j == [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
 
 
 @pytest.fixture

@@ -69,7 +69,8 @@ def test_stopped_bench_worker_removes_its_package_copy(tmp_path):
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         try:
             names = json.loads(proc.stdout.readline())
-            assert {"verify.suite11_s", "twoblock.element_s", "tier1_s"} <= set(names)
+            assert {"verify.suite11_s", "twoblock.element_s", "commutant.plan_s",
+                    "tier1_s"} <= set(names)
             assert list(tmp_path.iterdir())
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 128 + signal.SIGTERM
