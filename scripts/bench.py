@@ -59,6 +59,9 @@ Measurements:
   `maxrank_partners(m + 1, m - 1)` for m = 2..12, each witness typed densely;
 - exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
   rank n - 2;
+- exactla.rank_40_s: the same at n = 40, drawn from a generator of their
+  own: dense rows, whose entries grow with every update they take, the one
+  input class on which the rank kernel is slower than Bareiss elimination;
 - exactla.rank_centralizer_{12,16,20}_s: ranks of the first three powers of
   40 fixed nilpotent elements commuting with J_lambda (20 on each of two
   hosts lambda per n), built here from the block-Toeplitz pattern of the
@@ -205,6 +208,8 @@ def measurements(root: str, pkg_root: str) -> dict:
     elements = [twoblock.TwoBlockElement(*v) for v in draws]
     matrices = {n: [exactla.ExactMatrix(m) for m in rank_matrices(rng, n)]
                 for n in (10, 16, 24)}
+    # drawn apart, so the inputs of every other measurement stay as they were
+    matrices[40] = [exactla.ExactMatrix(m) for m in rank_matrices(random.Random(40), 40)]
     powers = {}
     for n, hosts in CENTRALIZER_HOSTS.items():
         powers[n] = []

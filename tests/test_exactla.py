@@ -344,9 +344,9 @@ def nonzero_powers(rows):
     return out
 
 
-def test_lazy_rank_on_centralizer_powers():
+def test_int_rank_on_centralizer_powers():
     # every power of sampled centralizer elements: sparse and near echelon
-    # form, the shape that leaves most rows unchanged at most steps
+    # form, the shape that leaves most rows untouched at most steps
     hosts = [(tuple(lam), seed) for lam in partitions_up_to(9) for seed in (1, 2)]
     hosts += [(lam, 3) for lam in ((5, 4, 2, 1), (4, 4, 4), (6, 3, 3),
                                    (7, 5, 3, 1), (4, 4, 4, 4), (6, 6, 2, 2))]
@@ -356,9 +356,10 @@ def test_lazy_rank_on_centralizer_powers():
         assert_int_rank_is_gauss_rank(nonzero_powers(rows))
 
 
-def test_lazy_rank_on_zero_heavy_matrices():
+def test_int_rank_on_zero_heavy_matrices():
     # at most a third of the entries nonzero, some rows sums of two others:
-    # rows whose pivot-column entries stay zero lag several levels behind
+    # rows whose pivot-column entries stay zero are left untouched for
+    # several steps
     rng = random.Random(7)
     matrices = []
     for _ in range(600):
@@ -373,57 +374,63 @@ def test_lazy_rank_on_zero_heavy_matrices():
     assert_int_rank_is_gauss_rank(matrices)
 
 
-def test_lazy_rank_on_rank_deficient_products():
-    # n x (n - 2) times (n - 2) x n: dense, of rank at most n - 2
+def dense_product(rng, n):
+    """n x (n - 2) times (n - 2) x n, entries of both factors in [-9, 9]:
+    dense, of rank at most n - 2."""
+    a = [[rng.randint(-9, 9) for _ in range(n - 2)] for _ in range(n)]
+    b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 2)]
+    return oracles.naive_product(a, b)
+
+
+def test_int_rank_on_rank_deficient_products():
     rng = random.Random(11)
-    matrices = []
-    for n in range(3, 13):
-        for _ in range(6):
-            a = [[rng.randint(-9, 9) for _ in range(n - 2)] for _ in range(n)]
-            b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 2)]
-            matrices.append(oracles.naive_product(a, b))
+    matrices = [dense_product(rng, n) for n in range(3, 13) for _ in range(6)]
+    matrices += [dense_product(rng, n) for n in (16, 20) for _ in range(2)]
     assert_int_rank_is_gauss_rank(matrices)
 
 
-def test_lazy_rank_reaches_both_lazy_paths():
-    # Bareiss pivots p_0 = 1, p_1 = -2, p_2 = -4, p_3 = -12, p_4 = -6, p_5 = 1;
+def test_int_rank_divides_the_multipliers_by_their_gcd():
+    # dense rows take an update at every step; with each update's two
+    # multipliers divided by their gcd the entries of this product end at
+    # 466 bits (89 under Bareiss elimination), and without it at 12 945
+    rows = dense_product(random.Random(14), 14)
+    assert oracles.gauss_rank(ExactMatrix(rows)) == 12
+    assert _int_rank(rows) == 12
+    assert max(abs(x).bit_length() for row in rows for x in row) < 1000
+
+
+def test_int_rank_leaves_rows_untouched_for_several_steps():
     # input row k is named r_k
     rows = [
         [-2, 2, -2, 3, -2],  # r_0: step-1 pivot
-        [2, 0, 0, -2, 1],  # r_1: eliminated at step 1, step-2 pivot
-        # r_2: zero in columns 0 and 1, lags at level 0 through step 2, then
-        # is the step-3 pivot row, brought up by p_2 // p_0
+        # r_1: updated at step 1 with multipliers (-1, 1), as gcd(-2, 2) = 2;
+        # then the step-2 pivot
+        [2, 0, 0, -2, 1],
+        # r_2: zero in columns 0 and 1, untouched through steps 1 and 2,
+        # then the step-3 pivot
         [0, 0, 3, 1, -2],
-        # r_3: zero in column 0, eliminated at step 2 to [0, 0, 0, -2, 2];
-        # zero in column 2, it lags at level 2 through step 3, then is the
-        # step-4 pivot row, brought up by p_3 // p_2 = -12 // -4 to
-        # [0, 0, 0, -6, 6] (a lagging pivot row, old pivot -4)
+        # r_3: untouched at step 1, updated at step 2 to [0, 0, 0, -1, 1],
+        # untouched at step 3, then the step-4 pivot
         [0, -1, 1, 0, 0],
-        # r_4: eliminated at step 1 to [0, 0, 4, -3, 2]; zero in column 1, it
-        # lags at level 1 through step 2, then is eliminated at step 3 as
-        # (p_3 * r_4 - 4 * r_2) // p_1 with p_1 = -2 (a lagging row divided
-        # by an old pivot)
+        # r_4: updated at step 1 to [0, 0, 4, -3, 2], untouched at step 2,
+        # updated at steps 3 and 4, then the step-5 pivot
         [1, -1, -1, 0, 0],
     ]
     assert oracles.gauss_rank(ExactMatrix(rows)) == 5
     assert _int_rank([list(row) for row in rows]) == 5
 
 
-def test_lazy_rank_scales_the_pivot_of_an_unused_pivot_row():
-    # Bareiss pivots p_0 = 1, p_1 = 3, p_2 = 3, p_3 = -6, p_4 = 2; input row
-    # k is named r_k
+def test_int_rank_with_a_pivot_row_with_nothing_below_it():
+    # input row k is named r_k
     rows = [
         [3, 0, -2, 1],  # r_0: step-1 pivot
-        # r_1: lags at level 0, then is the step-2 pivot row with nothing
-        # below it in column 1, so only its pivot is brought up: p_2 =
-        # 1 * p_1 // p_0 = 3, and the rest of the row is never scaled
+        # r_1: untouched at step 1, then the step-2 pivot with nothing below
+        # it in column 1, so step 2 touches no row
         [0, 1, 2, 2],
-        # r_2: lags at level 0 through step 2, then is the step-3 pivot row,
-        # brought up by p_2 // p_0 to [0, 0, -6, 0]; an unscaled p_2 = 1
-        # would give p_3 = -2 and take r_3's last entry to 2 // 3 = 0
+        # r_2: untouched through steps 1 and 2, then the step-3 pivot
         [0, 0, -2, 0],
-        # r_3: eliminated at step 1 to [0, 0, -1, -1] (level 1), then at
-        # step 3 as (p_3 * r_3 + r_2) // p_1 to [0, 0, 0, 2], the step-4 pivot
+        # r_3: updated at step 1 to [0, 0, -1, -1] and at step 3 to
+        # [0, 0, 0, 2], the step-4 pivot
         [-2, 0, 1, -1],
     ]
     assert oracles.gauss_rank(ExactMatrix(rows)) == 4
