@@ -60,8 +60,9 @@ Measurements:
 - exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
   rank n - 2;
 - exactla.rank_40_s: the same at n = 40, drawn from a generator of their
-  own: dense rows, whose entries grow with every update they take, the one
-  input class on which the rank kernel is slower than Bareiss elimination;
+  own: dense rows take an update at every step, and their entries grow
+  with each, so this is where the rank kernel trails Bareiss elimination
+  most;
 - exactla.rank_centralizer_{12,16,20}_s: ranks of the first three powers of
   40 fixed nilpotent elements commuting with J_lambda (20 on each of two
   hosts lambda per n), built here from the block-Toeplitz pattern of the

@@ -184,9 +184,10 @@ def _int_rank(rows: list) -> int:
     minor of the input, while here a row's entries grow with each update it
     takes.  The gcd keeps that growth down: a dense 14 x 14 product of rank
     12 ends with entries of up to 466 bits, against 12 945 without it and
-    89 under Bareiss.  Every matrix the library ranks is sparse or small,
-    and there this kernel is faster; on dense products of random +-9
-    factors it is about 1.4x slower than Bareiss at n = 40 and 3x at n = 60.
+    89 under Bareiss.  The powers of sampled and constructed elements that
+    the library ranks are sparse, and there this kernel is faster.  On
+    dense products of random +-9 factors it is slower than Bareiss: by
+    under 10 % up to n = 24, about 1.7x at n = 40 and 3x at n = 60.
     """
     nr = len(rows)
     if nr == 0:
