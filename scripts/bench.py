@@ -57,6 +57,9 @@ Measurements:
   when l1 = l2);
 - twoblock.witnesses_s: `construct_lemma_eq2(m)` and
   `maxrank_partners(m + 1, m - 1)` for m = 2..12, each witness typed densely;
+- twoblock.squarezero_s: `construct_squarezero_partner(mu, a)` for every
+  partition mu with n <= 10 and every rank a (suite 1's 663 witnesses), then
+  `construct_lemma_odd(l1, l2, a)` on the 408 inputs with n <= 16;
 - exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
   rank n - 2;
 - exactla.rank_40_s: the same at n = 40, drawn from a generator of their
@@ -229,6 +232,11 @@ def measurements(root: str, pkg_root: str) -> dict:
     antidiagonal_args = [(n - l2, l2, j, l) for n in range(2, 21)
                          for l2 in range(1, n // 2 + 1) for l in range(l2)
                          for j in range(l + 1) if n > 2 * l2 or j + l]
+    squarezero_args = [(lam, a) for n in range(1, 11)
+                       for lam in partitions.enumerate_partitions(n)
+                       for a in range(n // 2 + 1)]
+    lemma_odd_args = [(l1, n - l1, a) for n in range(2, 17)
+                      for l1 in range((n + 1) // 2, n) for a in range(n // 2 + 1)]
     small_hosts = [tuple(lam) for lam in partitions.enumerate_partitions(10)]
     plan_hosts = [tuple(lam) for n in range(1, 13)
                   for lam in partitions.enumerate_partitions(n)]
@@ -303,6 +311,9 @@ def measurements(root: str, pkg_root: str) -> dict:
         "twoblock.witnesses_s": lambda: timed(lambda: [
             (twoblock.construct_lemma_eq2(m), twoblock.maxrank_partners(m + 1, m - 1))
             for m in range(2, 13)]),
+        "twoblock.squarezero_s": lambda: timed(lambda: (
+            [twoblock.construct_squarezero_partner(*args) for args in squarezero_args],
+            [twoblock.construct_lemma_odd(*args) for args in lemma_odd_args])),
         "exactla.matmul_s": lambda: timed(lambda: [
             m @ m for ms in powers.values() for m in ms]),
         "constraints.filter_s": lambda: timed(lambda: [

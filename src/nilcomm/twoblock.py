@@ -26,6 +26,7 @@ that `exactla.certify` makes of its dense realization, typed once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -334,84 +335,59 @@ def antidiagonal_block_rank_formulas(l1: int, l2: int, j: int, l: int, m: int) -
 
 
 def construct_lemma_odd(l1: int, l2: int, a: int) -> Witness:
-    """Square-zero element of rank a commuting with the two-block Jordan matrix.
+    """Square-zero element of rank a commuting with the two-block Jordan
+    matrix: `construct_squarezero_partner`'s two-block case.
 
     Valid for 0 <= a <= floor((l1+l2)/2).  Powers of the individual blocks
     cover every rank except the corner where both sizes are odd and
     a = (l1+l2)/2; that corner needs a genuinely off-diagonal element.
     """
+    l1, l2 = operator.index(l1), operator.index(l2)
     if not (l1 >= l2 >= 1):
         raise ValueError(f"need l1 >= l2 >= 1, got ({l1}, {l2})")
-    n = l1 + l2
-    if not 0 <= a <= n // 2:
-        raise ValueError(f"rank {a} out of range for n={n}")
-    return certify(tb_to_matrix(_lemma_odd_element(l1, l2, a)), (l1, l2), two_column(n, a))
+    return construct_squarezero_partner((l1, l2), a)
 
 
-def _lemma_odd_element(l1: int, l2: int, a: int) -> TwoBlockElement:
-    """`construct_lemma_odd`'s element, for arguments it accepts."""
-    a1 = min(a, l1 // 2)
-    a2 = a - a1
-    if a2 <= l2 // 2:
-        # block powers: M_(l1-a1) has rank a1 and N_(l2-a2) rank a2
-        terms = [("M", l1 - a1, 1)] * (a1 > 0) + [("N", l2 - a2, 1)] * (a2 > 0)
-    elif l1 == l2:
-        terms = [("K", 0, 1)]
-    else:
-        # both sizes odd, a = n/2: shift both blocks halfway and couple the
-        # corners so the square cancels through the K L product
-        k1 = (l1 - 1) // 2
-        k2 = (l2 - 1) // 2
-        terms = [("M", k1, 1), ("K", k2, 1), ("L", k2, -1)]
-        terms += [("N", k2 + 1, 1)] * (k2 + 1 < l2)
+def _odd_pair(l1: int, l2: int) -> TwoBlockElement:
+    """Square-zero element of rank (l1 + l2) / 2 for odd l1 >= l2: K_0 for
+    equal blocks; otherwise both blocks shifted halfway, with the corners
+    coupled so that the square cancels through the K L product."""
+    if l1 == l2:
+        return tb_element(l1, l2, [("K", 0, 1)])
+    k1, k2 = (l1 - 1) // 2, (l2 - 1) // 2
+    terms = [("M", k1, 1), ("K", k2, 1), ("L", k2, -1)]
+    terms += [("N", k2 + 1, 1)] * (k2 + 1 < l2)
     return tb_element(l1, l2, terms)
-
-
-def _units(parts: list) -> list[tuple]:
-    """`construct_squarezero_partner`'s units as (positions, capacity): the odd
-    parts in pairs, a leftover odd part, then each even part, each unit taking
-    up to half its size in rank."""
-    odd = [i for i, p in enumerate(parts) if p % 2]
-    groups = [tuple(odd[u:u + 2]) for u in range(0, len(odd), 2)]
-    groups += [(i,) for i, p in enumerate(parts) if p % 2 == 0]
-    return [(pos, sum(parts[i] for i in pos) // 2) for pos in groups]
 
 
 def construct_squarezero_partner(mu, a: int) -> Witness:
     """Square-zero matrix of rank a commuting with the Jordan matrix of mu.
 
-    Parts are grouped into units (`_units`), each absorbing up to half its
-    size in rank; at most one unit has odd size, so the unit capacities
-    always sum to floor(n/2).  An odd pair gets
-    `construct_lemma_odd`'s element and a single part p of rank share r the
-    power J_p^(p-r), each written straight into the host-sized rows; the
-    whole matrix is verified once.
+    A power of block p has rank at most p // 2 with square zero, and these
+    halves sum to floor(n/2) less one per pair of odd parts.  So each part,
+    in host order, takes up to p // 2 of the rank as J_p^(p - take), and
+    only the rank beyond the halves couples odd parts, paired in order:
+    each coupled pair adds one, its `_odd_pair` element of rank (p + q) / 2
+    replacing the two halves.  Everything is written straight into the
+    host-sized rows, and the whole matrix is verified once.
     """
     mu = Partition(mu)
+    a = operator.index(a)
     n = mu.n
     if not 0 <= a <= n // 2:
         raise ValueError(f"rank {a} out of range for n={n}")
-    parts = list(mu)
-    units = _units(parts)
-    if sum(cap for _, cap in units) != n // 2:
-        raise RuntimeError(f"unit capacities of {tuple(mu)} do not sum to {n // 2}; bug")
-
-    offsets = [0, *accumulate(parts)]
+    offsets = [0, *accumulate(mu)]
     rows = [[0] * n for _ in range(n)]
     remaining = a
-    for pos, cap in units:
-        take = min(remaining, cap)
+    for p, o in zip(mu, offsets):
+        take = min(remaining, p // 2)
         remaining -= take
-        if len(pos) == 2:
-            i, j = pos
-            _place(rows, _lemma_odd_element(parts[i], parts[j], take),
-                   offsets[i], offsets[j])
-        else:
-            # J_p^(p - take): ones on one shifted diagonal of the part's block
-            o = offsets[pos[0]]
-            shift = parts[pos[0]] - take
-            for r in range(take):
-                rows[o + r][o + shift + r] = 1
+        for r in range(take):  # J_p^(p - take): ones on one shifted diagonal
+            rows[o + r][o + p - take + r] = 1
+    odd = [i for i, p in enumerate(mu) if p % 2]
+    for i, j in list(zip(odd[0::2], odd[1::2]))[:remaining]:
+        _place(rows, _odd_pair(mu[i], mu[j]), offsets[i], offsets[j])
+        remaining -= 1
     if remaining:
         raise RuntimeError(f"rank {remaining} of {a} left unplaced on {tuple(mu)}; bug")
     return certify(ExactMatrix(rows), mu, two_column(n, a))

@@ -237,15 +237,20 @@ def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
     rc, out, err = run(capsys, "dmap", "3,1,1")
     assert rc == 3 and out == ""
     assert err.startswith("internal error: recursion gave") and "bug" in err
-    # so are square-zero units whose capacities miss n // 2 (a check that
-    # python -O keeps)
-    units = twoblock._units
+    # so is an odd pair's coupling that is not nilpotent: certify, a check
+    # that python -O keeps, refuses the whole square-zero partner
+    pair = twoblock._odd_pair
+
+    def with_identity(l1, l2):
+        x = pair(l1, l2)
+        return twoblock.TwoBlockElement(l1, l2, (1, *x.a[1:]), x.b, x.c, x.d)
+
     with monkeypatch.context() as m:
-        m.setattr(twoblock, "_units",
-                  lambda parts: [(pos, cap + 1) for pos, cap in units(parts)])
+        m.setattr(twoblock, "_odd_pair", with_identity)
         rc, out, err = run(capsys, "construct", "squarezero", "3,3,1", "--rank", "3")
     assert (rc, out) == (3, "")
-    assert err == "internal error: unit capacities of (3, 3, 1) do not sum to 3; bug\n"
+    assert err.startswith("internal error: witness for host (3, 3, 1):")
+    assert "not nilpotent" in err and err.endswith("; bug\n")
     # any other exception a command raises is a bug too, named by its type,
     # never a traceback with exit 1, the code of a failed verification
     def lookup_fails(lam):
@@ -572,7 +577,7 @@ def golden_line(capsys, argv) -> str:
 # then one for an internal error; recorded on the code of commit 0a11d75.  A
 # change that alters output writes the new lines there, records their digest
 # here and lists the invocations that changed in CHANGES.md
-CLI_DIGEST = "ecb8cd01950fbb22a714288c4c57b847d8417f8b07a29599bc63393d8338376f"
+CLI_DIGEST = "e82c9e30213468e1f8594d28e5713dbd6a78d0d6af5bf63ec471ec8e514e7ba4"
 
 
 def test_cli_output_matches_the_recorded_digest(capsys, monkeypatch):

@@ -65,7 +65,13 @@ def test_samples_commute_and_are_nilpotent():
     a = sample_nilpotent_commuting(Partition([4, 2]), 123)
     b = sample_nilpotent_commuting(Partition([4, 2]), 123)
     assert a == b
-    assert sample_jordan(Partition([4, 2]), 123) == a.jordan
+    # the certified sample is the draw sample_jordan makes from the seed
+    # derive(seed, 1, 0), not from seed itself
+    for p in partitions_up_to(8):
+        if p.n >= 2:
+            for s in range(20):
+                assert sample_jordan(p, derive(s, 1, 0)) == \
+                    sample_nilpotent_commuting(p, s).jordan, (tuple(p), s)
 
 
 def test_sampled_types_never_beat_the_image():

@@ -70,7 +70,7 @@ def test_stopped_bench_worker_removes_its_package_copy(tmp_path):
         try:
             names = json.loads(proc.stdout.readline())
             assert {"verify.suite11_s", "twoblock.element_s", "commutant.plan_s",
-                    "exactla.rank_40_s", "tier1_s"} <= set(names)
+                    "exactla.rank_40_s", "twoblock.squarezero_s", "tier1_s"} <= set(names)
             assert list(tmp_path.iterdir())
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 128 + signal.SIGTERM

@@ -565,6 +565,43 @@ def test_squarezero_partner_spot_checks():
         construct_squarezero_partner(Partition([3, 1]), 3)
 
 
+def test_lemma_odd_is_the_two_block_squarezero_partner():
+    for n in range(2, 17):
+        for l1 in range((n + 1) // 2, n):
+            for a in range(n // 2 + 1):
+                assert construct_lemma_odd(l1, n - l1, a) == \
+                    construct_squarezero_partner((l1, n - l1), a), (l1, n - l1, a)
+
+
+def test_squarezero_partner_couples_odd_pairs_only_beyond_the_halves():
+    # block powers give each part p up to p // 2; every unit of rank beyond
+    # those halves couples one pair of odd blocks, and no other pair is coupled
+    for n in range(1, 11):
+        for mu in enumerate_partitions(n):
+            block = [i for i, p in enumerate(mu) for _ in range(p)]
+            odd = [i for i, p in enumerate(mu) if p % 2]
+            halves = sum(p // 2 for p in mu)
+            for a in range(n // 2 + 1):
+                m = construct_squarezero_partner(mu, a)
+                linked = {frozenset((block[r], block[c]))
+                          for r in range(n) for c in range(n)
+                          if m[r, c] != 0 and block[r] != block[c]}
+                coupled = sum(frozenset(pair) in linked
+                              for pair in itertools.combinations(odd, 2))
+                assert coupled == len(linked) == max(0, a - halves), (tuple(mu), a)
+
+
+def test_constructions_refuse_a_non_integer_rank_or_block():
+    with pytest.raises(TypeError, match="'float'"):
+        construct_squarezero_partner((3, 1), 1.0)
+    with pytest.raises(TypeError, match="'float'"):
+        construct_lemma_odd(3, 1, 1.5)
+    with pytest.raises(TypeError, match="'float'"):
+        construct_lemma_odd(3.0, 1, 1)
+    # bools pass as ints, as Partition reads its parts
+    assert construct_lemma_odd(True, True, True) == construct_lemma_odd(1, 1, 1)
+
+
 def equal_block_partner(m):
     """J_(m,m) + K_0 as dense rows, written without the coefficient algebra:
     ones on both blocks' superdiagonals and at (r, m + r)."""
@@ -652,7 +689,7 @@ def test_witnesses_are_typed_once(monkeypatch):
 
 # SHA-256 of the square-zero and lemma-odd witnesses below, recorded at
 # commit 6e5af0c
-GOLDEN_SQUAREZERO_WITNESSES = "a485e70fd6163d77d5f135412627e3aa289df72aaf0b1729247680546216f589"
+GOLDEN_SQUAREZERO_WITNESSES = "4ed7c11b56e8cdebbe9f6d69c2dbab44cdad6aca533013e0ee9c612c50fe28ad"
 # SHA-256 of the equal-block and maximal-rank witnesses below, in closed form
 GOLDEN_TWO_BLOCK_WITNESSES = "bcc5e93ce05e2aa499f9472974b4f3b12174107df2de315a52bab496bf495b34"
 
