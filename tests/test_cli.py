@@ -574,7 +574,7 @@ def golden_line(capsys, argv) -> str:
 
 
 # SHA-256 of cli_golden.txt, one golden_line per cli_invocations() entry and
-# then one for an internal error; recorded on the code of commit 0a11d75.  A
+# then one for an internal error; recorded on the code of commit 94e201a.  A
 # change that alters output writes the new lines there, records their digest
 # here and lists the invocations that changed in CHANGES.md
 CLI_DIGEST = "e82c9e30213468e1f8594d28e5713dbd6a78d0d6af5bf63ec471ec8e514e7ba4"

@@ -687,8 +687,8 @@ def test_witnesses_are_typed_once(monkeypatch):
             assert certified(s, lam, typed[0]), (lam, seed)
 
 
-# SHA-256 of the square-zero and lemma-odd witnesses below, recorded at
-# commit 6e5af0c
+# SHA-256 of the square-zero and lemma-odd witnesses below, recorded on the
+# code of commit 94e201a
 GOLDEN_SQUAREZERO_WITNESSES = "4ed7c11b56e8cdebbe9f6d69c2dbab44cdad6aca533013e0ee9c612c50fe28ad"
 # SHA-256 of the equal-block and maximal-rank witnesses below, in closed form
 GOLDEN_TWO_BLOCK_WITNESSES = "bcc5e93ce05e2aa499f9472974b4f3b12174107df2de315a52bab496bf495b34"
