@@ -52,6 +52,9 @@ Measurements:
 - twoblock.tb_pow_order_s: orders of the same 200 elements;
 - twoblock.tb_to_matrix_s: dense realizations of the same 200 elements;
 - twoblock.tb_rank_s: ranks of the same 200 elements;
+- twoblock.dense_rank_s: `exactla.rank(tb_to_matrix(TwoBlockElement(*v)))`
+  on the same 200 coefficient vectors: the construction, dense realization
+  and dense rank of each, the path of perfbench's `twoblock_draws` draws;
 - twoblock.antidiagonal_s: `antidiagonal(l1, l2, j, l, 1, 1)` on the 1 200
   admissible inputs with n <= 20 (l1 >= l2 > l >= j >= 0, and j + l >= 1
   when l1 = l2);
@@ -71,6 +74,11 @@ Measurements:
   hosts lambda per n), built here from the block-Toeplitz pattern of the
   centralizer;
 - exactla.matmul_s: the squares `m @ m` of those 360 powers;
+- exactla.certify_s: `certify(m, host, type)` on suite 1's 663 square-zero
+  partners and on suite 3's antidiagonal elements (three per admissible
+  input with n <= 14, coefficients drawn as suite 3 draws them, from a
+  generator of their own), each as the plain matrix of its rows, so that
+  each is checked and typed in full;
 - constraints.filter_s: `compatible_filter` on each of the 3 582 ordered
   pairs of partitions of one n <= 10;
 - verify.suite{1..12}_s: each acceptance suite's own `seconds` from
@@ -103,6 +111,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from time import perf_counter
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -237,6 +246,17 @@ def measurements(root: str, pkg_root: str) -> dict:
                        for a in range(n // 2 + 1)]
     lemma_odd_args = [(l1, n - l1, a) for n in range(2, 17)
                       for l1 in range((n + 1) // 2, n) for a in range(n // 2 + 1)]
+    certify_args = [(exactla.ExactMatrix(w.row_data()), w.host, w.jordan) for w in (
+        twoblock.construct_squarezero_partner(*args) for args in squarezero_args)]
+    coefs = random.Random(3)  # drawn apart, as matrices[40] is
+
+    def coef():
+        return Fraction(coefs.choice([-1, 1]) * coefs.randint(1, 10), coefs.randint(1, 4))
+
+    for l1, l2, j, l in antidiagonal_args * 3:
+        if l1 + l2 <= 14:
+            x, pred, _ = twoblock.antidiagonal(l1, l2, j, l, coef(), coef())
+            certify_args.append((twoblock.tb_to_matrix(x), (l1, l2), pred))
     small_hosts = [tuple(lam) for lam in partitions.enumerate_partitions(10)]
     plan_hosts = [tuple(lam) for n in range(1, 13)
                   for lam in partitions.enumerate_partitions(n)]
@@ -301,6 +321,9 @@ def measurements(root: str, pkg_root: str) -> dict:
             twoblock.tb_to_matrix(x) for x in elements]),
         "twoblock.tb_rank_s": lambda: timed(lambda: [
             twoblock.tb_rank(x) for x in elements]),
+        "twoblock.dense_rank_s": lambda: timed(lambda: [
+            exactla.rank(twoblock.tb_to_matrix(twoblock.TwoBlockElement(*v)))
+            for v in draws]),
         "dinverse.dinv_30_s": lambda: timed(lambda: dinverse.dinv((21, 9))),
         "dinverse.dinv_40_s": lambda: timed(lambda: dinverse.dinv((25, 15))),
         "dinverse.dinv_60_s": lambda: timed(lambda: dinverse.dinv((35, 25))),
@@ -316,6 +339,8 @@ def measurements(root: str, pkg_root: str) -> dict:
             [twoblock.construct_lemma_odd(*args) for args in lemma_odd_args])),
         "exactla.matmul_s": lambda: timed(lambda: [
             m @ m for ms in powers.values() for m in ms]),
+        "exactla.certify_s": lambda: timed(lambda: [
+            exactla.certify(*args) for args in certify_args]),
         "constraints.filter_s": lambda: timed(lambda: [
             constraints.compatible_filter(lam, mu) for lam, mu in filter_pairs]),
     }

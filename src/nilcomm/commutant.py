@@ -77,10 +77,10 @@ def _plan(lam: tuple) -> tuple:
     return tuple(pos), cells
 
 
-def _draw(lam: tuple, stream: Stream, bound: int) -> tuple:
-    """(rows, nz) of a random element, coefficients in [-bound, bound] on the
-    drawn generators: its dense rows, and each row's (col, coef) nonzero
-    list, written in the same pass (a list's order is the generators').
+def _draw(lam: tuple, coefs) -> tuple:
+    """(rows, nz) of the element with coefs[i] on the i-th drawn generator of
+    `_plan(lam)`: its dense rows, and each row's (col, coef) nonzero list,
+    written in the same pass (a list's order is the generators').
 
     The basis is in the nilpotency order: by distance to the block end
     descending, then block size ascending, then block index ascending.  A
@@ -89,13 +89,11 @@ def _draw(lam: tuple, stream: Stream, bound: int) -> tuple:
     equal parts, on a leading diagonal, drawn only for i < j.  So every draw
     is strictly upper triangular, hence nilpotent; `_plan` checks this once
     per host, on the cells, which are the only places written here."""
-    if bound < 1:
-        raise ValueError("coeff_bound must be >= 1")
     n = sum(lam)
     cells = _plan(lam)[1]
     rows = [[0] * n for _ in range(n)]
     nz = [[] for _ in range(n)]
-    for gen, coef in zip(cells, stream.ints(-bound, bound, len(cells))):
+    for gen, coef in zip(cells, coefs):
         if coef:
             for r, c in gen:
                 rows[r][c] = coef
@@ -103,10 +101,17 @@ def _draw(lam: tuple, stream: Stream, bound: int) -> tuple:
     return rows, nz
 
 
+def _coefs(lam: tuple, seed: int, bound: int) -> list:
+    """Seed's stream of coefficients in [-bound, bound], one per `_draw`."""
+    if bound < 1:
+        raise ValueError("coeff_bound must be >= 1")
+    return Stream(seed).ints(-bound, bound, len(_plan(lam)[1]))
+
+
 def sample_jordan(lam, seed: int, coeff_bound: int = 10) -> tuple:
     """Jordan type of one random nilpotent commuting element, in `_draw`'s
     order; its plan certified the draw's shape, so the kernel may consume it."""
-    return _jordan_type_rows(*_draw(tuple(lam), Stream(seed), coeff_bound))
+    return _jordan_type_rows(*_draw(tuple(lam), _coefs(tuple(lam), seed, coeff_bound)))
 
 
 def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> Witness:
@@ -118,5 +123,5 @@ def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> Witness
     failed check signals a bug, not bad luck, and raises with the seed.
     """
     lam = Partition(lam)
-    rows, pos = _draw(lam, Stream(derive(seed, 1, 0)), coeff_bound)[0], _plan(lam)[0]
+    rows, pos = _draw(lam, _coefs(lam, derive(seed, 1, 0), coeff_bound))[0], _plan(lam)[0]
     return certify(ExactMatrix([[rows[p][q] for q in pos] for p in pos]), lam, seed=seed)

@@ -22,8 +22,9 @@ test and consumes the rows.  Every other matrix is tested on every call.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from nilcomm.partitions import Partition, almost_rect
@@ -156,16 +157,11 @@ def _mul(a, b_nz, w: int) -> list:
 
 
 def build_jordan(p) -> ExactMatrix:
-    """Block-diagonal nilpotent matrix with block sizes given by the partition."""
+    """Block-diagonal nilpotent matrix with block sizes given by the partition:
+    a one at (r, r + 1) unless row r is a block's last."""
     ps = tuple(p)
-    n = sum(ps)
-    rows = [[0] * n for _ in range(n)]
-    off = 0
-    for m in ps:
-        for i in range(m - 1):
-            rows[off + i][off + i + 1] = 1
-        off += m
-    return ExactMatrix(rows)
+    ends, n = set(accumulate(ps)), sum(ps)  # ends: one past each block's last row
+    return ExactMatrix([[int(c == r + 1 not in ends) for c in range(n)] for r in range(n)])
 
 
 def _int_rank(rows: list) -> int:
@@ -242,8 +238,11 @@ def jordan_type(a: ExactMatrix) -> Partition:
 
     Refuses non-nilpotent input: the rank sequence of powers is strictly
     decreasing until zero for nilpotents, so its first repeat at a nonzero
-    value is a certificate of failure (see `_jordan_type_rows`).
+    value is a certificate of failure (see `_jordan_type_rows`).  A Witness
+    returns its `jordan`, which `certify` computed on the same immutable rows.
     """
+    if type(a) is Witness:
+        return a.jordan
     if a.rows != a.cols:
         raise ValueError("jordan_type needs a square matrix")
     return Partition(_jordan_type_rows(_int_rows(a)))
@@ -266,17 +265,19 @@ class Witness(ExactMatrix):
 
 
 def certify(m: ExactMatrix, host, expect=None, *, seed: int | None = None) -> Witness:
-    """m as a Witness on host: checked to commute with `build_jordan(host)`,
-    with its Jordan type, which must equal expect when it is given.
+    """m as a Witness on host: checked to commute with `build_jordan(host)`
+    (`_commutes`, no product), with its type, which must equal expect if given.
 
     Every witness and sample is nilpotent and commuting by construction, so
-    any failure, a non-nilpotent m included, is a bug: it raises
-    RuntimeError naming the host, and the seed when one is given.
+    any failure, a wrong size or a non-nilpotent m included, is a bug: it
+    raises RuntimeError naming the host, and the seed when one is given.
     """
     host = Partition(host)
     where = f"host {tuple(host)}" + ("" if seed is None else f", seed {seed}")
-    j = build_jordan(host)
-    if m @ j != j @ m:
+    if (m.rows, m.cols) != (host.n, host.n):
+        raise RuntimeError(f"witness for {where} is {m.rows}x{m.cols}, not "
+                           f"{host.n}x{host.n}; bug")
+    if not _commutes(m._rows, host):
         raise RuntimeError(f"witness for {where} does not commute with its Jordan matrix; bug")
     try:
         jt = jordan_type(m)
@@ -289,6 +290,20 @@ def certify(m: ExactMatrix, host, expect=None, *, seed: int | None = None) -> Wi
     object.__setattr__(w, "host", host)
     object.__setattr__(w, "jordan", jt)
     return w
+
+
+def _commutes(rows: tuple, host: Partition) -> bool:
+    """rows @ J == J @ rows for J = `build_jordan(host)`, with no product:
+    row r of rows @ J is row r shifted one place right inside each block
+    (one itemgetter over the row and a zero), and row r of J @ rows is row
+    r + 1, or zero on a block's last row."""
+    n = host.n
+    if n == 1:  # J is zero
+        return True
+    ends = set(accumulate(host))  # one past each block's last row
+    shift = itemgetter(*[c - 1 if c and c not in ends else n for c in range(n)])
+    return all(shift(row + (0,)) == (rows[r + 1] if r + 1 not in ends else (0,) * n)
+               for r, row in enumerate(rows))
 
 
 def _jordan_type_rows(rows0, a_nz=None):

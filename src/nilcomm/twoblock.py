@@ -27,15 +27,16 @@ that `exactla.certify` makes of its dense realization, typed once.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
-from nilcomm.partitions import Partition, almost_rect, two_column
+from nilcomm.partitions import Partition, almost_rect, conjugate, two_column
 from nilcomm.exactla import ExactMatrix, Witness, _checked_int, _nonzeros, build_jordan, certify
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class TwoBlockElement:
     """Coefficient vector in the M/K/L/N span for block sizes (l1, l2).
 
@@ -44,38 +45,47 @@ class TwoBlockElement:
     is in nilpotent form only when both vanish (and, for equal blocks,
     when b[0]*c[0] = 0 as well).  Coefficients must be int or Fraction;
     `_int` is True when all are exactly int, as for `ExactMatrix._int`.
+    Immutable and slotted; lists are stored as tuples.  It equals, hashes
+    and prints as (l1, l2, a, b, c, d), and pickles through its constructor.
     """
 
-    l1: int
-    l2: int
-    a: tuple
-    b: tuple
-    c: tuple
-    d: tuple
-    _int: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("l1", "l2", "a", "b", "c", "d", "_int")
 
-    def __post_init__(self):
-        if not (self.l1 >= self.l2 >= 1):
-            raise ValueError(f"need l1 >= l2 >= 1, got ({self.l1}, {self.l2})")
-        if len(self.a) != self.l1 or any(
-            len(v) != self.l2 for v in (self.b, self.c, self.d)
-        ):
+    def __init__(self, l1: int, l2: int, a, b, c, d):
+        if not (l1 >= l2 >= 1):
+            raise ValueError(f"need l1 >= l2 >= 1, got ({l1}, {l2})")
+        if not type(a) is type(b) is type(c) is type(d) is tuple:
+            a, b, c, d = tuple(a), tuple(b), tuple(c), tuple(d)
+        if len(a) != l1 or len(b) != l2 or len(c) != l2 or len(d) != l2:
             raise ValueError("coefficient vectors have wrong length")
-        if not type(self.a) is type(self.b) is type(self.c) is type(self.d) is tuple:
-            for name in ("a", "b", "c", "d"):
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "_int", _checked_int((self.a, self.b, self.c, self.d)))
+        for name, value in zip(self.__slots__, (l1, l2, a, b, c, d, _checked_int((a, b, c, d)))):
+            _set(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("TwoBlockElement is immutable")
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.l1, self.l2, self.a, self.b, self.c, self.d
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return TwoBlockElement, self._key()
+
+    def __repr__(self):
+        return "TwoBlockElement(l1=%r, l2=%r, a=%r, b=%r, c=%r, d=%r)" % self._key()
 
     @property
     def n(self) -> int:
         return self.l1 + self.l2
 
     def is_nilpotent_form(self) -> bool:
-        if self.a[0] != 0 or self.d[0] != 0:
-            return False
-        if self.l1 == self.l2 and self.b[0] * self.c[0] != 0:
-            return False
-        return True
+        return self.a[0] == 0 == self.d[0] and not (self.l1 == self.l2 and self.b[0] * self.c[0])
 
     def leading_indices(self) -> tuple[int, int, int, int]:
         """(alpha, beta, gamma, delta): first nonzero index per family.
@@ -91,11 +101,8 @@ class TwoBlockElement:
         return tuple(out)
 
     def render(self) -> str:
-        toks = []
-        for name, vec in (("M", self.a), ("K", self.b), ("L", self.c), ("N", self.d)):
-            for i, x in enumerate(vec):
-                if x:
-                    toks.append(f"{name}[{i}]={Fraction(x)}")
+        toks = [f"{name}[{i}]={Fraction(x)}" for name, vec in zip("MKLN", self._key()[2:])
+                for i, x in enumerate(vec) if x]
         return " ".join(toks) if toks else "0"
 
 
@@ -192,30 +199,34 @@ def tb_pow_order(x: TwoBlockElement) -> int:
 
 
 def tb_to_matrix(x: TwoBlockElement) -> ExactMatrix:
-    """Dense realization; commutes with the two-block Jordan matrix exactly.
-
-    Entry types were checked by x's constructor, on n coefficients, not n^2 entries.
-    """
+    """Dense realization, `_dense_rows(x)`; its entry types were checked by
+    x's constructor, on n coefficients, not n^2 entries."""
     return ExactMatrix._trusted(_dense_rows(x), x._int)
 
 
-def _dense_rows(x: TwoBlockElement) -> tuple:
-    """x's dense rows, each the join of two windows of the coefficient tuples
-    padded by l1 - 1 zeros in front (so index s = l1 - 1 holds each constant
-    term).  With g = l1 - l2:
+# bounded above the shapes any suite, test or benchmark realizes
+@lru_cache(maxsize=2048)
+def _row_getters(l1: int, l2: int) -> tuple:
+    """One `operator.itemgetter` per dense row of the shape (l1, l2), over
+    v = a + b + c + d + (0,): a[i], b[i], c[i], d[i] at i, l1 + i, l1 + l2 + i,
+    l1 + 2 l2 + i, the zero at z = l1 + 3 l2.  By the module docstring's
+    positions, with g = l1 - l2, top row r takes a[col - r] for col < l1, then
+    b[col - l1 - r]; bottom row r c[col - g - r], then d[col - l1 - r]; the
+    zero at a negative index.  With n >= 2 entries, each returns a tuple."""
+    z = l1 + 3 * l2
 
-      top row r     a[s-r : s-r+l1] + b[s-r : s-r+l2]   (M_i at (r, r+i),
-                                                          K_k at (r, l1+k+r))
-      bottom row r  c[s-g-r : s-g-r+l1] + d[s-r : s-r+l2] (L_l at (l1+r, g+l+r),
-                                                          N_i at (l1+r, l1+r+i))
-    """
-    l1, l2 = x.l1, x.l2
-    pad = (0,) * (l1 - 1)
-    a, b, c, d = pad + x.a, pad + x.b, pad + x.c, pad + x.d
-    s = l1 - 1
-    t = l2 - 1  # s - g
-    return tuple([a[s - r:s - r + l1] + b[s - r:s - r + l2] for r in range(l1)]
-                 + [c[t - r:t - r + l1] + d[s - r:s - r + l2] for r in range(l2)])
+    def getter(left: int, s: int, right: int, r: int):
+        return operator.itemgetter(*[left + k if k >= 0 else z for k in range(-s, l1 - s)],
+                                   *[right + k if k >= 0 else z for k in range(-r, l2 - r)])
+
+    return tuple([getter(0, r, l1, r) for r in range(l1)]
+                 + [getter(l1 + l2, l1 - l2 + r, l1 + 2 * l2, r) for r in range(l2)])
+
+
+def _dense_rows(x: TwoBlockElement) -> tuple:
+    """x's dense rows, each gathered in one call by its shape's getter."""
+    v = x.a + x.b + x.c + x.d + (0,)
+    return tuple([row(v) for row in _row_getters(x.l1, x.l2)])
 
 
 def _place(rows: list, x: TwoBlockElement, o1: int, o2: int) -> None:
@@ -391,6 +402,20 @@ def construct_squarezero_partner(mu, a: int) -> Witness:
     if remaining:
         raise RuntimeError(f"rank {remaining} of {a} left unplaced on {tuple(mu)}; bug")
     return certify(ExactMatrix(rows), mu, two_column(n, a))
+
+
+def construct_conjugate_partner(lam) -> Witness:
+    """The Young-diagram grid element of type lam' on the host lam.  Box c of
+    row i is vector lam_i - 1 - c of block i, so J moves a box along its row;
+    x moves it down its column (to zero where no box is below), so it
+    commutes with J, and its chains are the columns: its type is lam'."""
+    lam = Partition(lam)
+    offsets = [0, *accumulate(lam)]
+    rows = [[0] * lam.n for _ in range(lam.n)]
+    for p, q, o, below in zip(lam, lam[1:], offsets, offsets[1:]):
+        for t in range(q):  # box (i, c) to box (i + 1, c), c = q - 1 - t
+            rows[below + t][o + p - q + t] = 1
+    return certify(ExactMatrix(rows), lam, conjugate(lam))
 
 
 def construct_lemma_eq2(lam: int, seed: int = 0) -> Witness:

@@ -22,7 +22,6 @@ from nilcomm.constraints import FORBIDDEN, compatible_filter
 from nilcomm.dinverse import dinv_diff2, dinv_two_part, dmap, dmap_all, explore_q2
 from nilcomm.partitions import (
     Partition,
-    conjugate,
     dominance_leq,
     enumerate_partitions,
     is_stable,
@@ -32,6 +31,7 @@ from nilcomm.twoblock import (
     TwoBlockElement,
     antidiagonal,
     antidiagonal_block_rank_formulas,
+    construct_conjugate_partner,
     construct_lemma_eq2,
     construct_squarezero_partner,
     tb_pow_order,
@@ -388,7 +388,8 @@ def suite11(sample_n: int, pair_n: int, seed: int, *, pairs: frozenset) -> Suite
     """No verified commuting pair is ever marked forbidden.
 
     pairs holds the (host, type) pairs verified by the construction suites
-    (WITNESS_SUITES); the sample bank and the conjugate pairs join them."""
+    (WITNESS_SUITES); the sample bank and the certified conjugate pairs
+    (`construct_conjugate_partner`) join them."""
     fails: list[str] = []
     checked = 0
     pairs = set(pairs)
@@ -398,7 +399,11 @@ def suite11(sample_n: int, pair_n: int, seed: int, *, pairs: frozenset) -> Suite
         pairs.update((lam, q) for q in draws)
     for n in range(1, pair_n + 1):
         for lam in enumerate_partitions(n):
-            pairs.add((lam, conjugate(lam)))
+            try:
+                w = construct_conjugate_partner(lam)
+                pairs.add((w.host, w.jordan))
+            except RuntimeError as exc:
+                fails.append(f"conjugate partner on {tuple(lam)}: {exc}")
     for lam, mu in sorted(pairs):
         checked += 1
         verdict = compatible_filter(lam, mu)

@@ -264,3 +264,17 @@ def draw_rows_standard(lam: tuple, stream, bound: int) -> list:
             for r in range(length):
                 rows[r0 + r][c0 + k + r] += coef
     return rows
+
+
+def slice_dense_rows(x) -> tuple:
+    """The dense rows of a two-block element by slicing: each row joins two
+    windows of the coefficient tuples padded with l1 - 1 zeros in front, so
+    index s = l1 - 1 holds each constant term.  With g = l1 - l2, top row r
+    is a[s-r : s-r+l1] + b[s-r : s-r+l2] and bottom row r is
+    c[s-g-r : s-g-r+l1] + d[s-r : s-r+l2]."""
+    l1, l2 = x.l1, x.l2
+    pad = (0,) * (l1 - 1)
+    a, b, c, d = pad + x.a, pad + x.b, pad + x.c, pad + x.d
+    s, t = l1 - 1, l2 - 1
+    return tuple([a[s - r:s - r + l1] + b[s - r:s - r + l2] for r in range(l1)]
+                 + [c[t - r:t - r + l1] + d[s - r:s - r + l2] for r in range(l2)])

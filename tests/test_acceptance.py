@@ -84,6 +84,29 @@ def test_suites_type_each_witness_once(monkeypatch):
     assert res.passed and len(calls) == 7
 
 
+def test_suite11_takes_its_conjugate_pairs_from_certified_witnesses(monkeypatch):
+    # every (host, conjugate) pair suite 11 counts is a certified grid
+    # witness's (host, jordan); a witness that fails its certificate fails
+    # the suite instead of adding its pair
+    made = []
+    grid = verify.construct_conjugate_partner
+    monkeypatch.setattr(verify, "construct_conjugate_partner",
+                        lambda lam: made.append(grid(lam)) or made[-1])
+    res = verify.suite11(1, 6, 0, pairs=frozenset())
+    hosts = [lam for n in range(1, 7) for lam in enumerate_partitions(n)]
+    assert [w.host for w in made] == hosts and all(type(w) is exactla.Witness for w in made)
+    assert res.passed and res.checked == 1000 + 29 and "29 distinct verified pairs" in res.detail
+
+    def refused(lam):
+        if tuple(lam) == (3, 1):
+            raise RuntimeError("witness for host (3, 1) does not commute; bug")
+        return grid(lam)
+
+    monkeypatch.setattr(verify, "construct_conjugate_partner", refused)
+    res = verify.suite11(1, 4, 0, pairs=frozenset())
+    assert not res.passed and "conjugate partner on (3, 1): witness for host (3, 1)" in res.detail
+
+
 @pytest.mark.parametrize("k, checked, sizes", [(6, 22, 9), (7, 43, 13), (10, 542, 0)])
 def test_fiber_suites_build_each_table_once(monkeypatch, k, checked, sizes):
     # suites 6 and 7 ask several fibers of one n: each table is built once;

@@ -274,6 +274,21 @@ def test_exit_codes_keep_failure_classes_apart(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify", "--suite", "3", "--max-n", "4")
     assert rc == 1 and err == ""
     assert out.startswith("CRITERION 3 [antidiagonal types]: FAIL") and "not nilpotent" in out
+    # a witness of the wrong size, or one that does not commute, is a bug
+    # that certify names with its host (exit 3), never a shape ValueError
+    # from a product (exit 2)
+    monkeypatch.setattr(twoblock, "tb_element", element)
+    realize = twoblock.tb_to_matrix
+    for wrong, message in (
+            (lambda x: exactla.ExactMatrix([row + (0,) for row in realize(x).row_data()]),
+             "is 8x9, not 8x8; bug"),
+            (lambda x: exactla.ExactMatrix(zip(*realize(x).row_data())),
+             "does not commute with its Jordan matrix; bug")):
+        with monkeypatch.context() as m:
+            m.setattr(twoblock, "tb_to_matrix", wrong)
+            rc, out, err = run(capsys, "construct", "antidiagonal", "5", "3", "0", "1")
+        assert (rc, out) == (3, ""), message
+        assert err == f"internal error: witness for host (5, 3) {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

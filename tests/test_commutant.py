@@ -160,10 +160,10 @@ def test_non_nilpotent_draw_raises(monkeypatch):
     real = commutant._draw
     calls = []
 
-    def first_draw_identity(lam, stream, bound):
+    def first_draw_identity(lam, coefs):
         calls.append(lam)
         if len(calls) > 1:
-            return real(lam, stream, bound)
+            return real(lam, coefs)
         n = sum(lam)
         rows = [[int(r == c) for c in range(n)] for r in range(n)]
         return rows, _nonzeros(rows)
@@ -182,7 +182,7 @@ def test_draw_matches_standard_basis_oracle():
         pos = commutant._plan(key)[0]
         for seed in range(3):
             fast, slow = Stream(seed), Stream(seed)
-            rows = commutant._draw(key, fast, 10)[0]
+            rows = commutant._draw(key, fast.ints(-10, 10, len(commutant._plan(key)[1])))[0]
             want = oracles.draw_rows_standard(key, slow, 10)
             assert [[rows[p][q] for q in pos] for p in pos] == want, (lam, seed)
             assert fast.ints(0, 2**64 - 1, 1) == slow.ints(0, 2**64 - 1, 1), (lam, seed)
@@ -199,7 +199,7 @@ def test_draw_hands_the_kernel_its_nonzero_lists():
         key = tuple(lam)
         assert all(c > r for gen in commutant._plan(key)[1] for r, c in gen), lam
         for seed in range(3):
-            rows, nz = commutant._draw(key, Stream(seed), 10)
+            rows, nz = commutant._draw(key, commutant._coefs(key, seed, 10))
             assert [set(row) for row in nz] == [set(row) for row in _nonzeros(rows)]
             assert all(len(row) == len(set(row)) for row in nz), (lam, seed)
             assert _jordan_type_rows([list(row) for row in rows], nz) == \

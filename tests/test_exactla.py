@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nilcomm import exactla, twoblock
+from nilcomm import commutant, exactla, twoblock
 from nilcomm.exactla import (
     ExactMatrix,
     Witness,
@@ -181,6 +181,72 @@ def test_certify_types_witnesses_and_raises_on_bugs():
         certify(ident, host, seed=5)
     with pytest.raises(RuntimeError, match=r"has type \(3, 1\), expected \(2, 2\)"):
         certify(j, host, (2, 2))
+
+
+def test_commutation_test_agrees_with_the_products():
+    # `_commutes` against m @ J == J @ m on every host with n <= 8: certified
+    # witnesses (square-zero partners of every rank, the conjugate partner),
+    # sampled draws, and single-entry changes of each.  E_rc commutes with J
+    # exactly when r starts a block and c ends one, so a change anywhere else
+    # must fail
+    rng = random.Random(36)
+    changed = failed = 0
+    for host in partitions_up_to(8):
+        n, j = host.n, build_jordan(host)
+        firsts = {0, *itertools.accumulate(host[:-1])}
+        lasts = {e - 1 for e in itertools.accumulate(host)}
+        ms = [twoblock.construct_squarezero_partner(host, a) for a in range(n // 2 + 1)]
+        ms += [twoblock.construct_conjugate_partner(host)]
+        ms += [sample_nilpotent_commuting(host, seed) for seed in range(3)]
+        for m in ms:
+            assert exactla._commutes(m.row_data(), host) and m @ j == j @ m, host
+            for _ in range(4):
+                r, c = rng.randrange(n), rng.randrange(n)
+                rows = [list(row) for row in m.row_data()]
+                rows[r][c] += rng.choice((-2, -1, 1, Fraction(1, 2)))
+                p = ExactMatrix(rows)
+                got = exactla._commutes(p.row_data(), host)
+                assert got == (p @ j == j @ p) == (r in firsts and c in lasts), (host, r, c)
+                changed += 1
+                failed += not got
+    assert (changed, failed) == (2100, 1391)
+
+
+def test_certify_refuses_a_wrong_size_as_a_bug():
+    # certify multiplies nothing, so a matrix of the wrong size is its own
+    # RuntimeError naming the host, never the product's shape ValueError
+    host = (3, 1)
+    for m in (build_jordan((3, 2)), ExactMatrix([[0, 1, 0, 0]] * 3), ExactMatrix([[0]])):
+        with pytest.raises(RuntimeError, match=r"^witness for host \(3, 1\), seed 4 is "
+                                               r"\d+x\d+, not 4x4; bug$"):
+            certify(m, host, seed=4)
+    with pytest.raises(RuntimeError, match=r"host \(3, 1\) does not commute"):
+        certify(build_jordan((2, 2)), host)
+    # on the host (1), J is zero: every 1 x 1 matrix commutes, and only the
+    # zero matrix is nilpotent
+    assert certify(ExactMatrix([[0]]), (1,)).jordan == (1,)
+    with pytest.raises(RuntimeError, match=r"host \(1,\): matrix is not nilpotent"):
+        certify(ExactMatrix([[7]]), (1,))
+
+
+def test_a_witness_is_typed_once(monkeypatch):
+    # jordan_type of a Witness is its `jordan`, the type certify computed on
+    # the same rows: no rank is taken again, and it equals the plain
+    # matrix's type
+    witnesses = [twoblock.construct_squarezero_partner((5, 3, 2), 4),
+                 twoblock.construct_lemma_eq2(4), twoblock.construct_conjugate_partner((4, 2, 1)),
+                 sample_nilpotent_commuting((3, 2, 2), 1), certify(build_jordan((2, 1)), (2, 1))]
+    calls = []
+    for name in ("_jordan_type_rows", "_int_rank", "_int_rows"):
+        real = getattr(exactla, name)
+        monkeypatch.setattr(exactla, name, lambda *a, real=real: calls.append(a) or real(*a))
+    for w in witnesses:
+        del calls[:]
+        assert jordan_type(w) is w.jordan and not calls
+        assert jordan_type(ExactMatrix(w.row_data())) == w.jordan and calls
+    # certified again, on another host it commutes with, it keeps its type
+    w = certify(witnesses[-1], (2, 1))
+    assert w.jordan is witnesses[-1].jordan
 
 
 def test_only_certify_makes_a_witness():
@@ -443,7 +509,7 @@ def test_sampler_draws_have_acyclic_patterns():
     # rank drop of one
     for lam in partitions_up_to(12):
         for seed in range(3):
-            rows = _draw(tuple(lam), Stream(seed), 10)[0]
+            rows = _draw(tuple(lam), commutant._coefs(tuple(lam), seed, 10))[0]
             assert is_triangular(rows), (lam, seed)
 
 
@@ -535,6 +601,9 @@ def test_witnesses_off_the_triangle_rank_down_to_zero(rank_calls):
             witnesses.append(("sample", sample_nilpotent_commuting(lam, seed)))
     counts, past = {}, {}
     for kind, m in witnesses:
+        # a witness is typed already (`jordan_type` returns its `jordan`), so
+        # the kernel is tested on the plain matrix of its rows
+        m = ExactMatrix(m.row_data())
         want = oracles.jordan_type_by_nullities(m)
         rank_calls.clear()
         assert jordan_type(m) == want, m.row_data()

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,13 @@ from nilcomm import exactla, twoblock, verify
 from nilcomm._rng import Stream, derive
 from nilcomm.commutant import sample_nilpotent_commuting
 from nilcomm.exactla import ExactMatrix, Witness, build_jordan, jordan_type, rank
-from nilcomm.partitions import Partition, almost_rect, enumerate_partitions, two_column
+from nilcomm.partitions import (Partition, almost_rect, conjugate, enumerate_partitions,
+                                two_column)
 from nilcomm.twoblock import (
     TwoBlockElement,
     antidiagonal,
     antidiagonal_block_rank_formulas,
+    construct_conjugate_partner,
     construct_lemma_eq2,
     construct_lemma_odd,
     construct_squarezero_partner,
@@ -320,6 +324,19 @@ def test_dense_rows_match_placement():
     oracles.assert_trusted_matrix(tb_to_matrix(x))
 
 
+def test_gathered_rows_match_the_slice_realization():
+    # `_dense_rows` gathers each row by its shape's itemgetter; the slicing
+    # oracle joins two windows per row.  Every shape with n <= 40, with int
+    # and with Fraction coefficients, zeros included
+    rng = Stream(derive(7, 12))
+    for l1, l2 in shapes_up_to_n(40):
+        for x in (int_element(l1, l2, rng), random_element(l1, l2, rng)):
+            rows = twoblock._dense_rows(x)
+            assert rows == oracles.slice_dense_rows(x), (l1, l2)
+            assert all(type(row) is tuple and len(row) == l1 + l2 for row in rows)
+    assert twoblock._row_getters(3, 2) is twoblock._row_getters(3, 2)
+
+
 def test_int_flag_of_realizations_and_products():
     rng = Stream(derive(7, 10))
     for l1, l2 in shapes(5):
@@ -390,6 +407,31 @@ def test_list_coefficients_become_tuples():
     assert tb_to_matrix(x) == tb_to_matrix(y)
     assert tb_pow_order(x) == tb_pow_order(y) == dense_order(y)
     assert tb_rank(x) == rank(tb_to_matrix(y))
+
+
+def test_element_is_immutable_and_compares_by_its_fields():
+    x = TwoBlockElement(3, 2, (0, 1, Fraction(1, 2)), (3, 4), (5, 6), (0, 7))
+    assert repr(x) == ("TwoBlockElement(l1=3, l2=2, a=(0, 1, Fraction(1, 2)), "
+                       "b=(3, 4), c=(5, 6), d=(0, 7))")
+    for name in ("a", "l1", "_int", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, (0, 0, 0))
+    with pytest.raises(AttributeError, match="immutable"):
+        del x.a
+    assert not hasattr(x, "__dict__")
+    y = TwoBlockElement(3, 2, (0, 1, Fraction(1, 2)), (3, 4), (5, 6), (0, 8))
+    assert x != y and hash(x) != hash(y) and len({x, y, tb_element(3, 2, terms(x))}) == 2
+    assert x != (3, 2, x.a, x.b, x.c, x.d)
+    # pickle and copy rebuild through the constructor
+    for got in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(got) is TwoBlockElement and got == x and hash(got) == hash(x)
+        assert got._int is x._int is False
+    for args, message in (((2, 3, (0, 0), (0,) * 3, (0,) * 3, (0,) * 3), "need l1 >= l2 >= 1"),
+                          ((2, 0, (0, 0), (), (), ()), "need l1 >= l2 >= 1"),
+                          ((3, 2, (0, 0), (0, 0), (0, 0), (0, 0)), "wrong length"),
+                          ((3, 2, (0, 0, 0), (0, 0), (0,), (0, 0)), "wrong length")):
+        with pytest.raises(ValueError, match=message):
+            TwoBlockElement(*args)
 
 
 def test_rank_is_the_dense_rank():
@@ -612,6 +654,24 @@ def equal_block_partner(m):
     for r in range(m):
         rows[r][m + r] = 1
     return ExactMatrix(rows)
+
+
+def test_conjugate_partner_is_the_grid_element():
+    # every host with n <= 12 (suite 11's conjugate pairs): a Witness on the
+    # host of the conjugate type, which commutes with the host's Jordan
+    # matrix by the product oracle; for n <= 8 the nullity oracle types it
+    for lam in (p for n in range(1, 13) for p in enumerate_partitions(n)):
+        w = construct_conjugate_partner(lam)
+        assert type(w) is Witness and (w.host, w.jordan) == (lam, conjugate(lam))
+        j = build_jordan(lam).row_data()
+        assert oracles.naive_product(w.row_data(), j) == \
+            oracles.naive_product(j, w.row_data()), lam
+        if lam.n <= 8:
+            assert oracles.jordan_type_by_nullities(ExactMatrix(w.row_data())) == \
+                conjugate(lam), lam
+    # a box moves down its column: (2, 1) has x e_1 = e_2, and (1, 1) x e_0 = e_1
+    assert construct_conjugate_partner((2, 1)).row_data() == ((0, 0, 0), (0, 0, 0), (0, 1, 0))
+    assert construct_conjugate_partner((1, 1)).row_data() == ((0, 0), (1, 0))
 
 
 def test_lemma_eq2_types():
