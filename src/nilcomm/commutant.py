@@ -102,7 +102,7 @@ def _draw(lam: tuple, coefs) -> tuple:
 
 
 def _coefs(lam: tuple, seed: int, bound: int) -> list:
-    """Seed's stream of coefficients in [-bound, bound], one per `_draw`."""
+    """Seed's coefficients in [-bound, bound], one per drawn generator of `_plan(lam)`."""
     if bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     return Stream(seed).ints(-bound, bound, len(_plan(lam)[1]))
