@@ -47,6 +47,10 @@ Measurements:
   partitions of 10, the small hosts that carry most of a sample bank's time;
 - commutant.sample_nilpotent_commuting_s: one certified sample, in the
   standard basis, on each of the 42 partitions of 10;
+- commutant.generic_witness_s: `generic_witness`, the fixed element
+  certified in the standard basis, on each of the 42 partitions of 10; a
+  checkout from before that function is timed on the same element, built
+  from `_draw`, `_plan` and `certify` as the function builds it;
 - twoblock.element_s: constructions (`TwoBlockElement`, entry check
   included) of 200 fixed nilpotent two-block elements;
 - twoblock.tb_pow_order_s: orders of the same 200 elements;
@@ -95,7 +99,8 @@ Measurements:
 A run stopped by SIGTERM still removes the package copies its workers made.
 
 Inputs are fixed (seeded `random`, never the library's own generator), and
-only names that every benchmarked version of the library has are used.
+only names that every benchmarked version of the library has are used,
+but for `generic_witness`, which has a stand-in.
 Standard library only.
 """
 
@@ -258,6 +263,13 @@ def measurements(root: str, pkg_root: str) -> dict:
             x, pred, _ = twoblock.antidiagonal(l1, l2, j, l, coef(), coef())
             certify_args.append((twoblock.tb_to_matrix(x), (l1, l2), pred))
     small_hosts = [tuple(lam) for lam in partitions.enumerate_partitions(10)]
+
+    def fixed_element(lam):
+        rows, pos = commutant._draw(lam, range(1, len(commutant._plan(lam)[1]) + 1))[0], \
+            commutant._plan(lam)[0]
+        return exactla.certify(exactla.ExactMatrix([[rows[p][q] for q in pos] for p in pos]), lam)
+
+    generic_witness = getattr(commutant, "generic_witness", fixed_element)
     plan_hosts = [tuple(lam) for n in range(1, 13)
                   for lam in partitions.enumerate_partitions(n)]
     filter_pairs = [(lam, mu) for n in range(1, 11)
@@ -313,6 +325,8 @@ def measurements(root: str, pkg_root: str) -> dict:
             commutant.sample_jordan(lam, s) for lam in small_hosts for s in range(5)]),
         "commutant.sample_nilpotent_commuting_s": lambda: timed(lambda: [
             commutant.sample_nilpotent_commuting(lam, 0) for lam in small_hosts]),
+        "commutant.generic_witness_s": lambda: timed(lambda: [
+            generic_witness(lam) for lam in small_hosts]),
         "twoblock.element_s": lambda: timed(lambda: [
             twoblock.TwoBlockElement(*v) for v in draws]),
         "twoblock.tb_pow_order_s": lambda: timed(lambda: [

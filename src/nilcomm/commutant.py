@@ -7,14 +7,15 @@ gives a basis of dimension sum(min(p_i, p_j)).
 
 Random nilpotent elements drawn on that basis have Jordan types dominated by
 the generic commuting type D(p).  D itself is computed by Oblak's recursion
-in `dinverse`.
+in `dinverse`.  Both samplers draw from the seed they are given, and
+`generic_witness` is one fixed draw, certified, whose type reaches D(p).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from nilcomm._rng import Stream, derive
+from nilcomm._rng import Stream
 # perfbench/run.py imports dmap_index from this module
 from nilcomm.dinverse import dmap_index  # noqa: F401
 from nilcomm.partitions import Partition
@@ -114,14 +115,27 @@ def sample_jordan(lam, seed: int, coeff_bound: int = 10) -> tuple:
     return _jordan_type_rows(*_draw(tuple(lam), _coefs(tuple(lam), seed, coeff_bound)))
 
 
+def _witness(lam: Partition, coefs, seed: int | None = None) -> Witness:
+    """The draw with coefs in the standard basis, certified on host lam."""
+    rows, pos = _draw(lam, coefs)[0], _plan(lam)[0]
+    return certify(ExactMatrix([[rows[p][q] for q in pos] for p in pos]), lam, seed=seed)
+
+
 def sample_nilpotent_commuting(lam, seed: int, coeff_bound: int = 10) -> Witness:
     """Verified random nilpotent element commuting with the Jordan matrix of
-    lam, in the standard basis: a Witness on host lam with its type `jordan`.
+    lam, in the standard basis: a Witness on host lam with its type `jordan`,
+    the draw `sample_jordan(lam, seed, coeff_bound)` types.
 
     The draw scheme makes non-nilpotent output impossible, but the contract is
     exact verification, so the sample is certified (`exactla.certify`); a
     failed check signals a bug, not bad luck, and raises with the seed.
     """
     lam = Partition(lam)
-    rows, pos = _draw(lam, _coefs(lam, derive(seed, 1, 0), coeff_bound))[0], _plan(lam)[0]
-    return certify(ExactMatrix([[rows[p][q] for q in pos] for p in pos]), lam, seed=seed)
+    return _witness(lam, _coefs(lam, seed, coeff_bound), seed)
+
+
+def generic_witness(lam) -> Witness:
+    """The draw with coefficient i + 1 on the i-th drawn generator, certified
+    on host lam: its type is `dmap(lam)` for every lam with n <= 20."""
+    lam = Partition(lam)
+    return _witness(lam, range(1, len(_plan(lam)[1]) + 1))

@@ -52,6 +52,7 @@ class TwoBlockElement:
     __slots__ = ("l1", "l2", "a", "b", "c", "d", "_int")
 
     def __init__(self, l1: int, l2: int, a, b, c, d):
+        l1, l2 = operator.index(l1), operator.index(l2)
         if not (l1 >= l2 >= 1):
             raise ValueError(f"need l1 >= l2 >= 1, got ({l1}, {l2})")
         if not type(a) is type(b) is type(c) is type(d) is tuple:
@@ -327,22 +328,10 @@ def antidiagonal_block_rank_formulas(l1: int, l2: int, j: int, l: int, m: int) -
     Keys '11', '12', '21', '22' give the rank of each block of the power;
     odd powers live on the antidiagonal, even powers on the diagonal.
     """
-    w = l1 - l2 + j + l
+    w, h = l1 - l2 + j + l, (m + 1) // 2
     if m % 2 == 0:
-        h = m // 2
-        return {
-            "11": max(l1 - h * w, 0),
-            "22": max(l2 - h * w, 0),
-            "12": 0,
-            "21": 0,
-        }
-    h = (m + 1) // 2
-    return {
-        "11": 0,
-        "22": 0,
-        "12": max(l1 + l - h * w, 0),
-        "21": max(l1 + j - h * w, 0),
-    }
+        return {"11": max(l1 - h * w, 0), "22": max(l2 - h * w, 0), "12": 0, "21": 0}
+    return {"11": 0, "22": 0, "12": max(l1 + l - h * w, 0), "21": max(l1 + j - h * w, 0)}
 
 
 def construct_lemma_odd(l1: int, l2: int, a: int) -> Witness:

@@ -8,7 +8,7 @@ import hashlib
 
 import pytest
 
-from nilcomm import exactla, verify
+from nilcomm import commutant, exactla, verify
 from nilcomm.constraints import compatible_filter
 from nilcomm.partitions import enumerate_partitions, is_almost_rectangular
 
@@ -105,6 +105,28 @@ def test_suite11_takes_its_conjugate_pairs_from_certified_witnesses(monkeypatch)
     monkeypatch.setattr(verify, "construct_conjugate_partner", refused)
     res = verify.suite11(1, 4, 0, pairs=frozenset())
     assert not res.passed and "conjugate partner on (3, 1): witness for host (3, 1)" in res.detail
+
+
+def test_suite2_certifies_the_fixed_element_and_draws_nothing(monkeypatch):
+    # each two-column shape with n <= 10 is checked on `generic_witness`, a
+    # certified Witness of type (n), with no draw; a witness that fails its
+    # certificate fails the suite
+    made = []
+    fixed = verify.generic_witness
+    monkeypatch.setattr(verify, "generic_witness", lambda lam: made.append(fixed(lam)) or made[-1])
+    monkeypatch.setattr(commutant, "_coefs", lambda *args: pytest.fail("suite 2 drew"))
+    res = verify.SUITES[2](16, 0, frozenset())
+    assert res.passed and res.checked == 115 and len(made) == 35  # shapes with n <= 10
+    assert all(type(w) is exactla.Witness and w.jordan == (w.host.n,) for w in made)
+
+    def refused(lam):
+        if tuple(lam) == (2, 2, 1):
+            raise RuntimeError("witness for host (2, 2, 1) does not commute; bug")
+        return fixed(lam)
+
+    monkeypatch.setattr(verify, "generic_witness", refused)
+    res = verify.suite2(6, 6)
+    assert not res.passed and "1 failures; first: lam=(2, 2, 1): witness for host" in res.detail
 
 
 @pytest.mark.parametrize("k, checked, sizes", [(6, 22, 9), (7, 43, 13), (10, 542, 0)])

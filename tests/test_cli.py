@@ -11,6 +11,7 @@ import pytest
 import nilcomm
 from nilcomm import cli, dinverse, exactla, twoblock, verify
 from nilcomm.cli import build_parser, main
+from nilcomm.commutant import sample_jordan, sample_nilpotent_commuting
 from nilcomm.partitions import enumerate_partitions
 
 SRC = str(Path(nilcomm.__file__).resolve().parent.parent)
@@ -96,6 +97,20 @@ def test_sample_is_deterministic(capsys):
     assert len(doc["samples"]) == 3
     rc3, out3, _ = run(capsys, "sample", "4,2", "--count", "3", "--json", "--seed", "9")
     assert out3 != out1
+
+
+def test_each_sample_re_derives_from_its_printed_seed(capsys):
+    # both samplers draw from the seed a sample prints, so its JSON entry
+    # alone reproduces its type
+    for flags in ([], ["--coeff-bound", "2"]):
+        rc, out, _ = run(capsys, "sample", "4,2,1", "--count", "5", "--seed", "3",
+                         "--json", *flags)
+        samples = json.loads(out)["samples"]
+        assert (rc, len(samples)) == (0, 5)
+        for entry in samples:
+            args = (entry["lambda"], entry["seed"], entry["coeff_bound"])
+            assert list(sample_jordan(*args)) == entry["jordan"], entry
+            assert list(sample_nilpotent_commuting(*args).jordan) == entry["jordan"], entry
 
 
 def test_sample_rejects_count_below_one(capsys):
@@ -589,10 +604,11 @@ def golden_line(capsys, argv) -> str:
 
 
 # SHA-256 of cli_golden.txt, one golden_line per cli_invocations() entry and
-# then one for an internal error; recorded on the code of commit 94e201a.  A
+# then one for an internal error; recorded on the code of commit 94e201a, and
+# its `sample` lines again once both samplers drew from the seed given.  A
 # change that alters output writes the new lines there, records their digest
 # here and lists the invocations that changed in CHANGES.md
-CLI_DIGEST = "e82c9e30213468e1f8594d28e5713dbd6a78d0d6af5bf63ec471ec8e514e7ba4"
+CLI_DIGEST = "91515c7cf1a49813fddbd607760980f181cc0531243abafb7dfd02f885187a22"
 
 
 def test_cli_output_matches_the_recorded_digest(capsys, monkeypatch):

@@ -3,11 +3,12 @@ import hashlib
 import pytest
 
 from nilcomm import cli, commutant, verify
-from nilcomm.commutant import sample_jordan, sample_nilpotent_commuting
+from nilcomm.commutant import generic_witness, sample_jordan, sample_nilpotent_commuting
 from nilcomm.dinverse import dmap, dmap_index
 from nilcomm._rng import Stream, derive
 from nilcomm.exactla import (
     ExactMatrix,
+    Witness,
     _jordan_type_rows,
     _nonzeros,
     build_jordan,
@@ -65,13 +66,11 @@ def test_samples_commute_and_are_nilpotent():
     a = sample_nilpotent_commuting(Partition([4, 2]), 123)
     b = sample_nilpotent_commuting(Partition([4, 2]), 123)
     assert a == b
-    # the certified sample is the draw sample_jordan makes from the seed
-    # derive(seed, 1, 0), not from seed itself
-    for p in partitions_up_to(8):
-        if p.n >= 2:
-            for s in range(20):
-                assert sample_jordan(p, derive(s, 1, 0)) == \
-                    sample_nilpotent_commuting(p, s).jordan, (tuple(p), s)
+    # the certified sample is the draw sample_jordan makes from the same seed
+    pairs = [(p, s) for p in partitions_up_to(8) if p.n >= 2 for s in range(20)]
+    assert len(pairs) == 1300
+    for p, s in pairs:
+        assert sample_jordan(p, s) == sample_nilpotent_commuting(p, s).jordan, (tuple(p), s)
 
 
 def test_sampled_types_never_beat_the_image():
@@ -105,19 +104,30 @@ def test_dmap_ar_shapes_collapse():
 
 
 def test_dmap_recursion_agrees_with_sampling():
-    # every sampled type lies below D(p) in dominance, and some draw reaches
-    # it, so D(p) is the dominance maximum of the sampled types
+    # the fixed element reaches D(p), certified on host p, and sampled types
+    # lie below D(p) in dominance, so D(p) is the dominance maximum
     parts = partitions_up_to(16)
     assert len(parts) == 914
     for p in parts:
         d = dmap(p)
-        for i in range(64):
+        w = generic_witness(p)
+        assert type(w) is Witness and (w.host, w.jordan) == (p, d), (p, w.jordan, d)
+        for i in range(2):
             q = sample_jordan(p, derive(0, 2, i))
             assert dominance_leq(q, d), (p, i, q, d)
-            if q == d:
-                break
-        else:
-            pytest.fail(f"no draw of type {tuple(d)} for {tuple(p)} in 64")
+
+
+def test_generic_witness_is_the_fixed_draw():
+    # coefficient i + 1 on the i-th drawn generator, with no seed: it is the
+    # same element on every call, and all-ones coefficients, which miss D
+    # first on (4, 2), are not enough
+    for lam in ((4, 2), (3, 2, 1), (5, 3, 3)):
+        k = len(commutant._plan(lam)[1])
+        w = generic_witness(lam)
+        assert w == commutant._witness(Partition(lam), list(range(1, k + 1)))
+        assert w == generic_witness(Partition(lam))
+    ones = [1] * len(commutant._plan((4, 2))[1])
+    assert commutant._witness(Partition((4, 2)), ones).jordan != dmap((4, 2))
 
 
 def test_dmap_index_matches_first_part():

@@ -644,6 +644,16 @@ def test_constructions_refuse_a_non_integer_rank_or_block():
     assert construct_lemma_odd(True, True, True) == construct_lemma_odd(1, 1, 1)
 
 
+def test_element_refuses_a_non_integer_block_size():
+    # read with operator.index as the constructions read theirs, so a float
+    # fails when the element is built, not later in tb_rank or tb_to_matrix
+    for l1, l2 in ((3.0, 2), (3, 2.0), (Fraction(3), 2)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            TwoBlockElement(l1, l2, (0, 1, 2), (3, 4), (5, 6), (0, 7))
+    x = TwoBlockElement(True, True, (0,), (1,), (0,), (0,))
+    assert (x.l1, x.l2) == (1, 1) and type(x.l1) is type(x.l2) is int
+
+
 def equal_block_partner(m):
     """J_(m,m) + K_0 as dense rows, written without the coefficient algebra:
     ones on both blocks' superdiagonals and at (r, m + r)."""
