@@ -48,9 +48,7 @@ Measurements:
 - commutant.sample_nilpotent_commuting_s: one certified sample, in the
   standard basis, on each of the 42 partitions of 10;
 - commutant.generic_witness_s: `generic_witness`, the fixed element
-  certified in the standard basis, on each of the 42 partitions of 10; a
-  checkout from before that function is timed on the same element, built
-  from `_draw`, `_plan` and `certify` as the function builds it;
+  certified in the standard basis, on each of the 42 partitions of 10;
 - twoblock.element_s: constructions (`TwoBlockElement`, entry check
   included) of 200 fixed nilpotent two-block elements;
 - twoblock.tb_pow_order_s: orders of the same 200 elements;
@@ -67,6 +65,8 @@ Measurements:
 - twoblock.squarezero_s: `construct_squarezero_partner(mu, a)` for every
   partition mu with n <= 10 and every rank a (suite 1's 663 witnesses), then
   `construct_lemma_odd(l1, l2, a)` on the 408 inputs with n <= 16;
+- twoblock.conjugate_s: `construct_conjugate_partner(lam)` on the 271
+  partitions with n <= 12, suite 11's grid certifications;
 - exactla.rank_{10,16,24}_s: ranks of ten fixed integer matrices of
   rank n - 2;
 - exactla.rank_40_s: the same at n = 40, drawn from a generator of their
@@ -99,8 +99,7 @@ Measurements:
 A run stopped by SIGTERM still removes the package copies its workers made.
 
 Inputs are fixed (seeded `random`, never the library's own generator), and
-only names that every benchmarked version of the library has are used,
-but for `generic_witness`, which has a stand-in.
+only names that every benchmarked version of the library has are used.
 Standard library only.
 """
 
@@ -263,13 +262,6 @@ def measurements(root: str, pkg_root: str) -> dict:
             x, pred, _ = twoblock.antidiagonal(l1, l2, j, l, coef(), coef())
             certify_args.append((twoblock.tb_to_matrix(x), (l1, l2), pred))
     small_hosts = [tuple(lam) for lam in partitions.enumerate_partitions(10)]
-
-    def fixed_element(lam):
-        rows, pos = commutant._draw(lam, range(1, len(commutant._plan(lam)[1]) + 1))[0], \
-            commutant._plan(lam)[0]
-        return exactla.certify(exactla.ExactMatrix([[rows[p][q] for q in pos] for p in pos]), lam)
-
-    generic_witness = getattr(commutant, "generic_witness", fixed_element)
     plan_hosts = [tuple(lam) for n in range(1, 13)
                   for lam in partitions.enumerate_partitions(n)]
     filter_pairs = [(lam, mu) for n in range(1, 11)
@@ -326,7 +318,7 @@ def measurements(root: str, pkg_root: str) -> dict:
         "commutant.sample_nilpotent_commuting_s": lambda: timed(lambda: [
             commutant.sample_nilpotent_commuting(lam, 0) for lam in small_hosts]),
         "commutant.generic_witness_s": lambda: timed(lambda: [
-            generic_witness(lam) for lam in small_hosts]),
+            commutant.generic_witness(lam) for lam in small_hosts]),
         "twoblock.element_s": lambda: timed(lambda: [
             twoblock.TwoBlockElement(*v) for v in draws]),
         "twoblock.tb_pow_order_s": lambda: timed(lambda: [
@@ -351,6 +343,8 @@ def measurements(root: str, pkg_root: str) -> dict:
         "twoblock.squarezero_s": lambda: timed(lambda: (
             [twoblock.construct_squarezero_partner(*args) for args in squarezero_args],
             [twoblock.construct_lemma_odd(*args) for args in lemma_odd_args])),
+        "twoblock.conjugate_s": lambda: timed(lambda: [
+            twoblock.construct_conjugate_partner(lam) for lam in plan_hosts]),
         "exactla.matmul_s": lambda: timed(lambda: [
             m @ m for ms in powers.values() for m in ms]),
         "exactla.certify_s": lambda: timed(lambda: [

@@ -1,14 +1,10 @@
-"""Centralizer of a nilpotent Jordan matrix and seeded sampling inside it.
+"""Seeded sampling in the centralizer of a nilpotent Jordan matrix.
 
-The centralizer of the block-diagonal nilpotent J decomposes into rectangular
-blocks, one per pair of Jordan blocks, each constant along diagonals with the
-lower-left triangle forced to zero.  One generator per admissible diagonal
-gives a basis of dimension sum(min(p_i, p_j)).
-
-Random nilpotent elements drawn on that basis have Jordan types dominated by
-the generic commuting type D(p).  D itself is computed by Oblak's recursion
-in `dinverse`.  Both samplers draw from the seed they are given, and
-`generic_witness` is one fixed draw, certified, whose type reaches D(p).
+Random nilpotent elements drawn on its basis, `exactla._generators`, have
+Jordan types dominated by the generic commuting type D(p).  D itself is
+computed by Oblak's recursion in `dinverse`.  Both samplers draw from the
+seed they are given, and `generic_witness` is one fixed draw, certified,
+whose type reaches D(p).
 """
 
 from __future__ import annotations
@@ -19,27 +15,7 @@ from nilcomm._rng import Stream
 # perfbench/run.py imports dmap_index from this module
 from nilcomm.dinverse import dmap_index  # noqa: F401
 from nilcomm.partitions import Partition
-from nilcomm.exactla import ExactMatrix, Witness, _jordan_type_rows, certify
-
-
-# generator descriptor: (block row i, block col j, diagonal offset, length,
-# row origin, col origin); entries are ones at (row0 + r, col0 + offset + r)
-Gen = tuple
-
-
-def _generators(lam: Partition) -> tuple[Gen, ...]:
-    offs = []
-    off = 0
-    for p in lam:
-        offs.append(off)
-        off += p
-    gens = []
-    for i, p in enumerate(lam):
-        for j, q in enumerate(lam):
-            m = min(p, q)
-            for k in range(q - m, q):
-                gens.append((i, j, k, min(p, q - k), offs[i], offs[j]))
-    return tuple(gens)
+from nilcomm.exactla import ExactMatrix, Witness, _generators, _jordan_type_rows, certify
 
 
 @lru_cache(maxsize=None)

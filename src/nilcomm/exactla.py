@@ -22,6 +22,7 @@ test and consumes the rows.  Every other matrix is tested on every call.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import itemgetter
@@ -162,6 +163,49 @@ def build_jordan(p) -> ExactMatrix:
     ps = tuple(p)
     ends, n = set(accumulate(ps)), sum(ps)  # ends: one past each block's last row
     return ExactMatrix([[int(c == r + 1 not in ends) for c in range(n)] for r in range(n)])
+
+
+def _generators(lam) -> tuple:
+    """The centralizer of J_lam decomposes into rectangular blocks, one per
+    pair of Jordan blocks, each constant along diagonals with the lower-left
+    triangle zero: one generator per admissible diagonal, sum(min(p_i, p_j))
+    in all.  Each is (block row i, block col j, diagonal offset k, length, row
+    origin r0, col origin c0), ones at (r0 + r, c0 + k + r) for r < length:
+    the one map from a generator to its cells, read by `commutant._plan` and `_layout`."""
+    offs = [0, *accumulate(lam)]
+    gens = []
+    for i, p in enumerate(lam):
+        for j, q in enumerate(lam):
+            m = min(p, q)
+            for k in range(q - m, q):
+                gens.append((i, j, k, min(p, q - k), offs[i], offs[j]))
+    return tuple(gens)
+
+
+# bounded above the hosts any suite, test or benchmark realizes
+@lru_cache(maxsize=2048)
+def _layout(lam: tuple) -> tuple:
+    """(index, rows): index maps each generator's key (i, j, k) to its place
+    in `_generators(lam)`; rows has one itemgetter per dense row over the
+    coefficients in that order and a zero, for the cells no generator has."""
+    gens, n = _generators(lam), sum(lam)
+    cells = [[len(gens)] * n for _ in range(n)]
+    for g, (i, j, k, length, r0, c0) in enumerate(gens):
+        for r in range(length):
+            cells[r0 + r][c0 + k + r] = g
+    # an itemgetter of one index returns no tuple; at n = 1 generator 0 is the cell
+    rows = tuple(itemgetter(*cols) if n > 1 else itemgetter(slice(1)) for cols in cells)
+    return {gen[:3]: g for g, gen in enumerate(gens)}, rows
+
+
+def _realize(lam, coef: dict) -> ExactMatrix:
+    """The checked matrix of sum coef[i, j, k] times generator (i, j, k) of the
+    nonincreasing host lam; a key that is no generator's raises KeyError."""
+    index, rows = _layout(lam)
+    v = [0] * (len(index) + 1)
+    for key, value in coef.items():
+        v[index[key]] = value
+    return ExactMatrix([row(v) for row in rows])
 
 
 def _int_rank(rows: list) -> int:

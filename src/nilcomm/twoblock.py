@@ -17,22 +17,23 @@ with M_j = 0 for j >= l1 and K_j = L_j = N_j = 0 for j >= l2.  That is the
 algebra End_R(V) of V = R/t^l1 + R/t^l2, R = k[t]: with g = l1 - l2, the
 element (a, b, c, d) acts on (u, w) in V as the 2x2 polynomial matrix
 [[a, t^g b], [c, d]], and takes the block generators g1 = (1, 0) and
-g2 = (0, 1) to (a, c) and (t^g b, d).  Working with coefficient vectors
-instead of dense matrices makes products, orders and ranks of these elements
-nearly free.  Every construction below is a fixed element written down in
-closed form (none draws random numbers) and returned as the `exactla.Witness`
-that `exactla.certify` makes of its dense realization, typed once.
+g2 = (0, 1) to (a, c) and (t^g b, d).  The four families are the generators
+`exactla._generators` lists for (l1, l2), in that order: a + b + c + d is an
+element's coefficient vector on that basis.  Working with it instead of dense
+matrices makes products, orders and ranks nearly free.  Every construction
+below is a fixed element written down in closed form (none draws random
+numbers) and returned as the `exactla.Witness` that `exactla.certify` makes
+of its dense realization, typed once.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
 
 from nilcomm.partitions import Partition, almost_rect, conjugate, two_column
-from nilcomm.exactla import ExactMatrix, Witness, _checked_int, _nonzeros, build_jordan, certify
+from nilcomm.exactla import (ExactMatrix, Witness, _checked_int, _layout, _nonzeros, _realize,
+                             build_jordan, certify)
 
 _set = object.__setattr__
 
@@ -112,7 +113,8 @@ def tb_element(l1: int, l2: int, terms) -> TwoBlockElement:
     terms, family in 'M', 'K', 'L', 'N'; an index outside 0 <= i < l1 (M)
     or 0 <= i < l2 (K, L, N) raises ValueError.  Each coef is checked first,
     as the constructor checks it: a sum would turn a bool into an int."""
-    terms = tuple(terms)
+    l1, l2 = operator.index(l1), operator.index(l2)
+    terms = [(family, operator.index(i), coef) for family, i, coef in terms]
     _checked_int([[coef for _, _, coef in terms]])
     vecs = {"M": [0] * l1, "K": [0] * l2, "L": [0] * l2, "N": [0] * l2}
     for family, i, coef in terms:
@@ -200,44 +202,11 @@ def tb_pow_order(x: TwoBlockElement) -> int:
 
 
 def tb_to_matrix(x: TwoBlockElement) -> ExactMatrix:
-    """Dense realization, `_dense_rows(x)`; its entry types were checked by
-    x's constructor, on n coefficients, not n^2 entries."""
-    return ExactMatrix._trusted(_dense_rows(x), x._int)
-
-
-# bounded above the shapes any suite, test or benchmark realizes
-@lru_cache(maxsize=2048)
-def _row_getters(l1: int, l2: int) -> tuple:
-    """One `operator.itemgetter` per dense row of the shape (l1, l2), over
-    v = a + b + c + d + (0,): a[i], b[i], c[i], d[i] at i, l1 + i, l1 + l2 + i,
-    l1 + 2 l2 + i, the zero at z = l1 + 3 l2.  By the module docstring's
-    positions, with g = l1 - l2, top row r takes a[col - r] for col < l1, then
-    b[col - l1 - r]; bottom row r c[col - g - r], then d[col - l1 - r]; the
-    zero at a negative index.  With n >= 2 entries, each returns a tuple."""
-    z = l1 + 3 * l2
-
-    def getter(left: int, s: int, right: int, r: int):
-        return operator.itemgetter(*[left + k if k >= 0 else z for k in range(-s, l1 - s)],
-                                   *[right + k if k >= 0 else z for k in range(-r, l2 - r)])
-
-    return tuple([getter(0, r, l1, r) for r in range(l1)]
-                 + [getter(l1 + l2, l1 - l2 + r, l1 + 2 * l2, r) for r in range(l2)])
-
-
-def _dense_rows(x: TwoBlockElement) -> tuple:
-    """x's dense rows, each gathered in one call by its shape's getter."""
+    """Dense realization: x's coefficients a + b + c + d gathered by the rows
+    of `_layout((l1, l2))`; their types were checked by x's constructor, on
+    n coefficients, not n^2 entries."""
     v = x.a + x.b + x.c + x.d + (0,)
-    return tuple([row(v) for row in _row_getters(x.l1, x.l2)])
-
-
-def _place(rows: list, x: TwoBlockElement, o1: int, o2: int) -> None:
-    """Write x's dense rows into rows: its top block on the rows and columns
-    from o1, its bottom block on those from o2."""
-    l1, l2 = x.l1, x.l2
-    for r, dense in enumerate(_dense_rows(x)):
-        row = rows[o1 + r] if r < l1 else rows[o2 + r - l1]
-        row[o1:o1 + l1] = dense[:l1]
-        row[o2:o2 + l2] = dense[l1:]
+    return ExactMatrix._trusted(tuple([row(v) for row in _layout((x.l1, x.l2))[1]]), x._int)
 
 
 def tb_rank(x: TwoBlockElement) -> int:
@@ -368,43 +337,41 @@ def construct_squarezero_partner(mu, a: int) -> Witness:
     in host order, takes up to p // 2 of the rank as J_p^(p - take), and
     only the rank beyond the halves couples odd parts, paired in order:
     each coupled pair adds one, its `_odd_pair` element of rank (p + q) / 2
-    replacing the two halves.  Everything is written straight into the
-    host-sized rows, and the whole matrix is verified once.
+    replacing the two halves.  All of it is one coefficient map on the
+    host's generators, realized and verified once.
     """
     mu = Partition(mu)
     a = operator.index(a)
     n = mu.n
     if not 0 <= a <= n // 2:
         raise ValueError(f"rank {a} out of range for n={n}")
-    offsets = [0, *accumulate(mu)]
-    rows = [[0] * n for _ in range(n)]
+    coef = {}
     remaining = a
-    for p, o in zip(mu, offsets):
+    for i, p in enumerate(mu):
         take = min(remaining, p // 2)
         remaining -= take
-        for r in range(take):  # J_p^(p - take): ones on one shifted diagonal
-            rows[o + r][o + p - take + r] = 1
+        if take:  # J_p^(p - take)
+            coef[i, i, p - take] = 1
     odd = [i for i, p in enumerate(mu) if p % 2]
-    for i, j in list(zip(odd[0::2], odd[1::2]))[:remaining]:
-        _place(rows, _odd_pair(mu[i], mu[j]), offsets[i], offsets[j])
+    for pair in list(zip(odd[0::2], odd[1::2]))[:remaining]:
+        x = _odd_pair(mu[pair[0]], mu[pair[1]])  # every coefficient, zeros too
+        for (s, t, k), value in zip(_layout((x.l1, x.l2))[0], x.a + x.b + x.c + x.d):
+            coef[pair[s], pair[t], k] = value
         remaining -= 1
     if remaining:
         raise RuntimeError(f"rank {remaining} of {a} left unplaced on {tuple(mu)}; bug")
-    return certify(ExactMatrix(rows), mu, two_column(n, a))
+    return certify(_realize(mu, coef), mu, two_column(n, a))
 
 
 def construct_conjugate_partner(lam) -> Witness:
     """The Young-diagram grid element of type lam' on the host lam.  Box c of
     row i is vector lam_i - 1 - c of block i, so J moves a box along its row;
-    x moves it down its column (to zero where no box is below), so it
-    commutes with J, and its chains are the columns: its type is lam'."""
+    x moves it down its column (to zero where no box is below): that is the
+    generator (i + 1, i, lam_i - lam_(i+1)).  So x commutes with J, and its
+    chains are the columns: its type is lam'."""
     lam = Partition(lam)
-    offsets = [0, *accumulate(lam)]
-    rows = [[0] * lam.n for _ in range(lam.n)]
-    for p, q, o, below in zip(lam, lam[1:], offsets, offsets[1:]):
-        for t in range(q):  # box (i, c) to box (i + 1, c), c = q - 1 - t
-            rows[below + t][o + p - q + t] = 1
-    return certify(ExactMatrix(rows), lam, conjugate(lam))
+    coef = {(i + 1, i, p - q): 1 for i, (p, q) in enumerate(zip(lam, lam[1:]))}
+    return certify(_realize(lam, coef), lam, conjugate(lam))
 
 
 def construct_lemma_eq2(lam: int, seed: int = 0) -> Witness:

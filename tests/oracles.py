@@ -3,8 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 
-from nilcomm.commutant import _generators
-from nilcomm.exactla import ExactMatrix, build_jordan, rank
+from nilcomm.exactla import ExactMatrix, _generators, build_jordan, rank
 from nilcomm.partitions import Partition, conjugate, enumerate_partitions
 from nilcomm.twoblock import antidiagonal_block_rank_formulas
 
@@ -264,6 +263,17 @@ def draw_rows_standard(lam: tuple, stream, bound: int) -> list:
             for r in range(length):
                 rows[r0 + r][c0 + k + r] += coef
     return rows
+
+
+def generator_matrix(lam, coef: dict) -> ExactMatrix:
+    """sum coef[i, j, k] times generator (i, j, k) of `_generators(lam)`,
+    written into zero rows one cell at a time."""
+    n = sum(lam)
+    rows = [[0] * n for _ in range(n)]
+    for (i, j, k, length, r0, c0) in _generators(lam):
+        for r in range(length):
+            rows[r0 + r][c0 + k + r] = coef.get((i, j, k), 0)
+    return ExactMatrix(rows)
 
 
 def slice_dense_rows(x) -> tuple:

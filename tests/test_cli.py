@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -606,8 +609,9 @@ def golden_line(capsys, argv) -> str:
 # SHA-256 of cli_golden.txt, one golden_line per cli_invocations() entry and
 # then one for an internal error; recorded on the code of commit 94e201a, and
 # its `sample` lines again once both samplers drew from the seed given.  A
-# change that alters output writes the new lines there, records their digest
-# here and lists the invocations that changed in CHANGES.md
+# change that alters output rewrites cli_golden.txt and prints the new digest
+# with `PYTHONPATH=src python tests/test_cli.py`, records the digest here and
+# lists the invocations that changed in CHANGES.md
 CLI_DIGEST = "91515c7cf1a49813fddbd607760980f181cc0531243abafb7dfd02f885187a22"
 
 
@@ -624,3 +628,27 @@ def test_cli_output_matches_the_recorded_digest(capsys, monkeypatch):
                      min(len(lines), len(want)))
         pytest.fail(f"invocation {first} differs: got {lines[first:first + 1]}, "
                     f"recorded {want[first:first + 1]}")
+
+
+class _Capture:
+    """capsys's readouterr over StringIO stdout and stderr: what was printed
+    since the last call, then cleared."""
+
+    def readouterr(self):
+        captured = SimpleNamespace(out=sys.stdout.getvalue(), err=sys.stderr.getvalue())
+        for stream in (sys.stdout, sys.stderr):
+            stream.seek(0)
+            stream.truncate()
+        return captured
+
+
+if __name__ == "__main__":
+    # the golden recorder: replays what test_cli_output_matches_the_recorded_digest
+    # replays, rewrites cli_golden.txt and prints its SHA-256 for CLI_DIGEST
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        lines = [golden_line(_Capture(), argv) for argv in cli_invocations()]
+        dinverse.min_ar_cover = lambda lam: 0
+        lines.append(golden_line(_Capture(), ["dmap", "3,1,1"]))  # exit 3
+    text = "".join(line + "\n" for line in lines)
+    GOLDEN.write_text(text)
+    print(hashlib.sha256(text.encode()).hexdigest())

@@ -410,6 +410,24 @@ def nonzero_powers(rows):
     return out
 
 
+def test_realize_writes_the_cells_of_the_generators():
+    # `_realize` gathers each row through its host's getters; the oracle
+    # writes every generator's cells one at a time.  Every host with n <= 8,
+    # n = 1 included, with int and with Fraction maps that hold zeros
+    rng = random.Random(38)
+    draws = (lambda: rng.randint(-3, 3), lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    for lam in partitions_up_to(8):
+        keys = [gen[:3] for gen in exactla._generators(lam)]
+        for draw in draws:
+            coef = {key: draw() for key in keys if rng.randint(0, 3)}
+            m = exactla._realize(lam, coef)
+            assert m == oracles.generator_matrix(lam, coef), (lam, coef)
+            assert (m.rows, m.cols) == (lam.n, lam.n)
+            assert m._int == all(type(v) is int for v in coef.values())
+    with pytest.raises(KeyError):
+        exactla._realize((2, 1), {(0, 0, 2): 1})
+
+
 def test_int_rank_on_centralizer_powers():
     # every power of sampled centralizer elements: sparse and near echelon
     # form, the shape that leaves most rows untouched at most steps

@@ -299,42 +299,24 @@ def test_pow_order_on_each_orbit_case():
     assert seen == {(g, case) for g in (0, 1, 2) for case in ("g1", "both")} | {(0, "g2")}
 
 
-def test_dense_rows_match_placement():
-    # tb_to_matrix against `_place` into zero rows, at offsets (0, l1) and with
-    # the blocks swapped inside a larger host; Fraction(0) coefficients
-    # compare equal to the int zeros `_place` leaves beside them
-    rng = Stream(derive(7, 9))
-    for l1, l2 in shapes(6):
-        for make in (random_element, int_element):
-            x = make(l1, l2, rng)
-            n = l1 + l2
-            m = tb_to_matrix(x)
-            rows = [[0] * n for _ in range(n)]
-            twoblock._place(rows, x, 0, l1)
-            assert m == ExactMatrix(rows)
-            oracles.assert_trusted_matrix(m)
-            host = [[0] * (n + 2) for _ in range(n + 2)]
-            twoblock._place(host, x, l2 + 2, 1)
-            top = [row[l2 + 2:] + row[1:l2 + 1] for row in host[l2 + 2:]]
-            bottom = [row[l2 + 2:] + row[1:l2 + 1] for row in host[1:l2 + 1]]
-            assert ExactMatrix(top + bottom) == m
-            assert not any(host[0]) and not any(host[l2 + 1])
-    x = TwoBlockElement(3, 2, (Fraction(0), 1, 2), (Fraction(0), 3), (4, 0), (0, 5))
-    assert not tb_to_matrix(x)._int
-    oracles.assert_trusted_matrix(tb_to_matrix(x))
-
-
 def test_gathered_rows_match_the_slice_realization():
-    # `_dense_rows` gathers each row by its shape's itemgetter; the slicing
-    # oracle joins two windows per row.  Every shape with n <= 40, with int
-    # and with Fraction coefficients, zeros included
+    # tb_to_matrix gathers each row by the getters `exactla._layout` builds
+    # for (l1, l2) from `_generators`; the slicing oracle joins two windows
+    # per row.  Every shape with n <= 40, with int and with Fraction
+    # coefficients, zeros included; Fraction(0) coefficients compare equal
+    # to the int zeros between the generators' cells
     rng = Stream(derive(7, 12))
     for l1, l2 in shapes_up_to_n(40):
         for x in (int_element(l1, l2, rng), random_element(l1, l2, rng)):
-            rows = twoblock._dense_rows(x)
-            assert rows == oracles.slice_dense_rows(x), (l1, l2)
-            assert all(type(row) is tuple and len(row) == l1 + l2 for row in rows)
-    assert twoblock._row_getters(3, 2) is twoblock._row_getters(3, 2)
+            m = tb_to_matrix(x)
+            assert m.row_data() == oracles.slice_dense_rows(x), (l1, l2)
+            assert all(type(row) is tuple and len(row) == l1 + l2 for row in m.row_data())
+            if l1 + l2 <= 12:
+                oracles.assert_trusted_matrix(m)
+    assert exactla._layout((3, 2)) is exactla._layout(Partition((2, 3)))
+    x = TwoBlockElement(3, 2, (Fraction(0), 1, 2), (Fraction(0), 3), (4, 0), (0, 5))
+    assert not tb_to_matrix(x)._int
+    oracles.assert_trusted_matrix(tb_to_matrix(x))
 
 
 def test_int_flag_of_realizations_and_products():
@@ -640,6 +622,14 @@ def test_constructions_refuse_a_non_integer_rank_or_block():
         construct_lemma_odd(3, 1, 1.5)
     with pytest.raises(TypeError, match="'float'"):
         construct_lemma_odd(3.0, 1, 1)
+    # tb_element reads its sizes and indices as the constructions read theirs;
+    # a float failed later, in a list product or an index, named or not
+    for call, args in ((tb_element, (3.0, 2, [])), (construct_lemma_eq2, (3.0,)),
+                       (antidiagonal, (3.0, 2, 0, 1, 1, 1)),
+                       (tb_element, (3, 2, [("K", 1.0, 1)])),
+                       (antidiagonal, (3, 2, 0.0, 1, 1, 1))):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted"):
+            call(*args)
     # bools pass as ints, as Partition reads its parts
     assert construct_lemma_odd(True, True, True) == construct_lemma_odd(1, 1, 1)
 
