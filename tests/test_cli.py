@@ -630,21 +630,20 @@ def test_cli_output_matches_the_recorded_digest(capsys, monkeypatch):
                     f"recorded {want[first:first + 1]}")
 
 
-class _Capture:
-    """capsys's readouterr over StringIO stdout and stderr: what was printed
-    since the last call, then cleared."""
-
-    def readouterr(self):
-        captured = SimpleNamespace(out=sys.stdout.getvalue(), err=sys.stderr.getvalue())
-        for stream in (sys.stdout, sys.stderr):
-            stream.seek(0)
-            stream.truncate()
-        return captured
-
-
 if __name__ == "__main__":
     # the golden recorder: replays what test_cli_output_matches_the_recorded_digest
     # replays, rewrites cli_golden.txt and prints its SHA-256 for CLI_DIGEST
+    class _Capture:
+        """capsys's readouterr over StringIO stdout and stderr: what was
+        printed since the last call, then cleared."""
+
+        def readouterr(self):
+            captured = SimpleNamespace(out=sys.stdout.getvalue(), err=sys.stderr.getvalue())
+            for stream in (sys.stdout, sys.stderr):
+                stream.seek(0)
+                stream.truncate()
+            return captured
+
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         lines = [golden_line(_Capture(), argv) for argv in cli_invocations()]
         dinverse.min_ar_cover = lambda lam: 0
